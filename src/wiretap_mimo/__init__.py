@@ -17,9 +17,9 @@ from .core import (CapacityBounds, ChannelPair, ConvergenceError,
                    SolveConfig, SolveResult, SolveStatus,
                    SpectralDecomposition, epsilon_from_pathloss, nats_to_bits,
                    positive_part, secrecy_rate, weak_rate)
-from .weak_eavesdropper import (WeakSolveConfig, capacity_bounds_weak,
-                                kkt_residual_weak, saturation_capacities,
-                                solve_weak, threshold_power)
+from .weak_eavesdropper import (capacity_bounds_weak, kkt_residual_weak,
+                                saturation_capacities, solve_weak,
+                                solve_weak_with_bounds, threshold_power)
 from .isotropic import (AsymptoticRegime, AsymptoticReport, IsotropicProblem,
                         NegligibilityReport, asymptotic_capacity,
                         capacity_bounds_isotropic, negligibility_margins,
@@ -35,6 +35,7 @@ from .certificates import (CertificateReport, KktForm, Verdict,
                            kkt_residual_general, wf_certify, zf_certify,
                            zf_necessity_check)
 from .oracle import Objective, OracleConfig, mc_capacity, separable_oracle
+from .auto import solve_auto
 
 __version__ = "0.1.0"
 
@@ -43,8 +44,8 @@ __all__ = [
     "KktResidual", "NotApplicableError", "SolveConfig", "SolveResult",
     "SolveStatus", "SpectralDecomposition", "epsilon_from_pathloss",
     "nats_to_bits", "positive_part", "secrecy_rate", "weak_rate",
-    "WeakSolveConfig", "capacity_bounds_weak", "kkt_residual_weak",
-    "saturation_capacities", "solve_weak", "threshold_power",
+    "capacity_bounds_weak", "kkt_residual_weak", "saturation_capacities",
+    "solve_weak", "solve_weak_with_bounds", "threshold_power",
     "AsymptoticRegime", "AsymptoticReport", "IsotropicProblem",
     "NegligibilityReport", "asymptotic_capacity", "capacity_bounds_isotropic",
     "negligibility_margins", "solve_isotropic", "threshold_powers",
@@ -54,5 +55,5 @@ __all__ = [
     "CertificateReport", "KktForm", "Verdict", "construct_is_optimal_channel",
     "construct_wf_optimal_channel", "is_certify", "kkt_residual_general",
     "wf_certify", "zf_certify", "zf_necessity_check", "Objective",
-    "OracleConfig", "mc_capacity", "separable_oracle",
+    "OracleConfig", "mc_capacity", "separable_oracle", "solve_auto",
 ]

@@ -14,6 +14,7 @@ Two allocation rules live here:
   small arguments; it degenerates to water-filling exactly when ``e_i = 0``.
   The multiplier is found by bisection on (0, max_i(g_i - e_i)), where the
   total power is continuous and strictly decreasing.
+  The weak-eavesdropper solvers share this search, ``_bisect_multiplier``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,39 @@ def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
     return np.where(t > 0, 2.0 * t / (safe_s * (1.0 + np.sqrt(1.0 + q))), 0.0)
 
 
+def _bisect_multiplier(power_at, hi: float, p_total: float, power_tol: float,
+                      max_iters: int, label: str = "multiplier"):
+    """Bisect lam on (0, hi], from hi / 2, until the power residual is within
+    ``power_tol`` or the bracket is exhausted at float resolution.
+
+    ``power_at(lam)`` returns ``(total power, payload)``, decreasing in lam.
+    Returns ``(lam, payload)`` of the last evaluation; raises
+    :class:`ConvergenceError` when its residual exceeds ``power_tol``.
+    """
+    lo = 0.0
+    mid = 0.5 * hi
+    total, payload = power_at(mid)
+    resid = total - p_total
+    for _ in range(max_iters):
+        if abs(resid) <= power_tol:
+            break
+        if resid > 0:
+            lo = mid
+        else:
+            hi = mid
+        nxt = 0.5 * (lo + hi)
+        if nxt == mid or nxt <= 0.0:
+            break  # bracket exhausted at float resolution
+        mid = nxt
+        total, payload = power_at(mid)
+        resid = total - p_total
+    if abs(resid) > power_tol:
+        raise ConvergenceError(
+            f"{label} bisection stalled with power residual {resid:.3e}",
+            residual=resid)
+    return mid, payload
+
+
 def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float, p_total: float,
                       power_tol: float = 1e-12,
                       max_iters: int = 200) -> tuple[np.ndarray, float]:
@@ -85,28 +119,12 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float, p_total: flo
     if hi <= 0:
         return np.zeros_like(g), 0.0
 
-    lo = 0.0  # total power diverges as lam -> 0+
-    mid = 0.5 * hi
-    powers = secrecy_mode_powers(g, e, mid)
-    resid = float(np.sum(powers)) - p_total
-    for _ in range(max_iters):
-        if abs(resid) <= power_tol:
-            break
-        if resid > 0:
-            lo = mid
-        else:
-            hi = mid
-        nxt = 0.5 * (lo + hi)
-        if nxt == mid or nxt <= 0.0:
-            break  # bracket exhausted at float resolution
-        mid = nxt
-        powers = secrecy_mode_powers(g, e, mid)
-        resid = float(np.sum(powers)) - p_total
-    if abs(resid) > power_tol:
-        raise ConvergenceError(
-            f"multiplier bisection stalled with power residual {resid:.3e}",
-            residual=resid)
+    def power_at(lam):
+        powers = secrecy_mode_powers(g, e, lam)
+        return float(np.sum(powers)), powers
 
+    # total power diverges as lam -> 0+
+    mid, powers = _bisect_multiplier(power_at, hi, p_total, power_tol, max_iters)
     active = np.flatnonzero(powers > 0)
     if active.size == 1:
         # single active mode: the power constraint pins its power exactly

@@ -20,7 +20,8 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, SolveConfig, frob, secrecy_rate, sym)
+                   NotApplicableError, SolveConfig, as_array, frob,
+                   inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -54,11 +55,16 @@ class CertificateReport:
                              "SufficientHolds verdicts")
 
 
-def _try_common_basis(pair: ChannelPair):
+def _common_basis(pair: ChannelPair):
+    """The pair's shared eigenbasis and None, or None and the inconclusive
+    report when W1 and W2 do not commute."""
     try:
-        return common_rsv.detect_common_rsv(pair), None
+        return pair.common_basis(), None
     except common_rsv.NotCommutingError as err:
-        return None, err
+        return None, CertificateReport(Verdict.INCONCLUSIVE, details={
+            "reason": "W1 and W2 do not share an eigenbasis",
+            "commutator_norm": err.commutator_norm,
+        })
 
 
 def zf_certify(pair: ChannelPair, p_total: float,
@@ -77,12 +83,9 @@ def zf_certify(pair: ChannelPair, p_total: float,
             "reason": "W2 is positive definite: no zero-leakage direction exists",
             "w2_rank": pair.m,
         })
-    channel, err = _try_common_basis(pair)
+    channel, report = _common_basis(pair)
     if channel is None:
-        return CertificateReport(Verdict.INCONCLUSIVE, details={
-            "reason": "W1 and W2 do not share an eigenbasis",
-            "commutator_norm": err.commutator_norm,
-        })
+        return report
     l1, l2 = channel.lam1, channel.lam2
     cut2 = pair.w2.rank_tol * float(np.max(l2)) if np.max(l2) > 0 else 0.0
     cut1 = pair.w1.rank_tol * float(np.max(l1)) if np.max(l1) > 0 else 0.0
@@ -195,12 +198,9 @@ def wf_certify(pair: ChannelPair, p_total: float,
     """
     if not p_total > 0:
         raise ValueError("p_total must be positive")
-    channel, err = _try_common_basis(pair)
+    channel, report = _common_basis(pair)
     if channel is None:
-        return CertificateReport(Verdict.INCONCLUSIVE, details={
-            "reason": "W1 and W2 do not share an eigenbasis",
-            "commutator_norm": err.commutator_norm,
-        })
+        return report
     l1, l2 = channel.lam1, channel.lam2
     powers, lam = standard_waterfill(l1, p_total)
     active = powers > 0
@@ -254,12 +254,9 @@ def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     """
     if not p_total > 0:
         raise ValueError("p_total must be positive")
-    channel, err = _try_common_basis(pair)
+    channel, report = _common_basis(pair)
     if channel is None:
-        return CertificateReport(Verdict.INCONCLUSIVE, details={
-            "reason": "W1 and W2 do not share an eigenbasis",
-            "commutator_norm": err.commutator_norm,
-        })
+        return report
     l1, l2 = channel.lam1, channel.lam2
     details: dict = {}
     if np.any(l2 <= 0) or np.any(l1 <= l2):
@@ -316,15 +313,7 @@ def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
     a_rest = -a + 1.0 / (lam + 1.0 / (b_rest + a))
     a_all = np.concatenate(([a1], a_rest))
     b_all = np.concatenate(([b1], b_rest))
-    d1 = np.diag(1.0 / a_all)
-    d2 = np.diag(1.0 / b_all)
-    if basis is None:
-        w1, w2 = d1, d2
-    else:
-        basis = np.asarray(basis)
-        w1 = basis @ d1 @ basis.conj().T
-        w2 = basis @ d2 @ basis.conj().T
-    return ChannelPair.from_gram(w1, w2, rank_tol=rank_tol)
+    return _pair_in_basis(1.0 / a_all, 1.0 / b_all, basis, rank_tol)
 
 
 def construct_wf_optimal_channel(lam1, alpha: float,
@@ -337,14 +326,17 @@ def construct_wf_optimal_channel(lam1, alpha: float,
         raise ValueError("lam1 must be nonnegative")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    l2 = l1 / (1.0 + alpha * l1)
-    d1, d2 = np.diag(l1), np.diag(l2)
-    if basis is None:
-        w1, w2 = d1, d2
-    else:
+    return _pair_in_basis(l1, l1 / (1.0 + alpha * l1), basis, rank_tol)
+
+
+def _pair_in_basis(lam1, lam2, basis, rank_tol: float) -> ChannelPair:
+    """The pair with eigenvalues (lam1, lam2) on the columns of ``basis``
+    (the standard basis when None)."""
+    w1, w2 = np.diag(lam1), np.diag(lam2)
+    if basis is not None:
         basis = np.asarray(basis)
-        w1 = basis @ d1 @ basis.conj().T
-        w2 = basis @ d2 @ basis.conj().T
+        w1 = basis @ w1 @ basis.conj().T
+        w2 = basis @ w2 @ basis.conj().T
     return ChannelPair.from_gram(w1, w2, rank_tol=rank_tol)
 
 
@@ -353,21 +345,14 @@ class KktForm(Enum):
     WF = "WFForm"
 
 
-def _regularized(w: HermitianMatrix) -> np.ndarray:
+def _regularized(w: HermitianMatrix) -> HermitianMatrix:
     ev = w.eigenvalues()
     top = float(ev[0])
     if top <= 0:
         raise NotApplicableError("W is zero; singular beyond regularization")
     if ev[-1] > w.rank_tol * top:
-        return w.entries
-    return w.entries + (w.rank_tol * top) * np.eye(w.dim)
-
-
-def _inv_winv_plus_r(w: np.ndarray, ra: np.ndarray, m: int) -> np.ndarray:
-    """(W^{-1} + R)^{-1} through the stable Hermitian congruence form."""
-    wh = HermitianMatrix(w).sqrt_psd().entries
-    inner = np.eye(m) + sym(wh @ ra @ wh)
-    return sym(wh @ np.linalg.solve(inner, wh))
+        return w
+    return HermitianMatrix(w.entries + (w.rank_tol * top) * np.eye(w.dim))
 
 
 def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,
@@ -379,18 +364,12 @@ def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,
     M = lam*I - (W1^{-1} + R)^{-1} + (W2^{-1} + R)^{-1}, regularizing
     near-singular Gram matrices by rank_tol * lam_max * I.
     """
-    ra = np.asarray(r.entries if isinstance(r, HermitianMatrix) else r)
+    ra = as_array(r)
     m = pair.m
     if form is KktForm.ZF:
         mat = sym(lam * (pair.w1.entries @ ra)) - pair.w1.entries \
             + pair.w2.entries + lam * np.eye(m)
     else:
-        w1 = _regularized(pair.w1)
-        w2 = _regularized(pair.w2)
-        mat = lam * np.eye(m) - _inv_winv_plus_r(w1, ra, m) \
-            + _inv_winv_plus_r(w2, ra, m)
-    ev = np.linalg.eigvalsh(sym(mat))
-    neg = float(np.sqrt(np.sum(np.minimum(ev, 0.0) ** 2)))
-    slack = frob(mat @ ra)
-    power = abs(lam * (float(np.trace(ra).real) - p_total))
-    return KktResidual(neg, slack, power)
+        mat = lam * np.eye(m) - inv_winv_plus_r(_regularized(pair.w1), ra) \
+            + inv_winv_plus_r(_regularized(pair.w2), ra)
+    return KktResidual.of(mat, ra, lam, p_total)

@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import certificates, common_rsv, omnidirectional, weak_eavesdropper
-from .core import (ChannelPair, ConvergenceError, NATS_PER_BIT, SolveStatus)
+from . import auto, certificates, common_rsv, omnidirectional, weak_eavesdropper
+from .core import (CapacityBounds, ChannelPair, ConvergenceError, NATS_PER_BIT,
+                   SolveStatus)
 from .isotropic import IsotropicProblem, capacity_bounds_isotropic, solve_isotropic
 from .oracle import Objective, OracleConfig, mc_capacity
 
@@ -179,43 +180,28 @@ def load_scenario(path: str, rank_tol: float = 1e-10,
     )
 
 
-def _weak_row(pair, snr_db, p_t) -> Row:
-    bounds = weak_eavesdropper.capacity_bounds_weak(pair, p_t)
-    res = weak_eavesdropper.solve_weak(pair, p_t)
-    return Row(snr_db, p_t, "weak", res.capacity_nats, bounds.lower_nats,
-               bounds.upper_nats, res.lagrange_lambda, res.active_modes,
-               res.status.value, res.covariance.entries)
+def _row(snr_db, p_t, solver, out) -> Row:
+    """One table row of a SolveResult (with its bounds, if any) or of bounds."""
+    if isinstance(out, CapacityBounds):
+        return Row(snr_db, p_t, solver, out.mid_nats, out.lower_nats,
+                   out.upper_nats, None, None, SolveStatus.BOUNDS_ONLY.value)
+    lower = upper = None
+    if out.bounds is not None:
+        lower, upper = out.bounds.lower_nats, out.bounds.upper_nats
+    return Row(snr_db, p_t, solver, out.capacity_nats, lower, upper,
+               out.lagrange_lambda, out.active_modes, out.status.value,
+               out.covariance.entries)
 
 
 def _iso_row(pair, snr_db, p_t) -> Row:
-    cls = omnidirectional.classify_omni(pair.w2)
+    cls, _ = pair.omni()
     if cls.is_omni and cls.r2 == pair.m:
         gains = np.clip(pair.w1.eigenvalues(), 0.0, None)
         res = solve_isotropic(IsotropicProblem(gains, cls.epsilon, p_t))
         return Row(snr_db, p_t, "isotropic", res.capacity_nats,
                    res.capacity_nats, res.capacity_nats, res.lagrange_lambda,
                    res.active_modes, res.status.value)
-    bounds = capacity_bounds_isotropic(pair, p_t)
-    return Row(snr_db, p_t, "isotropic", bounds.mid_nats, bounds.lower_nats,
-               bounds.upper_nats, None, None, SolveStatus.BOUNDS_ONLY.value)
-
-
-def _omni_row(pair, snr_db, p_t) -> Row:
-    res = omnidirectional.solve_omni(pair, p_t)
-    lower = upper = None
-    if res.bounds is not None:
-        lower, upper = res.bounds.lower_nats, res.bounds.upper_nats
-    return Row(snr_db, p_t, "omni", res.capacity_nats, lower, upper,
-               res.lagrange_lambda, res.active_modes, res.status.value,
-               res.covariance.entries)
-
-
-def _rsv_row(pair, snr_db, p_t) -> Row:
-    channel = common_rsv.detect_common_rsv(pair)
-    res = common_rsv.solve_common_rsv(channel, p_t)
-    return Row(snr_db, p_t, "rsv", res.capacity_nats, None, None,
-               res.lagrange_lambda, res.active_modes, res.status.value,
-               res.covariance.entries)
+    return _row(snr_db, p_t, "isotropic", capacity_bounds_isotropic(pair, p_t))
 
 
 def _oracle_row(pair, snr_db, p_t, cfg) -> Row:
@@ -238,52 +224,40 @@ def _certify_rows(pair, snr_db, p_t) -> list[Row]:
     return rows
 
 
-def _auto_rows(pair, snr_db, p_t, want_oracle, cfg) -> list[Row]:
-    rows: list[Row] = []
-    try:
-        common_rsv.detect_common_rsv(pair)
-        rows.append(_rsv_row(pair, snr_db, p_t))
-    except common_rsv.NotCommutingError:
-        cls = omnidirectional.classify_omni(pair.w2)
-        contained = cls.is_omni and omnidirectional.range_containment_residual(
-            pair.w1, cls.active_basis) <= 1e-8
-        if contained:
-            rows.append(_omni_row(pair, snr_db, p_t))
-        else:
-            rows.append(_weak_row(pair, snr_db, p_t))
-            try:
-                rows.append(_iso_row(pair, snr_db, p_t))
-            except ValueError:
-                pass  # W2 = 0: the weak row already is the exact solution
-    if want_oracle:
-        rows.append(_oracle_row(pair, snr_db, p_t, cfg))
-    return rows
+def _solver_rows(spec: ScenarioSpec, snr_db, p_t, name) -> list[Row]:
+    """Rows of one named solver at one power.  With ``auto`` the oracle row
+    follows the auto rows."""
+    pair = spec.pair
+    if name == "auto":
+        rows = [_row(snr_db, p_t, solver, out)
+                for solver, out in auto.solve_auto(pair, p_t)]
+        if "oracle" in spec.solvers:
+            rows.append(_oracle_row(pair, snr_db, p_t, spec.oracle_cfg))
+        return rows
+    if name == "oracle":
+        return ([] if "auto" in spec.solvers
+                else [_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)])
+    if name == "isotropic":
+        return [_iso_row(pair, snr_db, p_t)]
+    if name == "certify":
+        return _certify_rows(pair, snr_db, p_t)
+    if name == "weak":
+        out = weak_eavesdropper.solve_weak_with_bounds(pair, p_t)
+    elif name == "omni":
+        out = omnidirectional.solve_omni(pair, p_t)
+    else:  # rsv
+        out = common_rsv.solve_common_rsv(pair.common_basis(), p_t)
+    return [_row(snr_db, p_t, name, out)]
 
 
 def run_sweep(spec: ScenarioSpec) -> list[Row]:
     """One row per (power point, solver); solver errors land in the status
     column without aborting the rest of the sweep."""
     rows: list[Row] = []
-    want_oracle = "oracle" in spec.solvers
     for snr_db, p_t in spec.grid:
         for name in spec.solvers:
             try:
-                if name == "auto":
-                    rows.extend(_auto_rows(spec.pair, snr_db, p_t,
-                                           want_oracle, spec.oracle_cfg))
-                elif name == "weak":
-                    rows.append(_weak_row(spec.pair, snr_db, p_t))
-                elif name == "isotropic":
-                    rows.append(_iso_row(spec.pair, snr_db, p_t))
-                elif name == "omni":
-                    rows.append(_omni_row(spec.pair, snr_db, p_t))
-                elif name == "rsv":
-                    rows.append(_rsv_row(spec.pair, snr_db, p_t))
-                elif name == "certify":
-                    rows.extend(_certify_rows(spec.pair, snr_db, p_t))
-                elif name == "oracle" and "auto" not in spec.solvers:
-                    rows.append(_oracle_row(spec.pair, snr_db, p_t,
-                                            spec.oracle_cfg))
+                rows.extend(_solver_rows(spec, snr_db, p_t, name))
             except ConvergenceError:
                 raise
             except (ValueError, common_rsv.NotCommutingError) as err:
@@ -415,24 +389,19 @@ def main(argv=None) -> int:
         out_format = args.format or spec.out_format
         units = args.units or spec.units
 
-        if args.command == "solve":
-            if len(spec.grid) != 1:
-                raise ValueError("'solve' requires exactly one power point; "
-                                 "use 'sweep' for grids")
+        if args.command == "solve" and len(spec.grid) != 1:
+            raise ValueError("'solve' requires exactly one power point; "
+                             "use 'sweep' for grids")
+        if args.command in ("solve", "sweep"):
             rows = run_sweep(spec)
-            _emit(rows, out_format, units, args.out, with_covariance=True)
-        elif args.command == "sweep":
-            rows = run_sweep(spec)
-            _emit(rows, out_format, units, args.out)
         elif args.command == "certify":
-            rows = []
-            for snr_db, p_t in spec.grid:
-                rows.extend(_certify_rows(spec.pair, snr_db, p_t))
-            _emit(rows, out_format, units, args.out, with_covariance=True)
+            rows = [row for snr_db, p_t in spec.grid
+                    for row in _certify_rows(spec.pair, snr_db, p_t)]
         else:  # oracle
             rows = [_oracle_row(spec.pair, snr_db, p_t, spec.oracle_cfg)
                     for snr_db, p_t in spec.grid]
-            _emit(rows, out_format, units, args.out)
+        _emit(rows, out_format, units, args.out,
+              with_covariance=args.command in ("solve", "certify"))
         return 0
     except ConvergenceError as err:
         print(f"error: solver failed to converge: {err}", file=sys.stderr)

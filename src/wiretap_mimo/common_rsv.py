@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import (ChannelPair, HermitianMatrix, SolveConfig, SolveResult,
-                   SolveStatus, frob)
+from .core import ChannelPair, SolveConfig, SolveResult, frob
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
@@ -115,21 +114,9 @@ def solve_common_rsv(channel: CommonBasisChannel, p_total: float,
         raise ValueError("p_total must be positive")
     l1, l2 = channel.lam1, channel.lam2
     if np.max(l1 - l2) <= 0:
-        return SolveResult(
-            covariance=HermitianMatrix(np.zeros((channel.m, channel.m))),
-            capacity_nats=0.0, lagrange_lambda=0.0, active_modes=0,
-            power_used=0.0, status=SolveStatus.ZERO_RATE,
-            mode_powers=np.zeros(channel.m))
+        return SolveResult.zero_rate(channel.m)
     powers, lam = _waterfill.secrecy_waterfill(
         l1, l2, p_total, power_tol=cfg.power_tol, max_iters=cfg.max_iters)
     cov = (channel.basis * powers) @ channel.basis.conj().T
     capacity = _waterfill.parallel_secrecy_value(l1, l2, powers)
-    return SolveResult(
-        covariance=HermitianMatrix(cov),
-        capacity_nats=max(capacity, 0.0),
-        lagrange_lambda=float(lam),
-        active_modes=int(np.count_nonzero(powers > 0)),
-        power_used=float(np.sum(powers)),
-        status=SolveStatus.SOLVED,
-        mode_powers=powers,
-    )
+    return SolveResult.solved(cov, powers, capacity, float(lam))

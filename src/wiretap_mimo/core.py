@@ -45,12 +45,6 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian array."""
-    w, v = np.linalg.eigh(sym(a))
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues in decreasing order paired with orthonormal eigenvector columns."""
@@ -96,6 +90,8 @@ class HermitianMatrix:
             raise ValueError("rank_tol must be positive")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
         a = a.astype(dtype)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
         asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
         if asym > _ASYMMETRY_TOL * frob(a):
             raise ValueError(
@@ -117,11 +113,16 @@ class HermitianMatrix:
         return float(np.trace(self.entries).real)
 
     def eig(self) -> SpectralDecomposition:
-        w, v = eigh_desc(self.entries)
-        dec = SpectralDecomposition(w, v)
-        err = frob(dec.reconstruct() - self.entries)
-        if err > _SPECTRAL_TOL * max(frob(self.entries), 1e-300):
-            raise ValueError("eigendecomposition failed to reconstruct the input")
+        """The checked eigendecomposition, computed on the first call and
+        kept: every spectral query of this matrix shares it."""
+        dec = self.__dict__.get("_eig")
+        if dec is None:
+            w, v = np.linalg.eigh(sym(self.entries))
+            dec = SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+            err = frob(dec.reconstruct() - self.entries)
+            if err > _SPECTRAL_TOL * max(frob(self.entries), 1e-300):
+                raise ValueError("eigendecomposition failed to reconstruct the input")
+            object.__setattr__(self, "_eig", dec)
         return dec
 
     def eigenvalues(self) -> np.ndarray:
@@ -139,11 +140,6 @@ class HermitianMatrix:
         """Orthonormal columns spanning the numerical nullspace."""
         dec = self.eig()
         keep = np.abs(dec.eigenvalues) <= self._zero_cut(dec.eigenvalues)
-        return dec.eigenvectors[:, keep]
-
-    def range_basis(self) -> np.ndarray:
-        dec = self.eig()
-        keep = np.abs(dec.eigenvalues) > self._zero_cut(dec.eigenvalues)
         return dec.eigenvectors[:, keep]
 
     def is_psd(self) -> bool:
@@ -182,7 +178,12 @@ def as_hermitian(a: MatrixLike, rank_tol: float = DEFAULT_RANK_TOL) -> Hermitian
 
 @dataclass(frozen=True, eq=False)
 class ChannelPair:
-    """Gram matrices (W1, W2) of the legitimate and eavesdropper channels."""
+    """Gram matrices (W1, W2) of the legitimate and eavesdropper channels.
+
+    Structure that depends on the pair alone (shared eigenbasis, W2's
+    omnidirectional class, weak threshold power) is computed on first use
+    and kept on the pair: see :meth:`fact`.
+    """
 
     w1: HermitianMatrix
     w2: HermitianMatrix
@@ -195,6 +196,7 @@ class ChannelPair:
         for name, w in (("W1", self.w1), ("W2", self.w2)):
             if not w.is_psd():
                 raise ValueError(f"{name} is not positive semidefinite within rank_tol")
+        object.__setattr__(self, "_facts", {})
 
     @property
     def m(self) -> int:
@@ -203,6 +205,36 @@ class ChannelPair:
     @property
     def rank_tol(self) -> float:
         return min(self.w1.rank_tol, self.w2.rank_tol)
+
+    def fact(self, name: str, compute):
+        """``compute(self)``, run on the first call for ``name`` and kept; a
+        ValueError it raised is kept and raised again."""
+        facts = self._facts
+        if name not in facts:
+            try:
+                facts[name] = compute(self)
+            except ValueError as err:
+                facts[name] = err
+        if isinstance(facts[name], ValueError):
+            raise facts[name].with_traceback(None)
+        return facts[name]
+
+    # the solver modules import this one, so they are imported on use
+    def common_basis(self):
+        """Shared eigenbasis (``common_rsv.detect_common_rsv``); raises
+        ``NotCommutingError`` when W1 and W2 do not commute."""
+        from . import common_rsv
+        return self.fact("common_basis", common_rsv.detect_common_rsv)
+
+    def omni(self):
+        """W2's ``omnidirectional.classify_omni`` classification and the
+        ``range_containment_residual`` of W1 against its active subspace."""
+        from . import omnidirectional as om
+
+        def compute(p):
+            cls = om.classify_omni(p.w2)
+            return cls, om.range_containment_residual(p.w1, cls.active_basis)
+        return self.fact("omni", compute)
 
     @classmethod
     def from_gram(cls, w1: MatrixLike, w2: MatrixLike,
@@ -276,6 +308,20 @@ class SolveResult:
         if not self.covariance.is_psd():
             raise ValueError("covariance must be positive semidefinite")
 
+    @classmethod
+    def solved(cls, covariance: np.ndarray, powers: np.ndarray,
+               capacity: float, lam: float) -> "SolveResult":
+        """The result of the per-mode allocation ``powers``."""
+        return cls(HermitianMatrix(covariance), max(capacity, 0.0), lam,
+                   int(np.count_nonzero(powers > 0)), float(np.sum(powers)),
+                   SolveStatus.SOLVED, powers)
+
+    @classmethod
+    def zero_rate(cls, m: int) -> "SolveResult":
+        """No transmission: no mode beats the eavesdropper."""
+        return cls(HermitianMatrix(np.zeros((m, m))), 0.0, 0.0, 0, 0.0,
+                   SolveStatus.ZERO_RATE, np.zeros(m))
+
 
 @dataclass(frozen=True, eq=False)
 class SolveConfig:
@@ -308,22 +354,37 @@ class KktResidual:
         return max(self.dual_feasibility, self.complementary_slackness,
                    self.power_slackness)
 
+    @classmethod
+    def of(cls, mat: np.ndarray, r: np.ndarray, lam: float,
+           p_total: float) -> "KktResidual":
+        """The violations of the dual matrix M = ``mat`` at covariance ``r``."""
+        ev = np.linalg.eigvalsh(sym(mat))
+        return cls(float(np.sqrt(np.sum(np.minimum(ev, 0.0) ** 2))),
+                   frob(mat @ r), abs(lam * (float(np.trace(r).real) - p_total)))
 
-def _coerce_psd(r: MatrixLike, m: int, rank_tol: float) -> np.ndarray:
+
+def inv_winv_plus_r(w: HermitianMatrix, r: np.ndarray) -> np.ndarray:
+    """(W^{-1} + R)^{-1} through the stable Hermitian congruence form
+    W^(1/2) (I + W^(1/2) R W^(1/2))^{-1} W^(1/2)."""
+    wh = w.sqrt_psd().entries
+    inner = np.eye(w.dim) + sym(wh @ r @ wh)
+    return sym(wh @ np.linalg.solve(inner, wh))
+
+
+def _coerce_psd(r: MatrixLike, m: int, rank_tol: float) -> HermitianMatrix:
     """Validate dimensions and positive semidefiniteness of a covariance input."""
     h = as_hermitian(r, rank_tol)
     if h.dim != m:
         raise ValueError(f"covariance dimension {h.dim} does not match channel dimension {m}")
     if not h.is_psd():
         raise ValueError("covariance is not positive semidefinite within rank_tol")
-    return h.entries
+    return h
 
 
 def logdet_i_plus(w: MatrixLike, r: MatrixLike) -> float:
     """ln|I + W R| for PSD W and R, evaluated through a Hermitian eigenproblem."""
     wa = as_array(w)
-    ra = as_array(r)
-    rh = as_hermitian(ra).sqrt_psd().entries
+    rh = as_hermitian(r).sqrt_psd().entries
     ev = np.linalg.eigvalsh(sym(rh @ wa @ rh))
     return float(np.sum(np.log1p(np.clip(ev, 0.0, None))))
 
@@ -333,23 +394,22 @@ def secrecy_rate(pair: ChannelPair, r: MatrixLike) -> float:
 
     Negative values are returned as-is; callers interpret them as zero rate.
     """
-    ra = _coerce_psd(r, pair.m, pair.rank_tol)
-    return logdet_i_plus(pair.w1, ra) - logdet_i_plus(pair.w2, ra)
+    rh = _coerce_psd(r, pair.m, pair.rank_tol)
+    return logdet_i_plus(pair.w1, rh) - logdet_i_plus(pair.w2, rh)
 
 
 def weak_rate(pair: ChannelPair, r: MatrixLike) -> float:
     """Weak-eavesdropper rate ln|I + W1 R| - tr(W2 R) in nats (signed)."""
-    ra = _coerce_psd(r, pair.m, pair.rank_tol)
-    leak = float(np.trace(pair.w2.entries @ ra).real)
-    return logdet_i_plus(pair.w1, ra) - leak
+    rh = _coerce_psd(r, pair.m, pair.rank_tol)
+    leak = float(np.trace(pair.w2.entries @ rh.entries).real)
+    return logdet_i_plus(pair.w1, rh) - leak
 
 
 def positive_part(a: HermitianMatrix) -> HermitianMatrix:
     """Projection onto the positive eigenmodes: sum of lambda_i u_i u_i^H over lambda_i > 0."""
     dec = a.eig()
     w = dec.eigenvalues
-    cut = a.rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
-    kept = np.where(w > cut, w, 0.0)
+    kept = np.where(w > a._zero_cut(w), w, 0.0)
     return HermitianMatrix((dec.eigenvectors * kept) @ dec.eigenvectors.conj().T,
                            rank_tol=a.rank_tol)
 

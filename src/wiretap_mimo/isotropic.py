@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _waterfill
-from .core import (CapacityBounds, ChannelPair, HermitianMatrix, SolveConfig,
-                   SolveResult, SolveStatus)
+from .core import CapacityBounds, ChannelPair, SolveConfig, SolveResult
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +38,14 @@ class IsotropicProblem:
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gains must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gains must be finite")
         if np.any(g < 0):
             raise ValueError("gains must be nonnegative")
         if np.any(np.diff(g) > 0):
             raise ValueError("gains must be sorted in decreasing order")
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.p_total)):
+            raise ValueError("epsilon and p_total must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if not self.p_total > 0:
@@ -53,18 +56,6 @@ class IsotropicProblem:
     @property
     def m(self) -> int:
         return self.gains.size
-
-
-def _zero_result(m: int) -> SolveResult:
-    return SolveResult(
-        covariance=HermitianMatrix(np.zeros((m, m))),
-        capacity_nats=0.0,
-        lagrange_lambda=0.0,
-        active_modes=0,
-        power_used=0.0,
-        status=SolveStatus.ZERO_RATE,
-        mode_powers=np.zeros(m),
-    )
 
 
 def solve_isotropic(problem: IsotropicProblem,
@@ -81,7 +72,7 @@ def solve_isotropic(problem: IsotropicProblem,
     g = problem.gains
     eps = problem.epsilon
     if g[0] <= eps:
-        return _zero_result(problem.m)
+        return SolveResult.zero_rate(problem.m)
     if eps == 0.0:
         powers, lam = _waterfill.standard_waterfill(g, problem.p_total)
     else:
@@ -89,15 +80,23 @@ def solve_isotropic(problem: IsotropicProblem,
             g, eps, problem.p_total,
             power_tol=cfg.power_tol, max_iters=cfg.max_iters)
     capacity = _waterfill.parallel_secrecy_value(g, eps, powers)
-    return SolveResult(
-        covariance=HermitianMatrix(np.diag(powers)),
-        capacity_nats=max(capacity, 0.0),
-        lagrange_lambda=float(lam) if math.isfinite(lam) else 0.0,
-        active_modes=int(np.count_nonzero(powers > 0)),
-        power_used=float(np.sum(powers)),
-        status=SolveStatus.SOLVED,
-        mode_powers=powers,
-    )
+    return SolveResult.solved(np.diag(powers), powers, capacity,
+                              float(lam) if math.isfinite(lam) else 0.0)
+
+
+def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: float,
+                                cfg: SolveConfig | None = None
+                                ) -> tuple[SolveResult, np.ndarray]:
+    """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
+    ``epsilon``, with the covariance rotated into W1's eigenbasis.
+
+    Returns the per-mode result and the covariance in the antenna basis.
+    """
+    dec = pair.w1.eig()
+    res = solve_isotropic(IsotropicProblem(np.clip(dec.eigenvalues, 0.0, None),
+                                           epsilon, p_total), cfg)
+    u = dec.eigenvectors
+    return res, (u * res.mode_powers) @ u.conj().T
 
 
 def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:

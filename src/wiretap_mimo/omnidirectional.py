@@ -16,9 +16,9 @@ import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
                    SolveConfig, SolveResult, SolveStatus, frob, sym)
-from .isotropic import IsotropicProblem, capacity_bounds_isotropic, solve_isotropic
+from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
-_CONTAINMENT_TOL = 1e-8
+CONTAINMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,7 @@ def range_containment_residual(w1: HermitianMatrix,
 
 def solve_omni(pair: ChannelPair, p_total: float,
                cfg: SolveConfig | None = None,
-               containment_tol: float = _CONTAINMENT_TOL) -> SolveResult:
+               containment_tol: float = CONTAINMENT_TOL) -> SolveResult:
     """Secrecy capacity against an omnidirectional eavesdropper.
 
     With range containment the capacity equals the isotropic one on the
@@ -74,41 +74,28 @@ def solve_omni(pair: ChannelPair, p_total: float,
     are attached and the achievable lower-bound covariance is returned
     with status BOUNDS_ONLY.
     """
-    cls = classify_omni(pair.w2)
+    cls, containment = pair.omni()
     if not cls.is_omni:
         raise NotApplicableError("W2 is not omnidirectional (non-uniform positive spectrum)")
-    ev1, u1 = np.linalg.eigh(pair.w1.entries)
-    gains = np.clip(ev1[::-1], 0.0, None)
-    u1 = u1[:, ::-1]
-    resid = range_containment_residual(pair.w1, cls.active_basis)
-
-    if resid <= containment_tol:
-        iso = solve_isotropic(IsotropicProblem(gains, cls.epsilon, p_total), cfg)
-        cov = (u1 * iso.mode_powers) @ u1.conj().T
-        return SolveResult(
-            covariance=HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
-            capacity_nats=iso.capacity_nats,
-            lagrange_lambda=iso.lagrange_lambda,
-            active_modes=iso.active_modes,
-            power_used=iso.power_used,
-            status=iso.status,
-            mode_powers=iso.mode_powers,
-        )
-
-    bounds = capacity_bounds_isotropic(pair, p_total, cfg)
-    # the lower bound is achievable: signaling designed against the worst
-    # isotropic eavesdropper cannot do worse on the true channel
-    worst = solve_isotropic(
-        IsotropicProblem(gains, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))),
-                         p_total), cfg)
-    cov = (u1 * worst.mode_powers) @ u1.conj().T
+    bounds = None
+    if containment <= containment_tol:
+        iso, cov = solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total, cfg)
+        capacity, status = iso.capacity_nats, iso.status
+    else:
+        bounds = capacity_bounds_isotropic(pair, p_total, cfg)
+        # the lower bound is achievable: signaling designed against the worst
+        # isotropic eavesdropper cannot do worse on the true channel
+        iso, cov = solve_isotropic_in_w1_basis(
+            pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))),
+            p_total, cfg)
+        capacity, status = bounds.lower_nats, SolveStatus.BOUNDS_ONLY
     return SolveResult(
         covariance=HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
-        capacity_nats=bounds.lower_nats,
-        lagrange_lambda=worst.lagrange_lambda,
-        active_modes=worst.active_modes,
-        power_used=worst.power_used,
-        status=SolveStatus.BOUNDS_ONLY,
-        mode_powers=worst.mode_powers,
+        capacity_nats=capacity,
+        lagrange_lambda=iso.lagrange_lambda,
+        active_modes=iso.active_modes,
+        power_used=iso.power_used,
+        status=status,
+        mode_powers=iso.mode_powers,
         bounds=bounds,
     )

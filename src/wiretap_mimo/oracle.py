@@ -106,19 +106,10 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
             pass
 
     attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
-
-    def iso_lower():
-        eps1 = float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None)))
-        ev, u = np.linalg.eigh(pair.w1.entries)
-        gains = np.clip(ev[::-1], 0.0, None)
-        u = u[:, ::-1]
-        res = isotropic.solve_isotropic(
-            isotropic.IsotropicProblem(gains, eps1, p_total))
-        return (u * res.mode_powers) @ u.conj().T
-
-    attempt(iso_lower)
+    attempt(lambda: isotropic.solve_isotropic_in_w1_basis(
+        pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))), p_total)[1])
     attempt(lambda: common_rsv.solve_common_rsv(
-        common_rsv.detect_common_rsv(pair), p_total).covariance.entries)
+        pair.common_basis(), p_total).covariance.entries)
     attempt(lambda: omnidirectional.solve_omni(pair, p_total).covariance.entries)
     for certify in (certificates.zf_certify, certificates.wf_certify,
                     certificates.is_certify):

@@ -16,28 +16,22 @@ which is what :func:`capacity_bounds_weak` reports.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from . import common_rsv
-from .core import (CapacityBounds, ChannelPair, ConvergenceError,
-                   HermitianMatrix, KktResidual, NotApplicableError,
-                   SolveConfig, SolveResult, SolveStatus, frob, secrecy_rate,
-                   sym)
-
-# numerical policy is shared across the closed-form solvers
-WeakSolveConfig = SolveConfig
-
-# shared-eigenbasis detection tolerance of the diagonal fast path
-_COMMON_BASIS_TOL = 1e-8
+from . import _waterfill, common_rsv
+from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
+                   NotApplicableError, SolveConfig, SolveResult, SolveStatus,
+                   as_array, frob, inv_winv_plus_r, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
-    """Precompute the W2 eigendecomposition reused across the lam bisection."""
-    s2, v2 = np.linalg.eigh(pair.w2.entries)
-    s2 = np.clip(s2, 0.0, None)
-    return s2, v2
+    """W2's eigendecomposition in ascending order, reused across the lam
+    bisection: the kept decomposition of W2, reversed."""
+    dec = pair.w2.eig()
+    return np.clip(dec.eigenvalues[::-1], 0.0, None), dec.eigenvectors[:, ::-1]
 
 
 def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray, lam: float):
@@ -85,60 +79,45 @@ def threshold_power(pair: ChannelPair) -> float:
     matrices projected orthogonally to the W2 nullspace, which is what the
     pseudo-inverse realizes.
     """
-    if pair.w2.rank() < pair.m and not _null_space_contained(pair):
+    if not _null_space_contained(pair):
         return math.inf
-    s2, v2 = _weak_core(pair)
-    _, trace, _ = _weak_cov_at(pair, s2, v2, 0.0)
-    return trace
+    return pair.fact("weak_saturation", _saturation)[0]
 
 
+# modes with l1 = 0 give 1/0 and inf - inf in the two helpers below; the
+# l1 > 0 masks drop them
 def _diag_threshold(l1: np.ndarray, l2: np.ndarray, tol: float) -> float:
     top1 = float(np.max(l1)) if l1.size else 0.0
     free = (l2 <= 0) & (l1 > tol * top1)
     if np.any(free):
         return math.inf
-    with np.errstate(divide="ignore"):
+    with np.errstate(invalid="ignore"):
         inv2 = np.where(l2 > 0, 1.0 / np.where(l2 > 0, l2, 1.0), math.inf)
         inv1 = np.where(l1 > 0, 1.0 / np.where(l1 > 0, l1, 1.0), math.inf)
-    return float(np.sum(np.maximum(np.where(l1 > 0, inv2 - inv1, 0.0), 0.0)))
+        return float(np.sum(np.maximum(np.where(l1 > 0, inv2 - inv1, 0.0), 0.0)))
 
 
 def _diag_powers(l1: np.ndarray, l2: np.ndarray, lam: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         inv1 = np.where(l1 > 0, 1.0 / np.where(l1 > 0, l1, 1.0), math.inf)
-    return np.maximum(np.where(l1 > 0, 1.0 / (lam + l2) - inv1, 0.0), 0.0)
+        return np.maximum(np.where(l1 > 0, 1.0 / (lam + l2) - inv1, 0.0), 0.0)
 
 
 def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float,
                          cfg: SolveConfig) -> SolveResult:
     """Shared-eigenbasis fast path: per-mode powers (1/(lam+l2_i) - 1/l1_i)_+."""
     l1, l2 = channel.lam1, channel.lam2
-    p_star = _diag_threshold(l1, l2, pair.rank_tol)
-    if p_total >= p_star:
+    if p_total >= _diag_threshold(l1, l2, pair.rank_tol):
         lam = 0.0
         powers = _diag_powers(l1, l2, lam)
     else:
-        lo, hi = 0.0, float(np.max(l1))
-        lam = 0.5 * hi
-        powers = _diag_powers(l1, l2, lam)
-        resid = float(np.sum(powers)) - p_total
-        for _ in range(cfg.max_iters):
-            if abs(resid) <= cfg.power_tol:
-                break
-            if resid > 0:
-                lo = lam
-            else:
-                hi = lam
-            nxt = 0.5 * (lo + hi)
-            if nxt == lam:
-                break
-            lam = nxt
+        def power_at(lam):
             powers = _diag_powers(l1, l2, lam)
-            resid = float(np.sum(powers)) - p_total
-        if abs(resid) > cfg.power_tol:
-            raise ConvergenceError(
-                f"weak-solver bisection stalled with power residual {resid:.3e}",
-                residual=resid)
+            return float(np.sum(powers)), powers
+
+        lam, powers = _waterfill._bisect_multiplier(
+            power_at, float(np.max(l1)), p_total, cfg.power_tol, cfg.max_iters,
+            "weak-solver")
     cov = (channel.basis * powers) @ channel.basis.conj().T
     cw = float(np.sum(np.log1p(l1 * powers) - l2 * powers))
     return _assemble(pair, cov, powers, cw, lam)
@@ -161,42 +140,35 @@ def _assemble(pair: ChannelPair, cov: np.ndarray, powers: np.ndarray,
     )
 
 
-def _solve_weak_general(pair: ChannelPair, p_total: float,
-                        cfg: SolveConfig) -> SolveResult:
-    s2, v2 = _weak_core(pair)
-    p_star = threshold_power(pair)
-    if p_total >= p_star:
-        cov, trace, cw = _weak_cov_at(pair, s2, v2, 0.0)
-        lam = 0.0
-    else:
-        lo, hi = 0.0, float(np.max(np.clip(pair.w1.eigenvalues(), 0.0, None)))
-        if hi <= 0:
-            cov, trace, cw, lam = np.zeros((pair.m, pair.m)), 0.0, 0.0, 0.0
-        else:
-            lam = 0.5 * hi
-            cov, trace, cw = _weak_cov_at(pair, s2, v2, lam)
-            resid = trace - p_total
-            for _ in range(cfg.max_iters):
-                if abs(resid) <= cfg.power_tol:
-                    break
-                if resid > 0:
-                    lo = lam
-                else:
-                    hi = lam
-                nxt = 0.5 * (lo + hi)
-                if nxt == lam:
-                    break
-                lam = nxt
-                cov, trace, cw = _weak_cov_at(pair, s2, v2, lam)
-                resid = trace - p_total
-            if abs(resid) > cfg.power_tol:
-                raise ConvergenceError(
-                    f"weak-solver bisection stalled with power residual {resid:.3e}",
-                    residual=resid)
+def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
+                    lam: float) -> SolveResult:
     powers = np.clip(np.linalg.eigvalsh(sym(cov))[::-1], 0.0, None)
     cut = pair.rank_tol * (float(np.max(powers)) if powers.size else 0.0)
-    powers = np.where(powers > cut, powers, 0.0)
-    return _assemble(pair, cov, powers, cw, lam)
+    return _assemble(pair, cov, np.where(powers > cut, powers, 0.0), cw, lam)
+
+
+def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
+    """Power and result of the closed form at lam = 0: the threshold power
+    when it is finite, and the optimum at every power from there on."""
+    cov, trace, cw = _weak_cov_at(pair, *_weak_core(pair), 0.0)
+    return trace, _general_result(pair, cov, cw, 0.0)
+
+
+def _solve_weak_general(pair: ChannelPair, p_total: float,
+                        cfg: SolveConfig) -> SolveResult:
+    # W1 = 0 has threshold power 0, so the bisection below has hi > 0
+    if p_total >= pair.fact("threshold_power", threshold_power):
+        return pair.fact("weak_saturation", _saturation)[1]
+    s2, v2 = _weak_core(pair)
+
+    def power_at(lam):
+        cov, trace, cw = _weak_cov_at(pair, s2, v2, lam)
+        return trace, (cov, cw)
+
+    lam, (cov, cw) = _waterfill._bisect_multiplier(
+        power_at, float(np.max(np.clip(pair.w1.eigenvalues(), 0.0, None))),
+        p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
+    return _general_result(pair, cov, cw, lam)
 
 
 def solve_weak(pair: ChannelPair, p_total: float,
@@ -211,22 +183,21 @@ def solve_weak(pair: ChannelPair, p_total: float,
         raise ValueError("p_total must be positive")
     cfg = cfg or SolveConfig()
     try:
-        channel = common_rsv.detect_common_rsv(pair, tol=_COMMON_BASIS_TOL)
+        channel = pair.common_basis()
     except common_rsv.NotCommutingError:
-        channel = None
-    if channel is not None:
-        return _solve_weak_diagonal(pair, channel, p_total, cfg)
-    return _solve_weak_general(pair, p_total, cfg)
+        return _solve_weak_general(pair, p_total, cfg)
+    return _solve_weak_diagonal(pair, channel, p_total, cfg)
 
 
-def capacity_bounds_weak(pair: ChannelPair, p_total: float,
-                         cfg: SolveConfig | None = None) -> CapacityBounds:
-    """Capacity sandwich C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
+def solve_weak_with_bounds(pair: ChannelPair, p_total: float,
+                           cfg: SolveConfig | None = None) -> SolveResult:
+    """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
+    C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
     res = solve_weak(pair, p_total, cfg)
     lam2_max = float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None)))
     gap = 0.5 * (p_total * lam2_max) ** 2
     mid = max(secrecy_rate(pair, res.covariance), 0.0)
-    return CapacityBounds(
+    return dataclasses.replace(res, bounds=CapacityBounds(
         lower_nats=res.capacity_nats,
         mid_nats=mid,
         upper_nats=res.capacity_nats + gap,
@@ -234,7 +205,13 @@ def capacity_bounds_weak(pair: ChannelPair, p_total: float,
         provenance=("weak-eavesdropper capacity",
                     "achievable rate of the weak-optimal covariance",
                     "weak capacity plus quadratic leakage bound"),
-    )
+    ))
+
+
+def capacity_bounds_weak(pair: ChannelPair, p_total: float,
+                         cfg: SolveConfig | None = None) -> CapacityBounds:
+    """Capacity sandwich C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
+    return solve_weak_with_bounds(pair, p_total, cfg).bounds
 
 
 def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:
@@ -266,14 +243,7 @@ def kkt_residual_weak(pair: ChannelPair, r, lam: float,
     The dual variable is M = W2 + lambda*I - (I + W1 R)^{-1} W1; optimality
     requires M >= 0, M R = 0 and lambda * (tr R - P_T) = 0.
     """
-    ra = np.asarray(r.entries if isinstance(r, HermitianMatrix) else r)
-    w1 = pair.w1.entries
-    w1h = pair.w1.sqrt_psd().entries
-    inner = np.eye(pair.m) + sym(w1h @ ra @ w1h)
-    s = sym(w1h @ np.linalg.solve(inner, w1h))
-    m_dual = sym(pair.w2.entries + lam * np.eye(pair.m) - s)
-    ev = np.linalg.eigvalsh(m_dual)
-    neg = float(np.sqrt(np.sum(np.minimum(ev, 0.0) ** 2)))
-    slack = frob(m_dual @ ra)
-    power = abs(lam * (float(np.trace(ra).real) - p_total))
-    return KktResidual(neg, slack, power)
+    ra = as_array(r)
+    m_dual = sym(pair.w2.entries + lam * np.eye(pair.m)
+                 - inv_winv_plus_r(pair.w1, ra))
+    return KktResidual.of(m_dual, ra, lam, p_total)

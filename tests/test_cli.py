@@ -121,6 +121,55 @@ class TestSweep:
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
         assert [r.solver for r in rows] == ["weak", "isotropic", "oracle"]
 
+    def test_auto_sweep_analyses_the_channel_once(self, tmp_path, monkeypatch):
+        # one weak solve per point serves the weak row and its sandwich, and
+        # the shared-basis detection runs once per channel
+        from wiretap_mimo import common_rsv, weak_eavesdropper
+        calls = {"solve_weak": 0, "detect_common_rsv": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(weak_eavesdropper, "solve_weak")
+        counted(common_rsv, "detect_common_rsv")
+        doc = fig1_doc(solver="auto",
+                       power_grid={"p_t": [0.5, 1.0, 2.0, 4.0, 8.0]})
+        rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
+        assert [r.solver for r in rows] == ["weak", "isotropic"] * 5
+        assert calls == {"solve_weak": 5, "detect_common_rsv": 1}
+
+    def test_auto_sweep_decomposes_the_pencil_once(self, tmp_path, monkeypatch):
+        from wiretap_mimo import common_rsv
+        inside, pencil = [0], [0]
+        eigh, detect = np.linalg.eigh, common_rsv.detect_common_rsv
+
+        def counted_eigh(*args, **kwargs):
+            pencil[0] += inside[0]
+            return eigh(*args, **kwargs)
+
+        def tracked_detect(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return detect(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(common_rsv, "detect_common_rsv", tracked_detect)
+        doc = fig1_doc(channel={"matrix_kind": "W",
+                                "w1": [[2, 0], [0, 1]],
+                                "w2": [[0.5, 0], [0, 0.2]]},
+                       solver="auto",
+                       power_grid={"p_t": [0.5, 1.0, 2.0, 4.0, 8.0]})
+        rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
+        assert [r.solver for r in rows] == ["rsv"] * 5
+        assert pencil[0] == 1
+
     def test_solver_error_is_per_row(self, tmp_path):
         # rsv requested on a non-commuting channel: row reports the error
         doc = fig1_doc(solver="rsv", power_grid={"p_t": [1.0, 2.0]})
@@ -183,7 +232,7 @@ class TestMainCommandLine:
         def blow_up(*args, **kwargs):
             raise ConvergenceError("stalled", residual=1.0)
 
-        monkeypatch.setattr(cli.weak_eavesdropper, "capacity_bounds_weak",
+        monkeypatch.setattr(cli.weak_eavesdropper, "solve_weak",
                             blow_up)
         path = write_scenario(tmp_path, fig1_doc())
         assert main(["sweep", "--input", path]) == 2

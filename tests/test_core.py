@@ -19,6 +19,11 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                HermitianMatrix(np.array([[1.0, bad], [np.conj(bad), 1.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             HermitianMatrix(np.zeros((2, 3)))
@@ -44,6 +49,24 @@ class TestHermitianMatrix:
         assert np.allclose(s @ s, w, atol=1e-10)
         p = h.pinv().entries
         assert np.allclose(w @ p @ w, w, atol=1e-9)
+
+    def test_decomposition_is_computed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        h = HermitianMatrix(np.diag([2.0, 1.0, 0.0]))
+        for _ in range(3):
+            assert h.rank() == 2
+            assert h.null_basis().shape == (3, 1)
+            assert h.eigenvalues()[0] == 2.0
+            assert h.is_psd()
+            h.sqrt_psd()
+        assert len(calls) == 1
 
     def test_spectral_invariants(self):
         rng = np.random.default_rng(1)

@@ -59,6 +59,14 @@ class TestSolveIsotropic:
             IsotropicProblem(np.array([2.0, 1.0]), -0.1, 1.0)
         with pytest.raises(ValueError):
             IsotropicProblem(np.array([2.0, 1.0]), 0.5, 0.0)
+        # non-finite input is rejected here, not left to the multiplier search
+        with pytest.raises(ValueError, match="gains must be finite"):
+            IsotropicProblem(np.array([2.0, np.nan]), 0.5, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                IsotropicProblem(np.array([2.0, 1.0]), bad, 1.0)
+            with pytest.raises(ValueError, match="must be finite"):
+                IsotropicProblem(np.array([2.0, 1.0]), 0.5, bad)
 
 
 class TestThresholdPowers:

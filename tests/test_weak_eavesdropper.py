@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from wiretap_mimo import (ChannelPair, NotApplicableError, Objective,
-                          OracleConfig, SolveStatus, capacity_bounds_weak,
+                          OracleConfig, SolveConfig, SolveStatus,
+                          capacity_bounds_weak,
                           kkt_residual_weak, mc_capacity,
                           saturation_capacities, solve_weak,
                           threshold_power, weak_rate)
-from wiretap_mimo.weak_eavesdropper import _solve_weak_general, WeakSolveConfig
+from wiretap_mimo.weak_eavesdropper import _solve_weak_general
 from util import fig1_pair, random_commuting_pair, random_psd
 
 
@@ -65,7 +66,7 @@ class TestSolveWeak:
 
     def test_general_path_matches_diagonal_fast_path(self):
         rng = np.random.default_rng(23)
-        cfg = WeakSolveConfig()
+        cfg = SolveConfig()
         for _ in range(15):
             m = int(rng.integers(2, 5))
             pair, v, lam1, lam2 = random_commuting_pair(rng, m, lam2_scale=0.5)
@@ -121,7 +122,7 @@ class TestSolveWeak:
         pair = ChannelPair.from_gram(w1, w2)
         p_star = threshold_power(pair)
         assert math.isfinite(p_star)
-        res = _solve_weak_general(pair, 2.0 * p_star, WeakSolveConfig())
+        res = _solve_weak_general(pair, 2.0 * p_star, SolveConfig())
         assert res.lagrange_lambda == 0.0
         assert res.power_used == pytest.approx(p_star, abs=1e-9)
         # no power escapes into the shared nullspace
