@@ -93,9 +93,11 @@ def detect_common_rsv(pair: ChannelPair, tol: float = 1e-8) -> CommonBasisChanne
         off2 = frob(d2 - np.diag(np.diag(d2)))
         last_off = max(off1, off2)
         if off1 <= 10 * tol * max(n1, 1e-300) and off2 <= 10 * tol * max(n2, 1e-300):
-            lam1 = np.clip(np.diag(d1).real, 0.0, None)
-            lam2 = np.clip(np.diag(d2).real, 0.0, None)
-            return CommonBasisChannel(v, lam1, lam2)
+            lam = np.clip(np.stack([np.diag(d1).real, np.diag(d2).real]), 0.0, None)
+            # like every rank decision: at or below rank_tol * max, it is zero
+            lam = np.where(lam > pair.rank_tol * lam.max(axis=1, keepdims=True),
+                           lam, 0.0)
+            return CommonBasisChannel(v, lam[0], lam[1])
     raise NotCommutingError(
         f"pencil diagonalization failed to split degeneracies "
         f"(off-diagonal residual {last_off:.3e})", commutator_norm=resid)

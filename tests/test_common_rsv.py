@@ -75,6 +75,18 @@ class TestSolve:
         pair = ChannelPair.from_gram(np.diag([1.0, 0.5]), np.diag([1.0, 0.5]))
         res = solve_common_rsv(detect_common_rsv(pair), 3.0)
         assert res.status is SolveStatus.ZERO_RATE
+        # contained omnidirectional eavesdropper W2 = eps * U U^H stronger
+        # than every legitimate mode: round-off on the modes outside span U
+        # must not count as a positive legitimate gain
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            v = random_unitary(rng, 4)
+            u = v[:, :2]
+            eps = 2.0
+            w1 = (u * rng.uniform(0.1, 1.9, 2)) @ u.conj().T
+            pair = ChannelPair.from_gram(w1, eps * (u @ u.conj().T))
+            res = solve_common_rsv(detect_common_rsv(pair), 1.0)
+            assert res.status is SolveStatus.ZERO_RATE
 
     def test_matches_separable_and_mc_oracles(self):
         rng = np.random.default_rng(5)
