@@ -12,9 +12,18 @@ Two allocation rules live here:
 
   This is the quadratic-root allocation rewritten to avoid cancellation for
   small arguments; it degenerates to water-filling exactly when ``e_i = 0``.
-  The multiplier is found by bisection on (0, max_i(g_i - e_i)), where the
-  total power is continuous and strictly decreasing.
-  The weak-eavesdropper solvers share this search, ``_bisect_multiplier``.
+
+Every closed-form multiplier search, the weak-eavesdropper solvers'
+included, runs through ``_find_multiplier``: a bracketed root-finder that
+takes the caller's Newton-type step while it stays inside the bracket and
+bisects (on log lam) otherwise.  It stops when the power residual is within
+``power_tol * max(1, P_T)``, a rule relative to the total power, so every
+SNR is reachable at float resolution and, for P_T >= 1, results keep the
+scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
+(``_parallel_multiplier``) the active set is fixed first, from one
+vectorised evaluation at the sorted activation multipliers, and the step is
+the root of a local power-law model matched to the total's value, slope and
+curvature, which needs a few evaluations per solve.
 """
 
 from __future__ import annotations
@@ -69,68 +78,150 @@ def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
     return np.where(t > 0, 2.0 * t / (safe_s * (1.0 + np.sqrt(1.0 + q))), 0.0)
 
 
-def _bisect_multiplier(power_at, hi: float, p_total: float, power_tol: float,
-                      max_iters: int, label: str = "multiplier"):
-    """Bisect lam on (0, hi], from hi / 2, until the power residual is within
-    ``power_tol`` or the bracket is exhausted at float resolution.
+def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
+                     power_tol: float, max_iters: int, label: str = "multiplier"):
+    """Safeguarded bracketed search for the multiplier ``lam`` in [lo, hi] at
+    which the total power is ``p_total``.
 
-    ``power_at(lam)`` returns ``(total power, payload)``, decreasing in lam.
-    Returns ``(lam, payload)`` of the last evaluation; raises
-    :class:`ConvergenceError` when its residual exceeds ``power_tol``.
+    ``power_at(lam)`` returns ``(total power, payload, guess)``: the total
+    is nonincreasing in lam, at least ``p_total`` at ``lo`` and at most it at
+    ``hi``, and ``guess`` is the caller's Newton-type estimate of the root
+    from a local model at lam, or None.  The search starts at ``hi``; each
+    evaluation moves one end of the bracket, and the next point is the guess
+    when it lies strictly inside and moves less than half the step before
+    last (Brent's safeguard), else the bracket's midpoint (geometric when
+    lo > 0).  Stops once ``|total - p_total| <= power_tol * max(1, p_total)``
+    and returns ``(lam, payload)`` of that evaluation; raises
+    :class:`ConvergenceError` when the bracket is exhausted at float
+    resolution or ``max_iters`` evaluations are spent.
     """
-    lo = 0.0
-    mid = 0.5 * hi
-    total, payload = power_at(mid)
-    resid = total - p_total
+    tol = power_tol * max(1.0, p_total)
+    lam, resid = hi, math.inf
+    step = older = math.inf  # the last two step lengths
     for _ in range(max_iters):
-        if abs(resid) <= power_tol:
-            break
-        if resid > 0:
-            lo = mid
-        else:
-            hi = mid
-        nxt = 0.5 * (lo + hi)
-        if nxt == mid or nxt <= 0.0:
-            break  # bracket exhausted at float resolution
-        mid = nxt
-        total, payload = power_at(mid)
+        total, payload, guess = power_at(lam)
         resid = total - p_total
-    if abs(resid) > power_tol:
-        raise ConvergenceError(
-            f"{label} bisection stalled with power residual {resid:.3e}",
-            residual=resid)
-    return mid, payload
+        if abs(resid) <= tol:
+            return lam, payload
+        if resid > 0:
+            lo = lam
+        else:
+            hi = lam
+        if (guess is not None and lo < guess < hi
+                and abs(guess - lam) < 0.5 * older):
+            nxt = guess
+        elif lo > 0.0:
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+        else:
+            nxt = 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            break  # bracket exhausted at float resolution
+        older, step, lam = step, abs(nxt - lam), nxt
+    raise ConvergenceError(
+        f"{label} search stopped with power residual {resid:.3e} "
+        f"(tolerance {tol:.3e})", residual=resid)
+
+
+def _model_root(lam: float, total: float, slope: float, curve: float,
+                p_total: float) -> float | None:
+    """Root of the local model ``a x^alpha + b`` of the total power in
+    ``x = 1/lam`` that matches its value, slope and curvature at lam.
+
+    Over parallel modes the total is concave in x and convex in lam, so
+    alpha = 1 + x P''/P' lies in [-1, 1] and the model root lies between
+    the Newton roots in x (alpha = 1) and in lam (alpha = -1).  None when
+    the model cannot reach ``p_total``.
+    """
+    if not slope > 0.0:
+        return None
+    x = 1.0 / lam
+    alpha = min(max(1.0 + x * curve / slope, -1.0), 1.0)
+    r = (p_total - total) / (x * slope)
+    if abs(alpha) < 1e-9:
+        h = r
+    elif alpha * r > -1.0:
+        h = math.log1p(alpha * r) / alpha
+    else:
+        return None
+    return lam * math.exp(-h) if -h < 700.0 else None
+
+
+def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
+                         p_total: float, power_tol: float, max_iters: int,
+                         label: str) -> tuple[float, np.ndarray]:
+    """Multiplier and per-mode powers of a separable allocation.
+
+    Mode i is active exactly when lam < ``acts[i]``.  ``powers_at(lam)``
+    gives the per-mode powers (lam may be a column of values),
+    ``slopes(lam, powers, idx)`` the first and second derivatives in
+    ``x = 1/lam`` of the powers of modes ``idx``, and ``alone(i, q)`` the
+    multiplier at which mode i alone carries power q.  One vectorised
+    evaluation at the activation multipliers fixes the active set; the root
+    is then searched on that smooth piece, between bounds from the
+    single-mode inverses, with the curvature model of :func:`_model_root`
+    as the step.
+    """
+    order = np.argsort(-acts, kind="stable")
+    order = order[acts[order] > 0]
+    k = 1
+    if order.size > 1:
+        # total power at the multiplier where each further mode activates;
+        # a mode activating exactly at p_total joins, so the root is then hi
+        at = np.sum(powers_at(acts[order[1:], None]), axis=1)
+        k += int(np.count_nonzero(at <= p_total))
+    active = order[:k]
+    if k == 1:
+        # one active mode carries all the power
+        powers = np.zeros(acts.shape)
+        powers[active[0]] = p_total
+        return alone(active[0], p_total), powers
+    lo = float(acts[order[k]]) if k < order.size else 0.0
+    hi = float(acts[active[-1]])
+    lo = max(lo, max(alone(i, p_total) for i in active))
+    hi = min(hi, max(alone(i, p_total / k) for i in active))
+
+    def power_at(lam):
+        powers = powers_at(lam)
+        total = float(np.sum(powers))
+        d1, d2 = slopes(lam, powers, active)
+        return total, powers, _model_root(lam, total, float(np.sum(d1)),
+                                          float(np.sum(d2)), p_total)
+
+    return _find_multiplier(power_at, lo, max(hi, lo), p_total, power_tol,
+                            max_iters, label)
 
 
 def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float, p_total: float,
                       power_tol: float = 1e-12,
                       max_iters: int = 200) -> tuple[np.ndarray, float]:
-    """Secrecy power allocation: bisect the multiplier until full power is used.
+    """Secrecy power allocation: the multiplier at which full power is used.
 
     Returns ``(powers, lam)``.  If no mode satisfies ``g_i > e_i`` the zero
     allocation is returned with ``lam = 0``.  Raises :class:`ConvergenceError`
-    when the power residual cannot be driven below ``power_tol``.
+    when the power residual cannot be driven within
+    ``power_tol * max(1, p_total)``.
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
     if p_total <= 0:
         raise ValueError("p_total must be positive")
-    hi = float(np.max(g - e)) if g.size else 0.0
-    if hi <= 0:
+    d = g - e
+    if not g.size or float(np.max(d)) <= 0:
         return np.zeros_like(g), 0.0
 
-    def power_at(lam):
-        powers = secrecy_mode_powers(g, e, lam)
-        return float(np.sum(powers)), powers
+    def slopes(lam, powers, idx):
+        # dp/dx = d / (g + e + 2 g e p) and d2p/dx2 = -2 g e (dp/dx)^3 / d
+        gi, ei, di = g[idx], e[idx], d[idx]
+        d1 = di / (gi + ei + 2.0 * gi * ei * powers[idx])
+        return d1, -2.0 * gi * ei * d1 ** 3 / di
 
-    # total power diverges as lam -> 0+
-    mid, powers = _bisect_multiplier(power_at, hi, p_total, power_tol, max_iters)
-    active = np.flatnonzero(powers > 0)
-    if active.size == 1:
-        # single active mode: the power constraint pins its power exactly
-        powers = np.zeros_like(powers)
-        powers[active[0]] = p_total
-    return powers, mid
+    def alone(i, q):
+        return float(d[i] / ((1.0 + g[i] * q) * (1.0 + e[i] * q)))
+
+    lam, powers = _parallel_multiplier(
+        d, lambda lam: secrecy_mode_powers(g, e, lam), slopes, alone, p_total,
+        power_tol, max_iters, "multiplier")
+    return powers, lam
 
 
 def parallel_secrecy_value(lam1: np.ndarray, lam2: np.ndarray | float,

@@ -20,8 +20,8 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, SolveConfig, as_array, frob,
-                   inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, SolveConfig, as_array, check_p_total,
+                   frob, inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -76,8 +76,7 @@ def zf_certify(pair: ChannelPair, p_total: float,
     would not pay (lam1_i <= lam2_i + lambda).  A certified solution needs
     no wiretap code: the eavesdropper receives exactly nothing.
     """
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     if pair.w2.rank() == pair.m:
         return CertificateReport(Verdict.NECESSARY_FAILS, details={
             "reason": "W2 is positive definite: no zero-leakage direction exists",
@@ -196,8 +195,7 @@ def wf_certify(pair: ChannelPair, p_total: float,
     1/lam2_i = 1/lam1_i + alpha across all active modes, and inactive modes
     that either satisfy the same relation or are dominated (lam1_i <= lam2_i).
     """
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     channel, report = _common_basis(pair)
     if channel is None:
         return report
@@ -252,8 +250,7 @@ def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     lambda = 1/(a_i + a) - 1/(b_i + a) consistent across all modes, where
     a_i and b_i are the inverse eigenvalues and a = P_T / m.
     """
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     channel, report = _common_basis(pair)
     if channel is None:
         return report

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import ChannelPair, SolveConfig, SolveResult, frob
+from .core import ChannelPair, SolveConfig, SolveResult, check_p_total, frob
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
@@ -112,8 +112,7 @@ def solve_common_rsv(channel: CommonBasisChannel, p_total: float,
     exactly when lam1_i > lam2_i + lambda.
     """
     cfg = cfg or SolveConfig()
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     l1, l2 = channel.lam1, channel.lam2
     if np.max(l1 - l2) <= 0:
         return SolveResult.zero_rate(channel.m)

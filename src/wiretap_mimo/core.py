@@ -36,6 +36,12 @@ class NotApplicableError(ValueError):
     """An operation's mathematical precondition does not hold for this input."""
 
 
+def check_p_total(p_total: float) -> None:
+    """Reject a total power that is not a positive finite number."""
+    if not 0.0 < p_total < math.inf:
+        raise ValueError("p_total must be positive and finite")
+
+
 def sym(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H) / 2."""
     return 0.5 * (a + a.conj().T)
@@ -325,7 +331,12 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class SolveConfig:
-    """Numerical policy for the multiplier bisections."""
+    """Numerical policy for the multiplier searches.
+
+    A search stops once the power residual is within
+    ``power_tol * max(1, P_T)``, relative to the total power, and gives up
+    after ``max_iters`` evaluations of the total power.
+    """
 
     power_tol: float = 1e-12
     max_iters: int = 200

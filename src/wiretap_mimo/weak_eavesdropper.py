@@ -24,18 +24,24 @@ import numpy as np
 from . import _waterfill, common_rsv
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
                    NotApplicableError, SolveConfig, SolveResult, SolveStatus,
-                   as_array, frob, inv_winv_plus_r, secrecy_rate, sym)
+                   as_array, check_p_total, frob, inv_winv_plus_r,
+                   secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
     """W2's eigendecomposition in ascending order, reused across the lam
-    bisection: the kept decomposition of W2, reversed."""
+    search: the kept decomposition of W2, reversed.  Eigenvalues at or below
+    rank_tol times the largest are exactly zero, so that round-off on W2's
+    null directions cannot shift the multiplier added to them."""
     dec = pair.w2.eig()
-    return np.clip(dec.eigenvalues[::-1], 0.0, None), dec.eigenvectors[:, ::-1]
+    s2 = np.clip(dec.eigenvalues[::-1], 0.0, None)
+    cut = pair.rank_tol * (float(s2[-1]) if s2.size else 0.0)
+    return np.where(s2 > cut, s2, 0.0), dec.eigenvectors[:, ::-1]
 
 
 def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray, lam: float):
-    """Covariance, trace and weak capacity of the closed form at multiplier lam.
+    """Covariance, trace, weak capacity and d(trace)/d(lam) of the closed form
+    at multiplier lam.
 
     ``lam = 0`` uses the pseudo-inverse of W2 (equivalently, the problem
     projected orthogonally to the nullspace of W2).
@@ -54,11 +60,30 @@ def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray, lam: float):
     cov = (qu * gains) @ qu.conj().T
     trace = float(np.einsum("ij,j,ij->", qu.conj(), gains, qu).real)
     # weak capacity in closed form: sum of ln over active modes minus the
-    # leakage trace tr(What2 * D)
-    w2h = sym(qh @ pair.w2.entries @ qh)
+    # leakage trace tr(What2 * D), What2 = Q^(1/2) W2 Q^(1/2) taken from W2's
+    # spectrum, so that its null directions leak exactly nothing
+    w2h = (v2 * (s2 * inv_sqrt ** 2)) @ v2.conj().T
     leak = float(np.einsum("ij,j,ij->", u.conj(), gains, (w2h @ u)).real)
     cw = float(np.sum(np.log(ev[ev > 1.0]))) - leak
-    return cov, trace, cw
+    return cov, trace, cw, _trace_slope(qh, qu, ev, gains)
+
+
+def _trace_slope(qh, qu, ev, gains) -> float:
+    """d tr R / d lam for R = Q^(1/2) f(What1) Q^(1/2), f(t) = (1 - 1/t)_+.
+
+    With dQ/dlam = -Q^2 and A = U^H Q U, the Daleckii-Krein formula gives
+    -sum_j f_j |Q u_j|^2 - 1/2 sum_ij |A_ij|^2 G_ij (ev_i + ev_j), where G
+    holds the divided differences of f at the eigenvalues of What1.
+    """
+    on = ev > 1.0
+    e = np.where(on, ev, 1.0)
+    one = on[:, None] ^ on[None, :]  # exactly one of the pair active
+    gap = np.where(one, ev[:, None] - ev[None, :], 1.0)
+    div = np.where(on[:, None] & on[None, :], 1.0 / np.outer(e, e),
+                   np.where(one, (gains[:, None] - gains[None, :]) / gap, 0.0))
+    a = np.abs(qu.conj().T @ qu) ** 2
+    direct = float(np.einsum("j,ij->", gains, np.abs(qh @ qu) ** 2))
+    return -direct - 0.5 * float(np.sum(a * div * (ev[:, None] + ev[None, :])))
 
 
 def _null_space_contained(pair: ChannelPair) -> bool:
@@ -111,26 +136,30 @@ def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float,
         lam = 0.0
         powers = _diag_powers(l1, l2, lam)
     else:
-        def power_at(lam):
-            powers = _diag_powers(l1, l2, lam)
-            return float(np.sum(powers)), powers
+        def slopes(lam, powers, idx):
+            # in x = 1/lam: dp/dx = c^2 and d2p/dx2 = -2 l2 c^3, c = lam/(lam+l2)
+            c = lam / (lam + l2[idx])
+            return c * c, -2.0 * l2[idx] * c ** 3
 
-        lam, powers = _waterfill._bisect_multiplier(
-            power_at, float(np.max(l1)), p_total, cfg.power_tol, cfg.max_iters,
-            "weak-solver")
+        def alone(i, q):
+            return float(1.0 / (q + 1.0 / l1[i]) - l2[i])
+
+        lam, powers = _waterfill._parallel_multiplier(
+            np.where(l1 > 0, l1 - l2, 0.0), lambda lam: _diag_powers(l1, l2, lam),
+            slopes, alone, p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
     cov = (channel.basis * powers) @ channel.basis.conj().T
     cw = float(np.sum(np.log1p(l1 * powers) - l2 * powers))
-    return _assemble(pair, cov, powers, cw, lam)
+    return _assemble(pair, HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
+                     powers, cw, lam)
 
 
-def _assemble(pair: ChannelPair, cov: np.ndarray, powers: np.ndarray,
+def _assemble(pair: ChannelPair, cov: HermitianMatrix, powers: np.ndarray,
               cw: float, lam: float) -> SolveResult:
     capacity = max(cw, 0.0)
     used = float(np.sum(powers))
     zero = capacity == 0.0 and used <= pair.rank_tol
     return SolveResult(
-        covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero
-        else HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
+        covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero else cov,
         capacity_nats=capacity,
         lagrange_lambda=lam,
         active_modes=int(np.count_nonzero(powers > 0)),
@@ -142,32 +171,49 @@ def _assemble(pair: ChannelPair, cov: np.ndarray, powers: np.ndarray,
 
 def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
                     lam: float) -> SolveResult:
-    powers = np.clip(np.linalg.eigvalsh(sym(cov))[::-1], 0.0, None)
+    """The result of a covariance from the general closed form; its mode
+    powers are the eigenvalues of the covariance's kept decomposition."""
+    cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
+    powers = np.clip(cov_h.eigenvalues(), 0.0, None)
     cut = pair.rank_tol * (float(np.max(powers)) if powers.size else 0.0)
-    return _assemble(pair, cov, np.where(powers > cut, powers, 0.0), cw, lam)
+    return _assemble(pair, cov_h, np.where(powers > cut, powers, 0.0), cw, lam)
 
 
 def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
     """Power and result of the closed form at lam = 0: the threshold power
     when it is finite, and the optimum at every power from there on."""
-    cov, trace, cw = _weak_cov_at(pair, *_weak_core(pair), 0.0)
+    cov, trace, cw, _ = _weak_cov_at(pair, *_weak_core(pair), 0.0)
     return trace, _general_result(pair, cov, cw, 0.0)
 
 
 def _solve_weak_general(pair: ChannelPair, p_total: float,
                         cfg: SolveConfig) -> SolveResult:
-    # W1 = 0 has threshold power 0, so the bisection below has hi > 0
+    # W1 = 0 has threshold power 0, so the search below has a positive gain
     if p_total >= pair.fact("threshold_power", threshold_power):
         return pair.fact("weak_saturation", _saturation)[1]
     s2, v2 = _weak_core(pair)
+    # Loewner bounds: the trace at lam lies between the water-filling totals
+    # over the eigenvalues of W1 at levels 1/(lam + max s2) and
+    # 1/(lam + min s2), which brackets the root around the water-filling
+    # multiplier.  Below rank_tol * max s2, _weak_cov_at drops W2's near-null
+    # directions and the trace falls again, so the bracket stays above it.
+    _, lam_wf = _waterfill.standard_waterfill(
+        np.clip(pair.w1.eigenvalues(), 0.0, None), p_total)
+    lo = max(lam_wf - float(s2[-1]), 2.0 * pair.rank_tol * float(s2[-1]))
+    hi = max(lam_wf - float(s2[0]), lo)
 
     def power_at(lam):
-        cov, trace, cw = _weak_cov_at(pair, s2, v2, lam)
-        return trace, (cov, cw)
+        cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
+        guess = None
+        if slope < 0.0:
+            # Newton step in x = 1/lam; over parallel modes the trace is
+            # concave in x, so a step from x below the root stays below it
+            x = 1.0 / lam + (trace - p_total) / (lam * lam * slope)
+            guess = 1.0 / x if x > 0.0 else None
+        return trace, (cov, cw), guess
 
-    lam, (cov, cw) = _waterfill._bisect_multiplier(
-        power_at, float(np.max(np.clip(pair.w1.eigenvalues(), 0.0, None))),
-        p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
+    lam, (cov, cw) = _waterfill._find_multiplier(
+        power_at, lo, hi, p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
     return _general_result(pair, cov, cw, lam)
 
 
@@ -175,12 +221,11 @@ def solve_weak(pair: ChannelPair, p_total: float,
                cfg: SolveConfig | None = None) -> SolveResult:
     """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
 
-    The multiplier is bisected on (0, lambda_max(W1)] until the trace meets
-    min(P_T, P_T*); above the threshold power only partial power is used.
+    The multiplier is searched until the trace meets min(P_T, P_T*); above
+    the threshold power only partial power is used.
     Channels whose Gram matrices commute take the exact diagonal fast path.
     """
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     cfg = cfg or SolveConfig()
     try:
         channel = pair.common_basis()
