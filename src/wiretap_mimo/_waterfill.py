@@ -21,9 +21,10 @@ bisects (on log lam) otherwise.  It stops when the power residual is within
 SNR is reachable at float resolution and, for P_T >= 1, results keep the
 scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
 (``_parallel_multiplier``) the active set is fixed first, from one
-vectorised evaluation at the sorted activation multipliers, and the step is
-the root of a local power-law model matched to the total's value, slope and
-curvature, which needs a few evaluations per solve.
+vectorised evaluation at the sorted activation multipliers.  Every step,
+there and on the general weak path, is the root of one local model of the
+total in x = 1/lam (``model_root``), matched to its value and slope, and
+over parallel modes also to its curvature; a few evaluations per solve.
 """
 
 from __future__ import annotations
@@ -122,15 +123,17 @@ def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
         f"(tolerance {tol:.3e})", residual=resid)
 
 
-def _model_root(lam: float, total: float, slope: float, curve: float,
-                p_total: float) -> float | None:
+def model_root(lam: float, total: float, slope: float, curve: float,
+               p_total: float) -> float | None:
     """Root of the local model ``a x^alpha + b`` of the total power in
     ``x = 1/lam`` that matches its value, slope and curvature at lam.
 
-    Over parallel modes the total is concave in x and convex in lam, so
-    alpha = 1 + x P''/P' lies in [-1, 1] and the model root lies between
-    the Newton roots in x (alpha = 1) and in lam (alpha = -1).  None when
-    the model cannot reach ``p_total``.
+    ``slope`` and ``curve`` are the first and second derivatives of the
+    total in x; ``curve = 0`` makes the step a plain Newton step in x.  Over
+    parallel modes the total is concave in x and convex in lam, so
+    alpha = 1 + x curve / slope lies in [-1, 1] and the model root lies
+    between the Newton roots in x (alpha = 1) and in lam (alpha = -1).  None
+    when the model cannot reach ``p_total``.
     """
     if not slope > 0.0:
         return None
@@ -158,7 +161,7 @@ def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
     multiplier at which mode i alone carries power q.  One vectorised
     evaluation at the activation multipliers fixes the active set; the root
     is then searched on that smooth piece, between bounds from the
-    single-mode inverses, with the curvature model of :func:`_model_root`
+    single-mode inverses, with the curvature model of :func:`model_root`
     as the step.
     """
     order = np.argsort(-acts, kind="stable")
@@ -184,8 +187,8 @@ def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
         powers = powers_at(lam)
         total = float(np.sum(powers))
         d1, d2 = slopes(lam, powers, active)
-        return total, powers, _model_root(lam, total, float(np.sum(d1)),
-                                          float(np.sum(d2)), p_total)
+        return total, powers, model_root(lam, total, float(np.sum(d1)),
+                                         float(np.sum(d2)), p_total)
 
     return _find_multiplier(power_at, lo, max(hi, lo), p_total, power_tol,
                             max_iters, label)

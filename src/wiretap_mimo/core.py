@@ -149,8 +149,12 @@ class HermitianMatrix:
         return dec.eigenvectors[:, keep]
 
     def is_psd(self) -> bool:
-        w = self.eigenvalues()
-        return bool(w.size == 0 or w[-1] >= -self._zero_cut(w))
+        a = self.entries
+        w = np.diagonal(a).real
+        if "_eig" in self.__dict__ or np.count_nonzero(a) > np.count_nonzero(w):
+            # not diagonal (a diagonal matrix needs no decomposition)
+            w = self.eigenvalues()
+        return bool(w.size == 0 or np.min(w) >= -self._zero_cut(w))
 
     def sqrt_psd(self) -> "HermitianMatrix":
         """Principal square root; tiny negative eigenvalues are clipped to zero."""

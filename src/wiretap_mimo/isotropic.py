@@ -58,19 +58,6 @@ class IsotropicProblem:
         return self.gains.size
 
 
-def _allocate(problem: IsotropicProblem, cfg: SolveConfig | None
-              ) -> tuple[np.ndarray, float] | None:
-    """Per-mode powers and multiplier of the isotropic solution; None when
-    no mode beats the eavesdropper."""
-    g, eps, p_total = problem.gains, problem.epsilon, problem.p_total
-    if g[0] <= eps:
-        return None
-    if eps == 0.0:
-        return _waterfill.standard_waterfill(g, p_total)
-    cfg = cfg or SolveConfig()
-    return _waterfill.secrecy_waterfill(g, eps, p_total, cfg.power_tol, cfg.max_iters)
-
-
 def solve_isotropic(problem: IsotropicProblem,
                     cfg: SolveConfig | None = None) -> SolveResult:
     """Capacity and per-mode powers against an isotropic eavesdropper.
@@ -81,12 +68,18 @@ def solve_isotropic(problem: IsotropicProblem,
     saturation regime; use :func:`asymptotic_capacity`'s saturation ratio to
     detect when extra power has stopped paying.
     """
-    alloc = _allocate(problem, cfg)
-    if alloc is None:
+    cfg = cfg or SolveConfig()
+    g = problem.gains
+    eps = problem.epsilon
+    if g[0] <= eps:
         return SolveResult.zero_rate(problem.m)
-    powers, lam = alloc
-    capacity = _waterfill.parallel_secrecy_value(problem.gains, problem.epsilon,
-                                                 powers)
+    if eps == 0.0:
+        powers, lam = _waterfill.standard_waterfill(g, problem.p_total)
+    else:
+        powers, lam = _waterfill.secrecy_waterfill(
+            g, eps, problem.p_total,
+            power_tol=cfg.power_tol, max_iters=cfg.max_iters)
+    capacity = _waterfill.parallel_secrecy_value(g, eps, powers)
     return SolveResult.solved(np.diag(powers), powers, capacity,
                               float(lam) if math.isfinite(lam) else 0.0)
 
@@ -143,13 +136,8 @@ def capacity_bounds_isotropic(pair: ChannelPair, p_total: float,
     epsm = float(ev2[-1]) if ev2[-1] > pair.w2.rank_tol * eps1 else 0.0
     if eps1 <= 0:
         raise ValueError("W2 must be nonzero; use standard water-filling instead")
-    # the two capacities straight from the powers, without building results
-    caps = []
-    for eps in (eps1, epsm):
-        alloc = _allocate(IsotropicProblem(gains, eps, p_total), cfg)
-        caps.append(0.0 if alloc is None else max(
-            _waterfill.parallel_secrecy_value(gains, eps, alloc[0]), 0.0))
-    lower, upper = caps
+    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total), cfg).capacity_nats
+    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total), cfg).capacity_nats
     m_plus = int(np.count_nonzero(gains > epsm))
     if m_plus == 0:
         gap = 0.0

@@ -195,22 +195,20 @@ def _solve_weak_general(pair: ChannelPair, p_total: float,
     # Loewner bounds: the trace at lam lies between the water-filling totals
     # over the eigenvalues of W1 at levels 1/(lam + max s2) and
     # 1/(lam + min s2), which brackets the root around the water-filling
-    # multiplier.  Below rank_tol * max s2, _weak_cov_at drops W2's near-null
-    # directions and the trace falls again, so the bracket stays above it.
+    # multiplier.  When W2 has null directions (exact zeros, see _weak_core),
+    # _weak_cov_at drops them below lam = rank_tol * max s2 and the trace
+    # falls again, so the bracket then stays above that window.
     _, lam_wf = _waterfill.standard_waterfill(
         np.clip(pair.w1.eigenvalues(), 0.0, None), p_total)
-    lo = max(lam_wf - float(s2[-1]), 2.0 * pair.rank_tol * float(s2[-1]))
+    floor = 2.0 * pair.rank_tol * float(s2[-1]) if s2[0] == 0.0 else 0.0
+    lo = max(lam_wf - float(s2[-1]), floor)
     hi = max(lam_wf - float(s2[0]), lo)
 
     def power_at(lam):
         cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
-        guess = None
-        if slope < 0.0:
-            # Newton step in x = 1/lam; over parallel modes the trace is
-            # concave in x, so a step from x below the root stays below it
-            x = 1.0 / lam + (trace - p_total) / (lam * lam * slope)
-            guess = 1.0 / x if x > 0.0 else None
-        return trace, (cov, cw), guess
+        # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
+        return trace, (cov, cw), _waterfill.model_root(
+            lam, trace, -lam * lam * slope, 0.0, p_total)
 
     lam, (cov, cw) = _waterfill._find_multiplier(
         power_at, lo, hi, p_total, cfg.power_tol, cfg.max_iters, "weak-solver")

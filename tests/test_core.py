@@ -50,6 +50,18 @@ class TestHermitianMatrix:
         p = h.pinv().entries
         assert np.allclose(w @ p @ w, w, atol=1e-9)
 
+    def test_diagonal_psd_check_needs_no_decomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        assert HermitianMatrix(np.diag([2.0, 0.0, -1e-12])).is_psd()
+        assert not HermitianMatrix(np.diag([2.0, 0.0, -1e-6])).is_psd()
+        assert HermitianMatrix(np.diag([1.0 + 0j, 0.0])).is_psd()
+        assert not calls
+        assert not HermitianMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])).is_psd()
+        assert len(calls) == 1
+
     def test_decomposition_is_computed_once(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh

@@ -144,6 +144,19 @@ class TestCapacityBounds:
                 assert c_up - c_low <= gap1 + 1e-9
                 assert gap1 <= gap2 + 1e-12
 
+    def test_solves_without_further_decompositions(self, monkeypatch):
+        # the two isotropic results have diagonal covariances, whose PSD
+        # check reads the diagonal; W1 and W2 are decomposed once, up front
+        pair = fig1_pair()
+        pair.w1.eig(), pair.w2.eig()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        b = capacity_bounds_isotropic(pair, 2.0)
+        assert not calls
+        assert 0.0 < b.lower_nats <= b.upper_nats
+
     def test_rejects_zero_w2(self):
         pair = ChannelPair.from_gram(np.eye(2), np.zeros((2, 2)))
         with pytest.raises(ValueError):

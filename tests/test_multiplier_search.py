@@ -124,6 +124,21 @@ def test_general_weak_solve_needs_few_evaluations(monkeypatch):
     assert len(calls) / solves <= 6
 
 
+def test_full_rank_ill_conditioned_w2_below_its_threshold():
+    # W2 of full rank has no null directions to drop, so the search may go
+    # down to lam = 0, where the trace is the threshold power; with
+    # cond(W2) = 1e9 the root at 0.9 of it lies below 2 rank_tol max(W2)
+    rng = np.random.default_rng(61)
+    for m in range(2, 6):
+        for _ in range(3):
+            v = random_unitary(rng, m)
+            w2 = (v * np.logspace(0.0, -9.0, m)) @ v.conj().T
+            pair = ChannelPair.from_gram(random_psd(rng, m), w2)
+            p_total = 0.9 * weak_eavesdropper.threshold_power(pair)
+            res = solve_weak(pair, p_total)
+            assert res.covariance.trace() == pytest.approx(p_total, rel=1e-11)
+
+
 def test_power_exactly_at_an_activation_threshold(monkeypatch):
     gains, eps = np.array([3.0, 2.0, 1.0]), 0.5
     p_total = float(threshold_powers(gains, eps)[1])
