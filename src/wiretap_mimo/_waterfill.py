@@ -23,7 +23,7 @@ scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
 (``_parallel_multiplier``) the active set is fixed first, from one
 vectorised evaluation at the sorted activation multipliers.  Every step,
 there and on the general weak path, is the root of one local model of the
-total in x = 1/lam (``model_root``), matched to its value and slope, and
+total in x = 1/lam (``_model_root``), matched to its value and slope, and
 over parallel modes also to its curvature; a few evaluations per solve.
 """
 
@@ -123,7 +123,7 @@ def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
         f"(tolerance {tol:.3e})", residual=resid)
 
 
-def model_root(lam: float, total: float, slope: float, curve: float,
+def _model_root(lam: float, total: float, slope: float, curve: float,
                p_total: float) -> float | None:
     """Root of the local model ``a x^alpha + b`` of the total power in
     ``x = 1/lam`` that matches its value, slope and curvature at lam.
@@ -161,7 +161,7 @@ def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
     multiplier at which mode i alone carries power q.  One vectorised
     evaluation at the activation multipliers fixes the active set; the root
     is then searched on that smooth piece, between bounds from the
-    single-mode inverses, with the curvature model of :func:`model_root`
+    single-mode inverses, with the curvature model of :func:`_model_root`
     as the step.
     """
     order = np.argsort(-acts, kind="stable")
@@ -187,8 +187,8 @@ def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
         powers = powers_at(lam)
         total = float(np.sum(powers))
         d1, d2 = slopes(lam, powers, active)
-        return total, powers, model_root(lam, total, float(np.sum(d1)),
-                                         float(np.sum(d2)), p_total)
+        return total, powers, _model_root(lam, total, float(np.sum(d1)),
+                                          float(np.sum(d2)), p_total)
 
     return _find_multiplier(power_at, lo, max(hi, lo), p_total, power_tol,
                             max_iters, label)

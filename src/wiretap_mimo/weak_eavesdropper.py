@@ -207,7 +207,7 @@ def _solve_weak_general(pair: ChannelPair, p_total: float,
     def power_at(lam):
         cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
         # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
-        return trace, (cov, cw), _waterfill.model_root(
+        return trace, (cov, cw), _waterfill._model_root(
             lam, trace, -lam * lam * slope, 0.0, p_total)
 
     lam, (cov, cw) = _waterfill._find_multiplier(
