@@ -14,9 +14,9 @@ to bits.
 
 from .core import (CapacityBounds, ChannelPair, ConvergenceError,
                    HermitianMatrix, KktResidual, NotApplicableError,
-                   SolveConfig, SolveResult, SolveStatus,
-                   SpectralDecomposition, epsilon_from_pathloss, nats_to_bits,
-                   positive_part, secrecy_rate, weak_rate)
+                   SolveResult, SolveStatus, SpectralDecomposition,
+                   epsilon_from_pathloss, nats_to_bits, positive_part,
+                   secrecy_rate, weak_rate)
 from .weak_eavesdropper import (capacity_bounds_weak, kkt_residual_weak,
                                 saturation_capacities, solve_weak,
                                 solve_weak_with_bounds, threshold_power)
@@ -41,9 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityBounds", "ChannelPair", "ConvergenceError", "HermitianMatrix",
-    "KktResidual", "NotApplicableError", "SolveConfig", "SolveResult",
-    "SolveStatus", "SpectralDecomposition", "epsilon_from_pathloss",
-    "nats_to_bits", "positive_part", "secrecy_rate", "weak_rate",
+    "KktResidual", "NotApplicableError", "SolveResult", "SolveStatus",
+    "SpectralDecomposition", "epsilon_from_pathloss", "nats_to_bits",
+    "positive_part", "secrecy_rate", "weak_rate",
     "capacity_bounds_weak", "kkt_residual_weak", "saturation_capacities",
     "solve_weak", "solve_weak_with_bounds", "threshold_power",
     "AsymptoticRegime", "AsymptoticReport", "IsotropicProblem",

@@ -17,9 +17,9 @@ Every closed-form multiplier search, the weak-eavesdropper solvers'
 included, runs through ``_find_multiplier``: a bracketed root-finder that
 takes the caller's Newton-type step while it stays inside the bracket and
 bisects (on log lam) otherwise.  It stops when the power residual is within
-``power_tol * max(1, P_T)``, a rule relative to the total power, so every
-SNR is reachable at float resolution and, for P_T >= 1, results keep the
-scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
+``_POWER_TOL * P_T``, a rule relative to the total power at every power, so
+every SNR is reachable at float resolution and results keep the scaling
+symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
 (``_parallel_multiplier``) the active set is fixed first, from one
 vectorised evaluation at the sorted activation multipliers.  Every step,
 there and on the general weak path, is the root of one local model of the
@@ -34,6 +34,11 @@ import math
 import numpy as np
 
 from .core import ConvergenceError
+
+# a search stops once the power residual is within _POWER_TOL * P_T, and
+# gives up after _MAX_EVALS evaluations of the total power
+_POWER_TOL = 1e-12
+_MAX_EVALS = 200
 
 
 def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, float]:
@@ -80,7 +85,7 @@ def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
 
 
 def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
-                     power_tol: float, max_iters: int, label: str = "multiplier"):
+                     label: str = "multiplier"):
     """Safeguarded bracketed search for the multiplier ``lam`` in [lo, hi] at
     which the total power is ``p_total``.
 
@@ -91,15 +96,15 @@ def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
     evaluation moves one end of the bracket, and the next point is the guess
     when it lies strictly inside and moves less than half the step before
     last (Brent's safeguard), else the bracket's midpoint (geometric when
-    lo > 0).  Stops once ``|total - p_total| <= power_tol * max(1, p_total)``
-    and returns ``(lam, payload)`` of that evaluation; raises
+    lo > 0).  Stops once ``|total - p_total| <= _POWER_TOL * p_total`` and
+    returns ``(lam, payload)`` of that evaluation; raises
     :class:`ConvergenceError` when the bracket is exhausted at float
-    resolution or ``max_iters`` evaluations are spent.
+    resolution or ``_MAX_EVALS`` evaluations are spent.
     """
-    tol = power_tol * max(1.0, p_total)
+    tol = _POWER_TOL * p_total
     lam, resid = hi, math.inf
     step = older = math.inf  # the last two step lengths
-    for _ in range(max_iters):
+    for _ in range(_MAX_EVALS):
         total, payload, guess = power_at(lam)
         resid = total - p_total
         if abs(resid) <= tol:
@@ -150,8 +155,7 @@ def _model_root(lam: float, total: float, slope: float, curve: float,
 
 
 def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
-                         p_total: float, power_tol: float, max_iters: int,
-                         label: str) -> tuple[float, np.ndarray]:
+                         p_total: float, label: str) -> tuple[float, np.ndarray]:
     """Multiplier and per-mode powers of a separable allocation.
 
     Mode i is active exactly when lam < ``acts[i]``.  ``powers_at(lam)``
@@ -190,19 +194,16 @@ def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
         return total, powers, _model_root(lam, total, float(np.sum(d1)),
                                           float(np.sum(d2)), p_total)
 
-    return _find_multiplier(power_at, lo, max(hi, lo), p_total, power_tol,
-                            max_iters, label)
+    return _find_multiplier(power_at, lo, max(hi, lo), p_total, label)
 
 
-def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float, p_total: float,
-                      power_tol: float = 1e-12,
-                      max_iters: int = 200) -> tuple[np.ndarray, float]:
+def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
+                      p_total: float) -> tuple[np.ndarray, float]:
     """Secrecy power allocation: the multiplier at which full power is used.
 
     Returns ``(powers, lam)``.  If no mode satisfies ``g_i > e_i`` the zero
     allocation is returned with ``lam = 0``.  Raises :class:`ConvergenceError`
-    when the power residual cannot be driven within
-    ``power_tol * max(1, p_total)``.
+    when the power residual cannot be driven within ``_POWER_TOL * p_total``.
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
@@ -223,7 +224,7 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float, p_total: flo
 
     lam, powers = _parallel_multiplier(
         d, lambda lam: secrecy_mode_powers(g, e, lam), slopes, alone, p_total,
-        power_tol, max_iters, "multiplier")
+        "multiplier")
     return powers, lam
 
 

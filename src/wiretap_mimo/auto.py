@@ -6,10 +6,10 @@ from __future__ import annotations
 from typing import Union
 
 from . import common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import CapacityBounds, ChannelPair, SolveConfig, SolveResult
+from .core import CapacityBounds, ChannelPair, SolveResult
 
 
-def solve_auto(pair: ChannelPair, p_total: float, cfg: SolveConfig | None = None
+def solve_auto(pair: ChannelPair, p_total: float
                ) -> list[tuple[str, Union[SolveResult, CapacityBounds]]]:
     """``(solver, outcome)`` pairs at one power, by preference:
 
@@ -23,14 +23,14 @@ def solve_auto(pair: ChannelPair, p_total: float, cfg: SolveConfig | None = None
     except common_rsv.NotCommutingError:
         pass
     else:
-        return [("rsv", common_rsv.solve_common_rsv(channel, p_total, cfg))]
+        return [("rsv", common_rsv.solve_common_rsv(channel, p_total))]
     cls, containment = pair.omni()
     if cls.is_omni and containment <= omnidirectional.CONTAINMENT_TOL:
-        return [("omni", omnidirectional.solve_omni(pair, p_total, cfg))]
-    out = [("weak", weak_eavesdropper.solve_weak_with_bounds(pair, p_total, cfg))]
+        return [("omni", omnidirectional.solve_omni(pair, p_total))]
+    out = [("weak", weak_eavesdropper.solve_weak_with_bounds(pair, p_total))]
     try:
         out.append(("isotropic",
-                    isotropic.capacity_bounds_isotropic(pair, p_total, cfg)))
+                    isotropic.capacity_bounds_isotropic(pair, p_total)))
     except ValueError:
         pass  # W2 = 0: the weak result already is the exact solution
     return out

@@ -20,8 +20,8 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, SolveConfig, as_array, check_p_total,
-                   frob, inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, as_array, check_p_total, frob,
+                   inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -67,8 +67,7 @@ def _common_basis(pair: ChannelPair):
         })
 
 
-def zf_certify(pair: ChannelPair, p_total: float,
-               cfg: SolveConfig | None = None) -> CertificateReport:
+def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     """Certify zero-forcing: transmit only where the eavesdropper is blind.
 
     Sufficient conditions: shared eigenbasis, water-filling over the
@@ -187,8 +186,7 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float,
     return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
 
-def wf_certify(pair: ChannelPair, p_total: float,
-               cfg: SolveConfig | None = None) -> CertificateReport:
+def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     """Certify that the standard water-filling covariance is wiretap-optimal.
 
     Requires a shared eigenbasis, one inverse-gain offset alpha with

@@ -13,12 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import ChannelPair, SolveConfig, SolveResult, check_p_total, frob
+from .core import ChannelPair, SolveResult, check_p_total, frob
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
 _PENCIL_SEED = 20240817
 _PENCIL_ATTEMPTS = 8
+# relative commutator norm up to which W1 and W2 count as commuting
+COMMUTE_TOL = 1e-8
 
 
 class NotCommutingError(ValueError):
@@ -66,20 +68,21 @@ class CommonBasisChannel:
         return self.basis.shape[0]
 
 
-def detect_common_rsv(pair: ChannelPair, tol: float = 1e-8) -> CommonBasisChannel:
+def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
     """Find a simultaneous eigenbasis of W1 and W2, or raise NotCommutingError.
 
-    Acceptance requires ``||[W1, W2]|| <= tol * ||W1|| ||W2||``.  The basis is
-    computed by diagonalizing the pencil W1 + eta*W2 for a seeded random eta,
-    which splits eigenspaces that are degenerate in either matrix alone.
+    Acceptance requires ``||[W1, W2]|| <= COMMUTE_TOL * ||W1|| ||W2||``.  The
+    basis is computed by diagonalizing the pencil W1 + eta*W2 for a seeded
+    random eta, which splits eigenspaces that are degenerate in either
+    matrix alone.
     """
     w1 = pair.w1.entries
     w2 = pair.w2.entries
     resid = commutation_residual(pair)
-    if resid > tol:
+    if resid > COMMUTE_TOL:
         raise NotCommutingError(
             f"W1 and W2 do not commute: relative commutator norm {resid:.3e} "
-            f"exceeds tol {tol:g}", commutator_norm=resid)
+            f"exceeds tol {COMMUTE_TOL:g}", commutator_norm=resid)
 
     n1, n2 = frob(w1), frob(w2)
     rng = np.random.default_rng(_PENCIL_SEED)
@@ -92,7 +95,8 @@ def detect_common_rsv(pair: ChannelPair, tol: float = 1e-8) -> CommonBasisChanne
         off1 = frob(d1 - np.diag(np.diag(d1)))
         off2 = frob(d2 - np.diag(np.diag(d2)))
         last_off = max(off1, off2)
-        if off1 <= 10 * tol * max(n1, 1e-300) and off2 <= 10 * tol * max(n2, 1e-300):
+        if (off1 <= 10 * COMMUTE_TOL * max(n1, 1e-300)
+                and off2 <= 10 * COMMUTE_TOL * max(n2, 1e-300)):
             lam = np.clip(np.stack([np.diag(d1).real, np.diag(d2).real]), 0.0, None)
             # like every rank decision: at or below rank_tol * max, it is zero
             lam = np.where(lam > pair.rank_tol * lam.max(axis=1, keepdims=True),
@@ -103,21 +107,18 @@ def detect_common_rsv(pair: ChannelPair, tol: float = 1e-8) -> CommonBasisChanne
         f"(off-diagonal residual {last_off:.3e})", commutator_norm=resid)
 
 
-def solve_common_rsv(channel: CommonBasisChannel, p_total: float,
-                     cfg: SolveConfig | None = None) -> SolveResult:
+def solve_common_rsv(channel: CommonBasisChannel, p_total: float) -> SolveResult:
     """Exact optimal covariance for a shared-eigenbasis channel.
 
     Per-mode powers follow the quadratic-root allocation with the paired
     eavesdropper eigenvalue as the per-mode leakage gain; modes are active
     exactly when lam1_i > lam2_i + lambda.
     """
-    cfg = cfg or SolveConfig()
     check_p_total(p_total)
     l1, l2 = channel.lam1, channel.lam2
     if np.max(l1 - l2) <= 0:
         return SolveResult.zero_rate(channel.m)
-    powers, lam = _waterfill.secrecy_waterfill(
-        l1, l2, p_total, power_tol=cfg.power_tol, max_iters=cfg.max_iters)
+    powers, lam = _waterfill.secrecy_waterfill(l1, l2, p_total)
     cov = (channel.basis * powers) @ channel.basis.conj().T
     capacity = _waterfill.parallel_secrecy_value(l1, l2, powers)
     return SolveResult.solved(cov, powers, capacity, float(lam))

@@ -333,25 +333,6 @@ class SolveResult:
                    SolveStatus.ZERO_RATE, np.zeros(m))
 
 
-@dataclass(frozen=True, eq=False)
-class SolveConfig:
-    """Numerical policy for the multiplier searches.
-
-    A search stops once the power residual is within
-    ``power_tol * max(1, P_T)``, relative to the total power, and gives up
-    after ``max_iters`` evaluations of the total power.
-    """
-
-    power_tol: float = 1e-12
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if self.power_tol <= 0:
-            raise ValueError("power_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
 @dataclass(frozen=True)
 class KktResidual:
     """Norms of the KKT violations of a candidate (R, lambda).

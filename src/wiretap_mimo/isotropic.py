@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _waterfill
-from .core import CapacityBounds, ChannelPair, SolveConfig, SolveResult
+from .core import CapacityBounds, ChannelPair, SolveResult
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +58,7 @@ class IsotropicProblem:
         return self.gains.size
 
 
-def solve_isotropic(problem: IsotropicProblem,
-                    cfg: SolveConfig | None = None) -> SolveResult:
+def solve_isotropic(problem: IsotropicProblem) -> SolveResult:
     """Capacity and per-mode powers against an isotropic eavesdropper.
 
     The covariance is returned in the eigenbasis of the gains (diagonal);
@@ -68,7 +67,6 @@ def solve_isotropic(problem: IsotropicProblem,
     saturation regime; use :func:`asymptotic_capacity`'s saturation ratio to
     detect when extra power has stopped paying.
     """
-    cfg = cfg or SolveConfig()
     g = problem.gains
     eps = problem.epsilon
     if g[0] <= eps:
@@ -76,16 +74,13 @@ def solve_isotropic(problem: IsotropicProblem,
     if eps == 0.0:
         powers, lam = _waterfill.standard_waterfill(g, problem.p_total)
     else:
-        powers, lam = _waterfill.secrecy_waterfill(
-            g, eps, problem.p_total,
-            power_tol=cfg.power_tol, max_iters=cfg.max_iters)
+        powers, lam = _waterfill.secrecy_waterfill(g, eps, problem.p_total)
     capacity = _waterfill.parallel_secrecy_value(g, eps, powers)
     return SolveResult.solved(np.diag(powers), powers, capacity,
                               float(lam) if math.isfinite(lam) else 0.0)
 
 
-def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: float,
-                                cfg: SolveConfig | None = None
+def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: float
                                 ) -> tuple[SolveResult, np.ndarray]:
     """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
     ``epsilon``, with the covariance rotated into W1's eigenbasis.
@@ -94,7 +89,7 @@ def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: floa
     """
     dec = pair.w1.eig()
     res = solve_isotropic(IsotropicProblem(np.clip(dec.eigenvalues, 0.0, None),
-                                           epsilon, p_total), cfg)
+                                           epsilon, p_total))
     u = dec.eigenvectors
     return res, (u * res.mode_powers) @ u.conj().T
 
@@ -125,8 +120,7 @@ def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
-def capacity_bounds_isotropic(pair: ChannelPair, p_total: float,
-                              cfg: SolveConfig | None = None) -> CapacityBounds:
+def capacity_bounds_isotropic(pair: ChannelPair, p_total: float) -> CapacityBounds:
     """Sandwich the secrecy capacity between isotropic solves at the extreme
     eigenvalues of W2: C*(eps_max) <= C_s <= C*(eps_min)."""
     gains = np.clip(pair.w1.eigenvalues(), 0.0, None)
@@ -136,8 +130,8 @@ def capacity_bounds_isotropic(pair: ChannelPair, p_total: float,
     epsm = float(ev2[-1]) if ev2[-1] > pair.w2.rank_tol * eps1 else 0.0
     if eps1 <= 0:
         raise ValueError("W2 must be nonzero; use standard water-filling instead")
-    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total), cfg).capacity_nats
-    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total), cfg).capacity_nats
+    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total)).capacity_nats
+    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total)).capacity_nats
     m_plus = int(np.count_nonzero(gains > epsm))
     if m_plus == 0:
         gap = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   SolveConfig, SolveResult, SolveStatus, frob, sym)
+                   SolveResult, SolveStatus, frob, sym)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
 CONTAINMENT_TOL = 1e-8
@@ -63,9 +63,7 @@ def range_containment_residual(w1: HermitianMatrix,
     return frob(w1.entries - proj @ w1.entries) / n1
 
 
-def solve_omni(pair: ChannelPair, p_total: float,
-               cfg: SolveConfig | None = None,
-               containment_tol: float = CONTAINMENT_TOL) -> SolveResult:
+def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
     """Secrecy capacity against an omnidirectional eavesdropper.
 
     With range containment the capacity equals the isotropic one on the
@@ -78,16 +76,15 @@ def solve_omni(pair: ChannelPair, p_total: float,
     if not cls.is_omni:
         raise NotApplicableError("W2 is not omnidirectional (non-uniform positive spectrum)")
     bounds = None
-    if containment <= containment_tol:
-        iso, cov = solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total, cfg)
+    if containment <= CONTAINMENT_TOL:
+        iso, cov = solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
         capacity, status = iso.capacity_nats, iso.status
     else:
-        bounds = capacity_bounds_isotropic(pair, p_total, cfg)
+        bounds = capacity_bounds_isotropic(pair, p_total)
         # the lower bound is achievable: signaling designed against the worst
         # isotropic eavesdropper cannot do worse on the true channel
         iso, cov = solve_isotropic_in_w1_basis(
-            pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))),
-            p_total, cfg)
+            pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))), p_total)
         capacity, status = bounds.lower_nats, SolveStatus.BOUNDS_ONLY
     return SolveResult(
         covariance=HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),

@@ -23,33 +23,36 @@ import numpy as np
 
 from . import _waterfill, common_rsv
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, SolveConfig, SolveResult, SolveStatus,
-                   as_array, check_p_total, frob, inv_winv_plus_r,
-                   secrecy_rate, sym)
+                   NotApplicableError, SolveResult, SolveStatus, as_array,
+                   check_p_total, frob, inv_winv_plus_r, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
-    """W2's eigendecomposition in ascending order, reused across the lam
-    search: the kept decomposition of W2, reversed.  Eigenvalues at or below
-    rank_tol times the largest are exactly zero, so that round-off on W2's
-    null directions cannot shift the multiplier added to them."""
+    """W2's eigenvalues (ascending) and eigenvectors on the directions the
+    closed form uses, decided once per pair.  When W2's nullspace lies
+    inside W1's, those are W2's range alone: the null directions carry no
+    gain, and dropping them is the pseudo-inverse at lam = 0.  Otherwise
+    every direction, with eigenvalues at or below rank_tol times the largest
+    exactly zero, so that round-off cannot shift the multiplier added to
+    the null directions."""
     dec = pair.w2.eig()
     s2 = np.clip(dec.eigenvalues[::-1], 0.0, None)
-    cut = pair.rank_tol * (float(s2[-1]) if s2.size else 0.0)
-    return np.where(s2 > cut, s2, 0.0), dec.eigenvectors[:, ::-1]
+    v2 = dec.eigenvectors[:, ::-1]
+    keep = s2 > pair.rank_tol * (float(s2[-1]) if s2.size else 0.0)
+    if _null_space_contained(pair):
+        return s2[keep], v2[:, keep]
+    return np.where(keep, s2, 0.0), v2
 
 
 def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray, lam: float):
     """Covariance, trace, weak capacity and d(trace)/d(lam) of the closed form
-    at multiplier lam.
+    at multiplier lam, on the directions ``s2``, ``v2`` of :func:`_weak_core`.
 
-    ``lam = 0`` uses the pseudo-inverse of W2 (equivalently, the problem
-    projected orthogonally to the nullspace of W2).
+    ``lam = 0`` is evaluated only on W2's range, where it is the
+    pseudo-inverse of W2 (the problem projected orthogonally to the
+    nullspace of W2).
     """
-    tol = pair.rank_tol
-    d = lam + s2
-    top = float(np.max(d)) if d.size else 0.0
-    inv_sqrt = np.where(d > tol * top, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    inv_sqrt = 1.0 / np.sqrt(lam + s2)
     qh = (v2 * inv_sqrt) @ v2.conj().T  # Q^(1/2)
     w1h = sym(qh @ pair.w1.entries @ qh)
     ev, u = np.linalg.eigh(w1h)
@@ -128,8 +131,7 @@ def _diag_powers(l1: np.ndarray, l2: np.ndarray, lam: float) -> np.ndarray:
         return np.maximum(np.where(l1 > 0, 1.0 / (lam + l2) - inv1, 0.0), 0.0)
 
 
-def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float,
-                         cfg: SolveConfig) -> SolveResult:
+def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float) -> SolveResult:
     """Shared-eigenbasis fast path: per-mode powers (1/(lam+l2_i) - 1/l1_i)_+."""
     l1, l2 = channel.lam1, channel.lam2
     if p_total >= _diag_threshold(l1, l2, pair.rank_tol):
@@ -146,7 +148,7 @@ def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float,
 
         lam, powers = _waterfill._parallel_multiplier(
             np.where(l1 > 0, l1 - l2, 0.0), lambda lam: _diag_powers(l1, l2, lam),
-            slopes, alone, p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
+            slopes, alone, p_total, "weak-solver")
     cov = (channel.basis * powers) @ channel.basis.conj().T
     cw = float(np.sum(np.log1p(l1 * powers) - l2 * powers))
     return _assemble(pair, HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
@@ -182,26 +184,23 @@ def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
 def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
     """Power and result of the closed form at lam = 0: the threshold power
     when it is finite, and the optimum at every power from there on."""
-    cov, trace, cw, _ = _weak_cov_at(pair, *_weak_core(pair), 0.0)
+    s2, v2 = pair.fact("weak_core", _weak_core)
+    cov, trace, cw, _ = _weak_cov_at(pair, s2, v2, 0.0)
     return trace, _general_result(pair, cov, cw, 0.0)
 
 
-def _solve_weak_general(pair: ChannelPair, p_total: float,
-                        cfg: SolveConfig) -> SolveResult:
+def _solve_weak_general(pair: ChannelPair, p_total: float) -> SolveResult:
     # W1 = 0 has threshold power 0, so the search below has a positive gain
     if p_total >= pair.fact("threshold_power", threshold_power):
         return pair.fact("weak_saturation", _saturation)[1]
-    s2, v2 = _weak_core(pair)
+    s2, v2 = pair.fact("weak_core", _weak_core)
     # Loewner bounds: the trace at lam lies between the water-filling totals
     # over the eigenvalues of W1 at levels 1/(lam + max s2) and
     # 1/(lam + min s2), which brackets the root around the water-filling
-    # multiplier.  When W2 has null directions (exact zeros, see _weak_core),
-    # _weak_cov_at drops them below lam = rank_tol * max s2 and the trace
-    # falls again, so the bracket then stays above that window.
+    # multiplier
     _, lam_wf = _waterfill.standard_waterfill(
         np.clip(pair.w1.eigenvalues(), 0.0, None), p_total)
-    floor = 2.0 * pair.rank_tol * float(s2[-1]) if s2[0] == 0.0 else 0.0
-    lo = max(lam_wf - float(s2[-1]), floor)
+    lo = max(lam_wf - float(s2[-1]), 0.0)
     hi = max(lam_wf - float(s2[0]), lo)
 
     def power_at(lam):
@@ -211,12 +210,11 @@ def _solve_weak_general(pair: ChannelPair, p_total: float,
             lam, trace, -lam * lam * slope, 0.0, p_total)
 
     lam, (cov, cw) = _waterfill._find_multiplier(
-        power_at, lo, hi, p_total, cfg.power_tol, cfg.max_iters, "weak-solver")
+        power_at, lo, hi, p_total, "weak-solver")
     return _general_result(pair, cov, cw, lam)
 
 
-def solve_weak(pair: ChannelPair, p_total: float,
-               cfg: SolveConfig | None = None) -> SolveResult:
+def solve_weak(pair: ChannelPair, p_total: float) -> SolveResult:
     """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
 
     The multiplier is searched until the trace meets min(P_T, P_T*); above
@@ -224,19 +222,17 @@ def solve_weak(pair: ChannelPair, p_total: float,
     Channels whose Gram matrices commute take the exact diagonal fast path.
     """
     check_p_total(p_total)
-    cfg = cfg or SolveConfig()
     try:
         channel = pair.common_basis()
     except common_rsv.NotCommutingError:
-        return _solve_weak_general(pair, p_total, cfg)
-    return _solve_weak_diagonal(pair, channel, p_total, cfg)
+        return _solve_weak_general(pair, p_total)
+    return _solve_weak_diagonal(pair, channel, p_total)
 
 
-def solve_weak_with_bounds(pair: ChannelPair, p_total: float,
-                           cfg: SolveConfig | None = None) -> SolveResult:
+def solve_weak_with_bounds(pair: ChannelPair, p_total: float) -> SolveResult:
     """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
     C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
-    res = solve_weak(pair, p_total, cfg)
+    res = solve_weak(pair, p_total)
     lam2_max = float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None)))
     gap = 0.5 * (p_total * lam2_max) ** 2
     mid = max(secrecy_rate(pair, res.covariance), 0.0)
@@ -251,10 +247,9 @@ def solve_weak_with_bounds(pair: ChannelPair, p_total: float,
     ))
 
 
-def capacity_bounds_weak(pair: ChannelPair, p_total: float,
-                         cfg: SolveConfig | None = None) -> CapacityBounds:
+def capacity_bounds_weak(pair: ChannelPair, p_total: float) -> CapacityBounds:
     """Capacity sandwich C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
-    return solve_weak_with_bounds(pair, p_total, cfg).bounds
+    return solve_weak_with_bounds(pair, p_total).bounds
 
 
 def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:

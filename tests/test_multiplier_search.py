@@ -13,9 +13,9 @@ from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 SWEEP_DB = np.arange(-10.0, 81.0, 2.0)
 
 
-def _rank_deficient(rng, m):
+def _rank_deficient(rng, m, scale=1.0):
     h2 = rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m))
-    return ChannelPair.from_gram(random_psd(rng, m), h2.conj().T @ h2)
+    return ChannelPair.from_gram(random_psd(rng, m), scale * (h2.conj().T @ h2))
 
 
 def _noncontained_omni(rng, m):
@@ -31,14 +31,18 @@ CLASSES = {
     "rank_deficient": _rank_deficient,
     "omni_noncontained": _noncontained_omni,
 }
+# a one-row eavesdropper 20 dB stronger: at high SNR the multiplier falls
+# below rank_tol * max(W2)
+SWEEP_CLASSES = {**CLASSES, "rank_deficient_strong":
+                 lambda rng, m: _rank_deficient(rng, m, 100.0)}
 
 
-@pytest.mark.parametrize("kind", sorted(CLASSES))
+@pytest.mark.parametrize("kind", sorted(SWEEP_CLASSES))
 def test_every_point_of_a_high_snr_sweep_is_answered(kind):
     rng = np.random.default_rng(41)
     for m in range(2, 6):
         for _ in range(2):
-            pair = CLASSES[kind](rng, m)
+            pair = SWEEP_CLASSES[kind](rng, m)
             for db in SWEEP_DB:
                 p_total = 10.0 ** (db / 10.0)
                 for _, out in solve_auto(pair, p_total):
@@ -53,8 +57,8 @@ def _scaled(pair, s):
 
 
 def _scaling_cases():
-    # P_T * ||W|| from 1 to 1e8, and both powers at least 1, where the
-    # stopping rule is relative to P_T
+    # P_T * ||W|| from 1e-2 to 1e8 and scaled powers from 1e-8 to 1e20:
+    # the stopping rule is relative to P_T at every power
     rng = np.random.default_rng(43)
     yield fig1_pair(), 1e-12, 1.0
     for s in (1e-12, 1e-6, 1e-3):
@@ -62,6 +66,11 @@ def _scaling_cases():
             for _ in range(3):
                 yield (make(rng, int(rng.integers(2, 6))), s,
                        10.0 ** rng.uniform(0, 8))
+    for s in (1e3, 1e6):
+        for make in CLASSES.values():
+            for _ in range(3):
+                yield (make(rng, int(rng.integers(2, 6))), s,
+                       10.0 ** rng.uniform(-2, 0))
 
 
 def test_scaling_symmetry():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wiretap_mimo import (ChannelPair, NotApplicableError, Objective,
-                          OracleConfig, SolveConfig, SolveStatus,
+                          OracleConfig, SolveStatus,
                           capacity_bounds_weak,
                           kkt_residual_weak, mc_capacity,
                           saturation_capacities, solve_weak,
@@ -66,13 +66,12 @@ class TestSolveWeak:
 
     def test_general_path_matches_diagonal_fast_path(self):
         rng = np.random.default_rng(23)
-        cfg = SolveConfig()
         for _ in range(15):
             m = int(rng.integers(2, 5))
             pair, v, lam1, lam2 = random_commuting_pair(rng, m, lam2_scale=0.5)
             p_total = float(rng.uniform(0.2, 6.0))
             fast = solve_weak(pair, p_total)
-            general = _solve_weak_general(pair, p_total, cfg)
+            general = _solve_weak_general(pair, p_total)
             assert general.capacity_nats == pytest.approx(fast.capacity_nats,
                                                           abs=1e-9)
             assert np.allclose(general.covariance.entries,
@@ -122,7 +121,7 @@ class TestSolveWeak:
         pair = ChannelPair.from_gram(w1, w2)
         p_star = threshold_power(pair)
         assert math.isfinite(p_star)
-        res = _solve_weak_general(pair, 2.0 * p_star, SolveConfig())
+        res = _solve_weak_general(pair, 2.0 * p_star)
         assert res.lagrange_lambda == 0.0
         assert res.power_used == pytest.approx(p_star, abs=1e-9)
         # no power escapes into the shared nullspace
