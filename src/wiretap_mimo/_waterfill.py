@@ -13,18 +13,18 @@ Two allocation rules live here:
   This is the quadratic-root allocation rewritten to avoid cancellation for
   small arguments; it degenerates to water-filling exactly when ``e_i = 0``.
 
-Every closed-form multiplier search, the weak-eavesdropper solvers'
-included, runs through ``_find_multiplier``: a bracketed root-finder that
-takes the caller's Newton-type step while it stays inside the bracket and
-bisects (on log lam) otherwise.  It stops when the power residual is within
-``_POWER_TOL * P_T``, a rule relative to the total power at every power, so
-every SNR is reachable at float resolution and results keep the scaling
-symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
-(``_parallel_multiplier``) the active set is fixed first, from one
-vectorised evaluation at the sorted activation multipliers.  Every step,
-there and on the general weak path, is the root of one local model of the
-total in x = 1/lam (``_model_root``), matched to its value and slope, and
-over parallel modes also to its curvature; a few evaluations per solve.
+Every closed-form multiplier search runs through ``_find_multiplier``: a
+bracketed root-finder that takes the caller's Newton-type step while it
+stays inside the bracket and bisects (on log lam) otherwise.  It stops when
+the power residual is within ``_POWER_TOL * P_T``, a rule relative to the
+total power at every power, so every SNR is reachable at float resolution
+and results keep the scaling symmetry W -> sW, P_T -> P_T/s to rounding.
+Over parallel modes (``secrecy_waterfill``) the active set is fixed first,
+from one vectorised evaluation at the sorted activation multipliers.  Every
+step, there and on the general weak path, is the root of one local model
+of the total in x = 1/lam (``_model_root``), matched to its value and
+slope, and over parallel modes also to its curvature; a few evaluations
+per solve.
 """
 
 from __future__ import annotations
@@ -154,56 +154,18 @@ def _model_root(lam: float, total: float, slope: float, curve: float,
     return lam * math.exp(-h) if -h < 700.0 else None
 
 
-def _parallel_multiplier(acts: np.ndarray, powers_at, slopes, alone,
-                         p_total: float, label: str) -> tuple[float, np.ndarray]:
-    """Multiplier and per-mode powers of a separable allocation.
-
-    Mode i is active exactly when lam < ``acts[i]``.  ``powers_at(lam)``
-    gives the per-mode powers (lam may be a column of values),
-    ``slopes(lam, powers, idx)`` the first and second derivatives in
-    ``x = 1/lam`` of the powers of modes ``idx``, and ``alone(i, q)`` the
-    multiplier at which mode i alone carries power q.  One vectorised
-    evaluation at the activation multipliers fixes the active set; the root
-    is then searched on that smooth piece, between bounds from the
-    single-mode inverses, with the curvature model of :func:`_model_root`
-    as the step.
-    """
-    order = np.argsort(-acts, kind="stable")
-    order = order[acts[order] > 0]
-    k = 1
-    if order.size > 1:
-        # total power at the multiplier where each further mode activates;
-        # a mode activating exactly at p_total joins, so the root is then hi
-        at = np.sum(powers_at(acts[order[1:], None]), axis=1)
-        k += int(np.count_nonzero(at <= p_total))
-    active = order[:k]
-    if k == 1:
-        # one active mode carries all the power
-        powers = np.zeros(acts.shape)
-        powers[active[0]] = p_total
-        return alone(active[0], p_total), powers
-    lo = float(acts[order[k]]) if k < order.size else 0.0
-    hi = float(acts[active[-1]])
-    lo = max(lo, max(alone(i, p_total) for i in active))
-    hi = min(hi, max(alone(i, p_total / k) for i in active))
-
-    def power_at(lam):
-        powers = powers_at(lam)
-        total = float(np.sum(powers))
-        d1, d2 = slopes(lam, powers, active)
-        return total, powers, _model_root(lam, total, float(np.sum(d1)),
-                                          float(np.sum(d2)), p_total)
-
-    return _find_multiplier(power_at, lo, max(hi, lo), p_total, label)
-
-
 def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
                       p_total: float) -> tuple[np.ndarray, float]:
     """Secrecy power allocation: the multiplier at which full power is used.
 
     Returns ``(powers, lam)``.  If no mode satisfies ``g_i > e_i`` the zero
-    allocation is returned with ``lam = 0``.  Raises :class:`ConvergenceError`
-    when the power residual cannot be driven within ``_POWER_TOL * p_total``.
+    allocation is returned with ``lam = 0``.  Mode i is active exactly when
+    lam < d_i = g_i - e_i.  One vectorised evaluation at the activation
+    multipliers fixes the active set; the root is then searched on that
+    smooth piece, between bounds from the single-mode inverses, with the
+    curvature model of :func:`_model_root` as the step.  Raises
+    :class:`ConvergenceError` when the power residual cannot be driven
+    within ``_POWER_TOL * p_total``.
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
@@ -213,18 +175,41 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
     if not g.size or float(np.max(d)) <= 0:
         return np.zeros_like(g), 0.0
 
-    def slopes(lam, powers, idx):
-        # dp/dx = d / (g + e + 2 g e p) and d2p/dx2 = -2 g e (dp/dx)^3 / d
-        gi, ei, di = g[idx], e[idx], d[idx]
-        d1 = di / (gi + ei + 2.0 * gi * ei * powers[idx])
-        return d1, -2.0 * gi * ei * d1 ** 3 / di
-
     def alone(i, q):
+        # the multiplier at which mode i alone carries power q
         return float(d[i] / ((1.0 + g[i] * q) * (1.0 + e[i] * q)))
 
-    lam, powers = _parallel_multiplier(
-        d, lambda lam: secrecy_mode_powers(g, e, lam), slopes, alone, p_total,
-        "multiplier")
+    order = np.argsort(-d, kind="stable")
+    order = order[d[order] > 0]
+    k = 1
+    if order.size > 1:
+        # total power at the multiplier where each further mode activates;
+        # a mode activating exactly at p_total joins, so the root is then hi
+        at = np.sum(secrecy_mode_powers(g, e, d[order[1:], None]), axis=1)
+        k += int(np.count_nonzero(at <= p_total))
+    active = order[:k]
+    if k == 1:
+        # one active mode carries all the power
+        powers = np.zeros(d.shape)
+        powers[active[0]] = p_total
+        return powers, alone(active[0], p_total)
+    lo = float(d[order[k]]) if k < order.size else 0.0
+    hi = float(d[active[-1]])
+    lo = max(lo, max(alone(i, p_total) for i in active))
+    hi = min(hi, max(alone(i, p_total / k) for i in active))
+    ga, ea, da = g[active], e[active], d[active]
+
+    def power_at(lam):
+        powers = secrecy_mode_powers(g, e, lam)
+        total = float(np.sum(powers))
+        # in x = 1/lam: dp/dx = d / (g + e + 2 g e p) and
+        # d2p/dx2 = -2 g e (dp/dx)^3 / d
+        d1 = da / (ga + ea + 2.0 * ga * ea * powers[active])
+        d2 = -2.0 * ga * ea * d1 ** 3 / da
+        return total, powers, _model_root(lam, total, float(np.sum(d1)),
+                                          float(np.sum(d2)), p_total)
+
+    lam, powers = _find_multiplier(power_at, lo, max(hi, lo), p_total)
     return powers, lam
 
 

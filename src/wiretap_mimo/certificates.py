@@ -85,10 +85,8 @@ def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     if channel is None:
         return report
     l1, l2 = channel.lam1, channel.lam2
-    cut2 = pair.w2.rank_tol * float(np.max(l2)) if np.max(l2) > 0 else 0.0
-    cut1 = pair.w1.rank_tol * float(np.max(l1)) if np.max(l1) > 0 else 0.0
-    zf_mode = l2 <= cut2
-    usable = zf_mode & (l1 > cut1)
+    zf_mode = l2 == 0
+    usable = zf_mode & (l1 > 0)
     if not np.any(usable):
         return CertificateReport(Verdict.NECESSARY_FAILS, details={
             "reason": "no zero-leakage mode carries positive legitimate gain",
@@ -206,8 +204,7 @@ def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
         details["reason"] = "W1 carries no positive gain"
         return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
-    cut2 = pair.w2.rank_tol * float(np.max(l2)) if np.max(l2) > 0 else 0.0
-    if np.any(active & (l2 <= cut2)):
+    if np.any(active & (l2 == 0)):
         details["reason"] = ("an active mode has zero eavesdropper gain; the "
                              "inverse-gain relation is undefined (use the ZF check)")
         return CertificateReport(Verdict.INCONCLUSIVE, details=details)
@@ -224,7 +221,7 @@ def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     for i in np.flatnonzero(~active):
         if l1[i] <= l2[i] * (1 + 1e-12) + 1e-300:
             continue
-        if l2[i] > cut2:
+        if l2[i] > 0:
             implied = 1.0 / l2[i] - 1.0 / l1[i]
             if abs(implied - alpha) <= _CONSISTENCY_TOL * abs(alpha):
                 continue

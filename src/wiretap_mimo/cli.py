@@ -279,10 +279,7 @@ def _fig3_rows(cfg: OracleConfig) -> list[Row]:
         p_t = 10.0 ** (db / 10.0)
         for eps in (0.0, 0.1, 0.5):
             res = solve_isotropic(IsotropicProblem(gains, eps, p_t))
-            rows.append(Row(float(db), p_t, f"isotropic(eps={eps:g})",
-                            res.capacity_nats, None, None,
-                            res.lagrange_lambda, res.active_modes,
-                            res.status.value))
+            rows.append(_row(float(db), p_t, f"isotropic(eps={eps:g})", res))
     return rows
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from . import _waterfill, common_rsv
+from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
                    NotApplicableError, SolveResult, SolveStatus, as_array,
                    check_p_total, frob, inv_winv_plus_r, secrecy_rate, sym)
@@ -112,65 +112,6 @@ def threshold_power(pair: ChannelPair) -> float:
     return pair.fact("weak_saturation", _saturation)[0]
 
 
-# modes with l1 = 0 give 1/0 and inf - inf in the two helpers below; the
-# l1 > 0 masks drop them
-def _diag_threshold(l1: np.ndarray, l2: np.ndarray, tol: float) -> float:
-    top1 = float(np.max(l1)) if l1.size else 0.0
-    free = (l2 <= 0) & (l1 > tol * top1)
-    if np.any(free):
-        return math.inf
-    with np.errstate(invalid="ignore"):
-        inv2 = np.where(l2 > 0, 1.0 / np.where(l2 > 0, l2, 1.0), math.inf)
-        inv1 = np.where(l1 > 0, 1.0 / np.where(l1 > 0, l1, 1.0), math.inf)
-        return float(np.sum(np.maximum(np.where(l1 > 0, inv2 - inv1, 0.0), 0.0)))
-
-
-def _diag_powers(l1: np.ndarray, l2: np.ndarray, lam: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv1 = np.where(l1 > 0, 1.0 / np.where(l1 > 0, l1, 1.0), math.inf)
-        return np.maximum(np.where(l1 > 0, 1.0 / (lam + l2) - inv1, 0.0), 0.0)
-
-
-def _solve_weak_diagonal(pair: ChannelPair, channel, p_total: float) -> SolveResult:
-    """Shared-eigenbasis fast path: per-mode powers (1/(lam+l2_i) - 1/l1_i)_+."""
-    l1, l2 = channel.lam1, channel.lam2
-    if p_total >= _diag_threshold(l1, l2, pair.rank_tol):
-        lam = 0.0
-        powers = _diag_powers(l1, l2, lam)
-    else:
-        def slopes(lam, powers, idx):
-            # in x = 1/lam: dp/dx = c^2 and d2p/dx2 = -2 l2 c^3, c = lam/(lam+l2)
-            c = lam / (lam + l2[idx])
-            return c * c, -2.0 * l2[idx] * c ** 3
-
-        def alone(i, q):
-            return float(1.0 / (q + 1.0 / l1[i]) - l2[i])
-
-        lam, powers = _waterfill._parallel_multiplier(
-            np.where(l1 > 0, l1 - l2, 0.0), lambda lam: _diag_powers(l1, l2, lam),
-            slopes, alone, p_total, "weak-solver")
-    cov = (channel.basis * powers) @ channel.basis.conj().T
-    cw = float(np.sum(np.log1p(l1 * powers) - l2 * powers))
-    return _assemble(pair, HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
-                     powers, cw, lam)
-
-
-def _assemble(pair: ChannelPair, cov: HermitianMatrix, powers: np.ndarray,
-              cw: float, lam: float) -> SolveResult:
-    capacity = max(cw, 0.0)
-    used = float(np.sum(powers))
-    zero = capacity == 0.0 and used <= pair.rank_tol
-    return SolveResult(
-        covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero else cov,
-        capacity_nats=capacity,
-        lagrange_lambda=lam,
-        active_modes=int(np.count_nonzero(powers > 0)),
-        power_used=0.0 if zero else used,
-        status=SolveStatus.ZERO_RATE if zero else SolveStatus.SOLVED,
-        mode_powers=np.zeros_like(powers) if zero else powers,
-    )
-
-
 def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
                     lam: float) -> SolveResult:
     """The result of a covariance from the general closed form; its mode
@@ -178,7 +119,21 @@ def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
     cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
     powers = np.clip(cov_h.eigenvalues(), 0.0, None)
     cut = pair.rank_tol * (float(np.max(powers)) if powers.size else 0.0)
-    return _assemble(pair, cov_h, np.where(powers > cut, powers, 0.0), cw, lam)
+    powers = np.where(powers > cut, powers, 0.0)
+    capacity = max(cw, 0.0)
+    used = float(np.sum(powers))
+    zero = capacity == 0.0 and used <= pair.rank_tol
+    # not SolveResult.zero_rate: a zero-rate weak result keeps its
+    # multiplier and active-mode count
+    return SolveResult(
+        covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero else cov_h,
+        capacity_nats=capacity,
+        lagrange_lambda=lam,
+        active_modes=int(np.count_nonzero(powers > 0)),
+        power_used=0.0 if zero else used,
+        status=SolveStatus.ZERO_RATE if zero else SolveStatus.SOLVED,
+        mode_powers=np.zeros_like(powers) if zero else powers,
+    )
 
 
 def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
@@ -219,14 +174,9 @@ def solve_weak(pair: ChannelPair, p_total: float) -> SolveResult:
 
     The multiplier is searched until the trace meets min(P_T, P_T*); above
     the threshold power only partial power is used.
-    Channels whose Gram matrices commute take the exact diagonal fast path.
     """
     check_p_total(p_total)
-    try:
-        channel = pair.common_basis()
-    except common_rsv.NotCommutingError:
-        return _solve_weak_general(pair, p_total)
-    return _solve_weak_diagonal(pair, channel, p_total)
+    return _solve_weak_general(pair, p_total)
 
 
 def solve_weak_with_bounds(pair: ChannelPair, p_total: float) -> SolveResult:

@@ -119,7 +119,8 @@ def test_general_weak_solve_needs_few_evaluations(monkeypatch):
     monkeypatch.setattr(weak_eavesdropper, "_weak_cov_at",
                         lambda *a: calls.append(1) or evaluate(*a))
     rng = np.random.default_rng(59)
-    pairs = [CLASSES[kind](rng, m) for kind in ("general", "rank_deficient")
+    pairs = [CLASSES[kind](rng, m)
+             for kind in ("commuting", "general", "rank_deficient")
              for m in range(2, 6)]
     limits = [weak_eavesdropper.threshold_power(pair) for pair in pairs]
     calls.clear()

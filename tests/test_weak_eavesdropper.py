@@ -10,7 +10,7 @@ from wiretap_mimo import (ChannelPair, NotApplicableError, Objective,
                           saturation_capacities, solve_weak,
                           threshold_power, weak_rate)
 from wiretap_mimo.weak_eavesdropper import _solve_weak_general
-from util import fig1_pair, random_commuting_pair, random_psd
+from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
 
 class TestSolveWeak:
@@ -64,18 +64,39 @@ class TestSolveWeak:
         assert res.capacity_nats == pytest.approx(
             math.log(1 + 2 * r_star) - 0.25 * r_star, abs=1e-10)
 
-    def test_general_path_matches_diagonal_fast_path(self):
+    def test_commuting_pairs_match_the_per_mode_closed_form(self):
+        # in a shared eigenbasis v the weak optimum is diagonal with powers
+        # (1/(lam + l2_i) - 1/l1_i)_+ at its multiplier, 0 where l1_i = 0
         rng = np.random.default_rng(23)
+        cases = []
         for _ in range(15):
             m = int(rng.integers(2, 5))
-            pair, v, lam1, lam2 = random_commuting_pair(rng, m, lam2_scale=0.5)
-            p_total = float(rng.uniform(0.2, 6.0))
-            fast = solve_weak(pair, p_total)
-            general = _solve_weak_general(pair, p_total)
-            assert general.capacity_nats == pytest.approx(fast.capacity_nats,
-                                                          abs=1e-9)
-            assert np.allclose(general.covariance.entries,
-                               fast.covariance.entries, atol=1e-7)
+            _, v, lam1, lam2 = random_commuting_pair(rng, m, lam2_scale=0.5)
+            cases.append((v, lam1, lam2, float(rng.uniform(0.2, 6.0))))
+        v = random_unitary(rng, 3)
+        structures = [
+            ([2.0, 1.0, 0.5], [0.3, 0.2, 0.1]),  # generic
+            ([2.0, 1.0, 0.5], [0.0, 0.2, 0.1]),  # W1 uses a W2 null direction
+            ([2.0, 1.0, 0.0], [0.3, 0.2, 0.0]),  # a shared null direction
+            ([2.0, 0.0, 0.5], [0.3, 0.2, 0.1]),  # a W1 null direction
+            ([0.5, 0.4, 0.1], [1.0, 0.6, 0.2]),  # dominated
+            ([1.5, 1.5, 0.5], [0.2, 0.2, 0.1]),  # repeated eigenvalues
+        ]
+        # below and above the threshold power where it is finite
+        cases += [(v, np.array(l1), np.array(l2), p_total)
+                  for l1, l2 in structures for p_total in (0.5, 20.0)]
+        for v, lam1, lam2, p_total in cases:
+            pair = ChannelPair.from_gram((v * lam1) @ v.conj().T,
+                                         (v * lam2) @ v.conj().T)
+            res = solve_weak(pair, p_total)
+            lam = res.lagrange_lambda
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(lam1 > 0, np.maximum(
+                    1.0 / (lam + lam2) - 1.0 / lam1, 0.0), 0.0)
+            rotated = v.conj().T @ res.covariance.entries @ v
+            assert np.allclose(rotated, np.diag(p), atol=1e-7)
+            assert res.capacity_nats == pytest.approx(
+                float(np.sum(np.log1p(lam1 * p) - lam2 * p)), abs=1e-9)
 
     def test_active_mode_rule_on_common_basis(self):
         rng = np.random.default_rng(29)
