@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError
+from .core import ConvergenceError, check_p_total
 
 # a search stops once the power residual is within _POWER_TOL * P_T, and
 # gives up after _MAX_EVALS evaluations of the total power
@@ -49,8 +49,7 @@ def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, f
     no gain is positive the powers are all zero and ``lam`` is ``inf``.
     """
     g = np.asarray(gains, dtype=float)
-    if p_total <= 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     powers = np.zeros_like(g)
     order = np.argsort(g)[::-1]
     gs = g[order]
@@ -169,8 +168,7 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
-    if p_total <= 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     d = g - e
     if not g.size or float(np.max(d)) <= 0:
         return np.zeros_like(g), 0.0

@@ -20,8 +20,8 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, as_array, check_p_total, frob,
-                   inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, as_array, check_p_total, clean_spectrum,
+                   frob, inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -139,8 +139,7 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float,
     ra = np.asarray(r.entries if isinstance(r, HermitianMatrix) else r)
     ev, u = np.linalg.eigh(sym(ra))
     ev, u = ev[::-1], u[:, ::-1]
-    cut = pair.rank_tol * max(float(np.max(np.abs(ev))), 0.0)
-    active = ev > cut
+    active = clean_spectrum(ev, pair.rank_tol) > 0
     details: dict = {"active_modes": int(np.count_nonzero(active))}
     if not np.any(active):
         details["reason"] = "R carries no power; necessity checks are vacuous"
@@ -287,8 +286,7 @@ def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
         raise ValueError("m must be at least 1")
     if b_rest.shape != (m - 1,):
         raise ValueError(f"b_rest must have length m - 1 = {m - 1}")
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     if not b1 > 0:
         raise ValueError(f"violated: b1 > 0 (got b1 = {b1!r})")
     if not 0 < a1 < b1:
@@ -338,13 +336,12 @@ class KktForm(Enum):
 
 
 def _regularized(w: HermitianMatrix) -> HermitianMatrix:
-    ev = w.eigenvalues()
-    top = float(ev[0])
-    if top <= 0:
+    ev = w.spectrum()
+    if ev[0] == 0:
         raise NotApplicableError("W is zero; singular beyond regularization")
-    if ev[-1] > w.rank_tol * top:
+    if ev[-1] > 0:
         return w
-    return HermitianMatrix(w.entries + (w.rank_tol * top) * np.eye(w.dim))
+    return HermitianMatrix(w.entries + w.rank_tol * ev[0] * np.eye(w.dim))
 
 
 def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,

@@ -196,8 +196,7 @@ def _row(snr_db, p_t, solver, out) -> Row:
 def _iso_row(pair, snr_db, p_t) -> Row:
     cls, _ = pair.omni()
     if cls.is_omni and cls.r2 == pair.m:
-        gains = np.clip(pair.w1.eigenvalues(), 0.0, None)
-        res = solve_isotropic(IsotropicProblem(gains, cls.epsilon, p_t))
+        res = solve_isotropic(IsotropicProblem(pair.w1.spectrum(), cls.epsilon, p_t))
         return Row(snr_db, p_t, "isotropic", res.capacity_nats,
                    res.capacity_nats, res.capacity_nats, res.lagrange_lambda,
                    res.active_modes, res.status.value)
@@ -272,7 +271,7 @@ def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
     return ScenarioSpec(pair, grid, ["weak", "oracle"], cfg)
 
 
-def _fig3_rows(cfg: OracleConfig) -> list[Row]:
+def _fig3_rows() -> list[Row]:
     gains = np.array([2.0, 1.0])
     rows = []
     for db in range(-10, 31):
@@ -373,11 +372,13 @@ def main(argv=None) -> int:
             overrides["samples"] = args.samples
 
         if args.command == "figure":
-            cfg = OracleConfig(**overrides)
             if args.which == "fig1":
-                rows = run_sweep(_fig1_spec(cfg))
+                rows = run_sweep(_fig1_spec(OracleConfig(**overrides)))
+            elif overrides:
+                raise ValueError("figure fig3 runs no oracle, so it takes no "
+                                 + " or ".join(f"--{k}" for k in overrides))
             else:
-                rows = _fig3_rows(cfg)
+                rows = _fig3_rows()
             _emit(rows, args.format or "csv", args.units or "nats", args.out)
             return 0
 

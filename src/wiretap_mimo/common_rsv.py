@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import ChannelPair, SolveResult, check_p_total, frob
+from .core import ChannelPair, SolveResult, check_p_total, clean_spectrum, frob
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
@@ -97,11 +97,9 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
         last_off = max(off1, off2)
         if (off1 <= 10 * COMMUTE_TOL * max(n1, 1e-300)
                 and off2 <= 10 * COMMUTE_TOL * max(n2, 1e-300)):
-            lam = np.clip(np.stack([np.diag(d1).real, np.diag(d2).real]), 0.0, None)
-            # like every rank decision: at or below rank_tol * max, it is zero
-            lam = np.where(lam > pair.rank_tol * lam.max(axis=1, keepdims=True),
-                           lam, 0.0)
-            return CommonBasisChannel(v, lam[0], lam[1])
+            return CommonBasisChannel(
+                v, clean_spectrum(np.diag(d1).real, pair.w1.rank_tol),
+                clean_spectrum(np.diag(d2).real, pair.w2.rank_tol))
     raise NotCommutingError(
         f"pencil diagonalization failed to split degeneracies "
         f"(off-diagonal residual {last_off:.3e})", commutator_norm=resid)

@@ -2,9 +2,12 @@
 
 All rates and capacities are in nats (natural logarithm).  Matrices are
 small and dense; every spectral operation goes through ``numpy.linalg.eigh``
-after mandatory symmetrization.  Rank decisions (nullspaces, pseudo-inverses,
-"singular" solver branches) use a relative eigenvalue cutoff
-``rank_tol * max_i |lambda_i|``.
+after mandatory symmetrization.  Every rank decision (nullspaces,
+pseudo-inverses, active modes, "singular" solver branches) uses one relative
+eigenvalue cutoff ``rank_tol * max_i |lambda_i|``, applied in one place:
+:func:`clean_spectrum`, which :meth:`HermitianMatrix.spectrum` applies to a
+matrix at its own ``rank_tol``.  Every total power passes
+:func:`check_p_total`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,19 @@ class NotApplicableError(ValueError):
 def check_p_total(p_total: float) -> None:
     """Reject a total power that is not a positive finite number."""
     if not 0.0 < p_total < math.inf:
-        raise ValueError("p_total must be positive and finite")
+        raise ValueError("p_total must be finite and positive")
+
+
+def _zero_cut(w: np.ndarray, rank_tol: float) -> float:
+    """The magnitude at or below which an entry of the spectrum ``w`` is zero."""
+    return rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
+
+
+def clean_spectrum(w: np.ndarray, rank_tol: float) -> np.ndarray:
+    """``w`` with every entry at or below ``rank_tol * max |w|`` set to
+    exactly zero, negative round-off included: the one rank rule."""
+    w = np.asarray(w, dtype=float)
+    return np.where(w > _zero_cut(w, rank_tol), w, 0.0)
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -134,18 +149,18 @@ class HermitianMatrix:
     def eigenvalues(self) -> np.ndarray:
         return self.eig().eigenvalues
 
-    def _zero_cut(self, w: np.ndarray) -> float:
-        top = float(np.max(np.abs(w))) if w.size else 0.0
-        return self.rank_tol * top
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues (decreasing) through :func:`clean_spectrum`."""
+        return clean_spectrum(self.eigenvalues(), self.rank_tol)
 
     def rank(self) -> int:
         w = self.eigenvalues()
-        return int(np.count_nonzero(np.abs(w) > self._zero_cut(w)))
+        return int(np.count_nonzero(np.abs(w) > _zero_cut(w, self.rank_tol)))
 
     def null_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the numerical nullspace."""
         dec = self.eig()
-        keep = np.abs(dec.eigenvalues) <= self._zero_cut(dec.eigenvalues)
+        keep = np.abs(dec.eigenvalues) <= _zero_cut(dec.eigenvalues, self.rank_tol)
         return dec.eigenvectors[:, keep]
 
     def is_psd(self) -> bool:
@@ -154,7 +169,7 @@ class HermitianMatrix:
         if "_eig" in self.__dict__ or np.count_nonzero(a) > np.count_nonzero(w):
             # not diagonal (a diagonal matrix needs no decomposition)
             w = self.eigenvalues()
-        return bool(w.size == 0 or np.min(w) >= -self._zero_cut(w))
+        return bool(w.size == 0 or np.min(w) >= -_zero_cut(w, self.rank_tol))
 
     def sqrt_psd(self) -> "HermitianMatrix":
         """Principal square root; tiny negative eigenvalues are clipped to zero."""
@@ -167,7 +182,7 @@ class HermitianMatrix:
         """Moore-Penrose pseudo-inverse with the rank_tol eigenvalue cutoff."""
         dec = self.eig()
         w = dec.eigenvalues
-        cut = self._zero_cut(w)
+        cut = _zero_cut(w, self.rank_tol)
         inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
         return HermitianMatrix((dec.eigenvectors * inv) @ dec.eigenvectors.conj().T,
                                rank_tol=self.rank_tol)
@@ -403,11 +418,8 @@ def weak_rate(pair: ChannelPair, r: MatrixLike) -> float:
 
 def positive_part(a: HermitianMatrix) -> HermitianMatrix:
     """Projection onto the positive eigenmodes: sum of lambda_i u_i u_i^H over lambda_i > 0."""
-    dec = a.eig()
-    w = dec.eigenvalues
-    kept = np.where(w > a._zero_cut(w), w, 0.0)
-    return HermitianMatrix((dec.eigenvectors * kept) @ dec.eigenvectors.conj().T,
-                           rank_tol=a.rank_tol)
+    u = a.eig().eigenvectors
+    return HermitianMatrix((u * a.spectrum()) @ u.conj().T, rank_tol=a.rank_tol)
 
 
 def epsilon_from_pathloss(alpha: float, n2: float, m: float,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _waterfill
-from .core import CapacityBounds, ChannelPair, SolveResult
+from .core import CapacityBounds, ChannelPair, SolveResult, check_p_total
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +44,9 @@ class IsotropicProblem:
             raise ValueError("gains must be nonnegative")
         if np.any(np.diff(g) > 0):
             raise ValueError("gains must be sorted in decreasing order")
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.p_total)):
-            raise ValueError("epsilon and p_total must be finite")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not self.p_total > 0:
-            raise ValueError("p_total must be positive")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        check_p_total(self.p_total)
         g.setflags(write=False)
         object.__setattr__(self, "gains", np.asarray(g))
 
@@ -76,8 +73,7 @@ def solve_isotropic(problem: IsotropicProblem) -> SolveResult:
     else:
         powers, lam = _waterfill.secrecy_waterfill(g, eps, problem.p_total)
     capacity = _waterfill.parallel_secrecy_value(g, eps, powers)
-    return SolveResult.solved(np.diag(powers), powers, capacity,
-                              float(lam) if math.isfinite(lam) else 0.0)
+    return SolveResult.solved(np.diag(powers), powers, capacity, float(lam))
 
 
 def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: float
@@ -87,10 +83,8 @@ def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: floa
 
     Returns the per-mode result and the covariance in the antenna basis.
     """
-    dec = pair.w1.eig()
-    res = solve_isotropic(IsotropicProblem(np.clip(dec.eigenvalues, 0.0, None),
-                                           epsilon, p_total))
-    u = dec.eigenvectors
+    res = solve_isotropic(IsotropicProblem(pair.w1.spectrum(), epsilon, p_total))
+    u = pair.w1.eig().eigenvectors
     return res, (u * res.mode_powers) @ u.conj().T
 
 
@@ -123,11 +117,9 @@ def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
 def capacity_bounds_isotropic(pair: ChannelPair, p_total: float) -> CapacityBounds:
     """Sandwich the secrecy capacity between isotropic solves at the extreme
     eigenvalues of W2: C*(eps_max) <= C_s <= C*(eps_min)."""
-    gains = np.clip(pair.w1.eigenvalues(), 0.0, None)
-    ev2 = np.clip(pair.w2.eigenvalues(), 0.0, None)
-    eps1 = float(ev2[0])
-    # like every rank decision: at or below rank_tol * eps1, it is zero
-    epsm = float(ev2[-1]) if ev2[-1] > pair.w2.rank_tol * eps1 else 0.0
+    gains = pair.w1.spectrum()
+    ev2 = pair.w2.spectrum()
+    eps1, epsm = float(ev2[0]), float(ev2[-1])
     if eps1 <= 0:
         raise ValueError("W2 must be nonzero; use standard water-filling instead")
     lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total)).capacity_nats

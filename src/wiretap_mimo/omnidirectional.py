@@ -40,12 +40,10 @@ def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassificatio
     """Classify W2 as omnidirectional when its positive eigenvalues agree
     within relative tolerance ``delta``.  A zero matrix has no active
     subspace and is not classified as omnidirectional."""
-    dec = w2.eig()
-    ev = dec.eigenvalues
-    cut = w2.rank_tol * (float(np.max(np.abs(ev))) if ev.size else 0.0)
-    pos = ev > cut
+    ev = w2.spectrum()
+    pos = ev > 0
     r2 = int(np.count_nonzero(pos))
-    basis = dec.eigenvectors[:, pos]
+    basis = w2.eig().eigenvectors[:, pos]
     if r2 == 0:
         return OmniClassification(False, 0.0, basis, 0)
     mean = float(np.mean(ev[pos]))
@@ -83,8 +81,7 @@ def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
         bounds = capacity_bounds_isotropic(pair, p_total)
         # the lower bound is achievable: signaling designed against the worst
         # isotropic eavesdropper cannot do worse on the true channel
-        iso, cov = solve_isotropic_in_w1_basis(
-            pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))), p_total)
+        iso, cov = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
         capacity, status = bounds.lower_nats, SolveStatus.BOUNDS_ONLY
     return SolveResult(
         covariance=HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),

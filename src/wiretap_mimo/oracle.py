@@ -22,7 +22,8 @@ from enum import Enum
 import numpy as np
 
 from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import ChannelPair, HermitianMatrix, NotApplicableError, sym
+from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
+                   check_p_total, sym)
 
 _CHUNK = 1 << 15
 _GOLDEN = 0.6180339887498949
@@ -107,7 +108,7 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
 
     attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
     attempt(lambda: isotropic.solve_isotropic_in_w1_basis(
-        pair, float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None))), p_total)[1])
+        pair, float(pair.w2.spectrum()[0]), p_total)[1])
     attempt(lambda: common_rsv.solve_common_rsv(
         pair.common_basis(), p_total).covariance.entries)
     attempt(lambda: omnidirectional.solve_omni(pair, p_total).covariance.entries)
@@ -139,8 +140,7 @@ def mc_capacity(pair: ChannelPair, p_total: float,
     sample.
     """
     cfg = cfg or OracleConfig()
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
     m = pair.m
     use_complex = cfg.complex_sampling or np.iscomplexobj(pair.w1.entries) \
         or np.iscomplexobj(pair.w2.entries)
@@ -280,8 +280,7 @@ def separable_oracle(lam1, lam2, p_total: float,
         raise ValueError("lam1 and lam2 must be paired 1-D vectors")
     if np.any(l1 < 0) or np.any(l2 < 0):
         raise ValueError("eigenvalue vectors must be nonnegative")
-    if not p_total > 0:
-        raise ValueError("p_total must be positive")
+    check_p_total(p_total)
 
     usable = l1 > l2
     if not np.any(usable):

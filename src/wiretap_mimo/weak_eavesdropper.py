@@ -32,13 +32,12 @@ def _weak_core(pair: ChannelPair):
     closed form uses, decided once per pair.  When W2's nullspace lies
     inside W1's, those are W2's range alone: the null directions carry no
     gain, and dropping them is the pseudo-inverse at lam = 0.  Otherwise
-    every direction, with eigenvalues at or below rank_tol times the largest
-    exactly zero, so that round-off cannot shift the multiplier added to
-    the null directions."""
-    dec = pair.w2.eig()
-    s2 = np.clip(dec.eigenvalues[::-1], 0.0, None)
-    v2 = dec.eigenvectors[:, ::-1]
-    keep = s2 > pair.rank_tol * (float(s2[-1]) if s2.size else 0.0)
+    every direction, with W2's spectrum cleaned (``HermitianMatrix.spectrum``)
+    so that round-off cannot shift the multiplier added to the null
+    directions."""
+    s2 = pair.w2.spectrum()[::-1]
+    v2 = pair.w2.eig().eigenvectors[:, ::-1]
+    keep = s2 > 0
     if _null_space_contained(pair):
         return s2[keep], v2[:, keep]
     return np.where(keep, s2, 0.0), v2
@@ -117,9 +116,7 @@ def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
     """The result of a covariance from the general closed form; its mode
     powers are the eigenvalues of the covariance's kept decomposition."""
     cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
-    powers = np.clip(cov_h.eigenvalues(), 0.0, None)
-    cut = pair.rank_tol * (float(np.max(powers)) if powers.size else 0.0)
-    powers = np.where(powers > cut, powers, 0.0)
+    powers = cov_h.spectrum()
     capacity = max(cw, 0.0)
     used = float(np.sum(powers))
     zero = capacity == 0.0 and used <= pair.rank_tol
@@ -153,8 +150,7 @@ def _solve_weak_general(pair: ChannelPair, p_total: float) -> SolveResult:
     # over the eigenvalues of W1 at levels 1/(lam + max s2) and
     # 1/(lam + min s2), which brackets the root around the water-filling
     # multiplier
-    _, lam_wf = _waterfill.standard_waterfill(
-        np.clip(pair.w1.eigenvalues(), 0.0, None), p_total)
+    _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p_total)
     lo = max(lam_wf - float(s2[-1]), 0.0)
     hi = max(lam_wf - float(s2[0]), lo)
 
@@ -183,8 +179,7 @@ def solve_weak_with_bounds(pair: ChannelPair, p_total: float) -> SolveResult:
     """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
     C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
     res = solve_weak(pair, p_total)
-    lam2_max = float(np.max(np.clip(pair.w2.eigenvalues(), 0.0, None)))
-    gap = 0.5 * (p_total * lam2_max) ** 2
+    gap = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
     mid = max(secrecy_rate(pair, res.covariance), 0.0)
     return dataclasses.replace(res, bounds=CapacityBounds(
         lower_nats=res.capacity_nats,
@@ -209,12 +204,10 @@ def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:
     NotApplicableError outside the strict ordering, where the closed forms
     do not apply.
     """
-    ev2 = pair.w2.eigenvalues()
-    if ev2[-1] <= pair.w2.rank_tol * max(float(ev2[0]), 0.0):
+    if pair.w2.spectrum()[-1] == 0:
         raise NotApplicableError("saturation formulas need W2 positive definite")
     diff = HermitianMatrix(pair.w1.entries - pair.w2.entries, rank_tol=pair.rank_tol)
-    evd = diff.eigenvalues()
-    if evd[-1] <= pair.rank_tol * abs(float(evd[0])):
+    if diff.spectrum()[-1] == 0:
         raise NotApplicableError("saturation formulas need W1 - W2 positive definite")
     _, logdet1 = np.linalg.slogdet(pair.w1.entries)
     _, logdet2 = np.linalg.slogdet(pair.w2.entries)

@@ -265,3 +265,11 @@ class TestMainCommandLine:
         solvers = {line.split(",")[2] for line in lines[1:]}
         assert solvers == {"isotropic(eps=0)", "isotropic(eps=0.1)",
                            "isotropic(eps=0.5)"}
+
+    @pytest.mark.parametrize("flags", [["--samples", "5"], ["--seed", "9"],
+                                       ["--samples", "5", "--seed", "9"]])
+    def test_figure_fig3_rejects_oracle_flags(self, capsys, flags):
+        assert main(["figure", "fig3", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags[::2])

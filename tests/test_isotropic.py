@@ -116,6 +116,23 @@ class TestCapacityBounds:
         assert b.gap_bound_nats <= asym
         assert b.gap_bound_nats == pytest.approx(asym, abs=1e-3)
 
+    def test_round_off_eigenvalue_is_not_an_active_mode(self):
+        # an eigenvalue of W1 below rank_tol * max is zero for the mode
+        # count behind the gap bound, as for every other rank decision
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        h2 = rng.standard_normal((1, 3))
+
+        def gap(t):
+            w1 = q @ np.diag([2.0, 0.7, t]) @ q.T
+            return capacity_bounds_isotropic(
+                ChannelPair.from_gram(w1, h2.T @ h2), 100.0).gap_bound_nats
+
+        assert gap(1e-13) == gap(0.0)
+        # two active modes against eps_min = 0: 2 ln(1 + eps_1 P_T / 2)
+        assert gap(0.0) == pytest.approx(
+            2.0 * math.log1p(50.0 * float(np.sum(h2 ** 2))), rel=1e-12)
+
     def test_bounds_contain_mc_estimate(self):
         pair = fig1_pair()
         b = capacity_bounds_isotropic(pair, 2.0)

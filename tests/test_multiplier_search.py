@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from wiretap_mimo import (ChannelPair, is_certify, solve_auto, solve_common_rsv,
-                          solve_weak, threshold_powers, wf_certify, zf_certify)
+from wiretap_mimo import (ChannelPair, IsotropicProblem, construct_is_optimal_channel,
+                          is_certify, mc_capacity, separable_oracle, solve_auto,
+                          solve_common_rsv, solve_weak, threshold_powers,
+                          wf_certify, zf_certify)
 from wiretap_mimo import _waterfill, weak_eavesdropper
 from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
@@ -175,12 +177,27 @@ def test_general_weak_result_decomposes_its_covariance_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p_total", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-@pytest.mark.parametrize("solver", ["weak", "rsv", "zf", "wf", "is"])
+@pytest.mark.parametrize("solver", ["weak", "rsv", "zf", "wf", "is",
+                                    "standard_waterfill", "secrecy_waterfill",
+                                    "mc_capacity", "separable_oracle",
+                                    "construct_is", "isotropic_problem"])
 def test_non_finite_or_non_positive_power_is_rejected(solver, p_total):
     pair, *_ = random_commuting_pair(np.random.default_rng(53), 3)
+    shared = pair.common_basis()
     fn = {"weak": solve_weak,
           "rsv": lambda p, t: solve_common_rsv(p.common_basis(), t),
-          "zf": zf_certify, "wf": wf_certify, "is": is_certify}[solver]
+          "zf": zf_certify, "wf": wf_certify, "is": is_certify,
+          "standard_waterfill":
+              lambda p, t: _waterfill.standard_waterfill(shared.lam1, t),
+          "secrecy_waterfill":
+              lambda p, t: _waterfill.secrecy_waterfill(shared.lam1, shared.lam2, t),
+          "mc_capacity": mc_capacity,
+          "separable_oracle":
+              lambda p, t: separable_oracle(shared.lam1, shared.lam2, t),
+          "construct_is":
+              lambda p, t: construct_is_optimal_channel(3, t, 2.0, 1.0, [1.5, 1.2]),
+          "isotropic_problem":
+              lambda p, t: IsotropicProblem(p.w1.spectrum(), 0.1, t)}[solver]
     with pytest.raises(ValueError, match="p_total"):
         fn(pair, p_total)
 
