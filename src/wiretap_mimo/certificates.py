@@ -20,11 +20,13 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, as_array, check_p_total, clean_spectrum,
-                   frob, inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, RANK_TOL, as_array, check_p_total,
+                   clean_spectrum, frob, inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
+# relative residual bound for "R's active directions are W2-null W1 eigenvectors"
+_NECESSITY_TOL = 1e-8
 _ZF_PRODUCT_TOL = 1e-10
 
 
@@ -111,7 +113,7 @@ def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
         return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
     cov = (channel.basis * powers) @ channel.basis.conj().T
-    cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
+    cov_h = HermitianMatrix(sym(cov))
     leak_norm = frob(pair.w2.entries @ cov_h.entries)
     scale = max(frob(pair.w2.entries) * frob(cov_h.entries), 1e-300)
     details["w2_r_product_norm"] = leak_norm
@@ -127,8 +129,7 @@ def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
                              certified_capacity=capacity)
 
 
-def zf_necessity_check(pair: ChannelPair, r, p_total: float,
-                       tol: float = 1e-8) -> CertificateReport:
+def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateReport:
     """Check the necessary conditions for a user-supplied R to be ZF-optimal.
 
     Active eigenvectors of R must be eigenvectors of W1, lie in the nullspace
@@ -139,7 +140,7 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float,
     ra = np.asarray(r.entries if isinstance(r, HermitianMatrix) else r)
     ev, u = np.linalg.eigh(sym(ra))
     ev, u = ev[::-1], u[:, ::-1]
-    active = clean_spectrum(ev, pair.rank_tol) > 0
+    active = clean_spectrum(ev) > 0
     details: dict = {"active_modes": int(np.count_nonzero(active))}
     if not np.any(active):
         details["reason"] = "R carries no power; necessity checks are vacuous"
@@ -175,7 +176,7 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float,
         "w2_active_block_norm": block_active,
         "w2_cross_block_norm": block_cross,
     })
-    ok = null_resid <= tol and eig_resid <= tol and level_ok
+    ok = null_resid <= _NECESSITY_TOL and eig_resid <= _NECESSITY_TOL and level_ok
     if not ok:
         details["reason"] = "necessary conditions for ZF optimality are violated"
         return CertificateReport(Verdict.NECESSARY_FAILS, details=details)
@@ -229,7 +230,7 @@ def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
         return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
     cov = (channel.basis * powers) @ channel.basis.conj().T
-    cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
+    cov_h = HermitianMatrix(sym(cov))
     capacity = max(secrecy_rate(pair, cov_h), 0.0)
     details["lambda_prime"] = alpha * lam * lam / (1.0 + alpha * lam)
     return CertificateReport(Verdict.SUFFICIENT_HOLDS, details=details,
@@ -264,7 +265,7 @@ def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
         details["reason"] = "mode multipliers disagree; isotropic signaling is not certified"
         return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
-    cov_h = HermitianMatrix(a * np.eye(pair.m), rank_tol=pair.rank_tol)
+    cov_h = HermitianMatrix(a * np.eye(pair.m))
     capacity = max(secrecy_rate(pair, cov_h), 0.0)
     return CertificateReport(Verdict.SUFFICIENT_HOLDS, details=details,
                              certified_covariance=cov_h,
@@ -272,8 +273,7 @@ def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
 
 
 def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
-                                 b_rest, basis: np.ndarray | None = None,
-                                 rank_tol: float = 1e-10) -> ChannelPair:
+                                 b_rest, basis: np.ndarray | None = None) -> ChannelPair:
     """Build a channel for which isotropic signaling at power P_T is optimal.
 
     The inverse eigenvalues are anchored at (a1, b1); each further b_i must
@@ -303,12 +303,11 @@ def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
     a_rest = -a + 1.0 / (lam + 1.0 / (b_rest + a))
     a_all = np.concatenate(([a1], a_rest))
     b_all = np.concatenate(([b1], b_rest))
-    return _pair_in_basis(1.0 / a_all, 1.0 / b_all, basis, rank_tol)
+    return _pair_in_basis(1.0 / a_all, 1.0 / b_all, basis)
 
 
 def construct_wf_optimal_channel(lam1, alpha: float,
-                                 basis: np.ndarray | None = None,
-                                 rank_tol: float = 1e-10) -> ChannelPair:
+                                 basis: np.ndarray | None = None) -> ChannelPair:
     """Build a channel on which standard water-filling is wiretap-optimal,
     by setting lam2_i = lam1_i / (1 + alpha * lam1_i) for every mode."""
     l1 = np.asarray(lam1, dtype=float)
@@ -316,10 +315,10 @@ def construct_wf_optimal_channel(lam1, alpha: float,
         raise ValueError("lam1 must be nonnegative")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    return _pair_in_basis(l1, l1 / (1.0 + alpha * l1), basis, rank_tol)
+    return _pair_in_basis(l1, l1 / (1.0 + alpha * l1), basis)
 
 
-def _pair_in_basis(lam1, lam2, basis, rank_tol: float) -> ChannelPair:
+def _pair_in_basis(lam1, lam2, basis) -> ChannelPair:
     """The pair with eigenvalues (lam1, lam2) on the columns of ``basis``
     (the standard basis when None)."""
     w1, w2 = np.diag(lam1), np.diag(lam2)
@@ -327,7 +326,7 @@ def _pair_in_basis(lam1, lam2, basis, rank_tol: float) -> ChannelPair:
         basis = np.asarray(basis)
         w1 = basis @ w1 @ basis.conj().T
         w2 = basis @ w2 @ basis.conj().T
-    return ChannelPair.from_gram(w1, w2, rank_tol=rank_tol)
+    return ChannelPair.from_gram(w1, w2)
 
 
 class KktForm(Enum):
@@ -341,7 +340,7 @@ def _regularized(w: HermitianMatrix) -> HermitianMatrix:
         raise NotApplicableError("W is zero; singular beyond regularization")
     if ev[-1] > 0:
         return w
-    return HermitianMatrix(w.entries + w.rank_tol * ev[0] * np.eye(w.dim))
+    return HermitianMatrix(w.entries + RANK_TOL * ev[0] * np.eye(w.dim))
 
 
 def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,
@@ -351,7 +350,7 @@ def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,
     ZFForm evaluates M = lam*W1*R - W1 + W2 + lam*I (valid for zero-forcing
     candidates, where W2 R = 0); WFForm evaluates
     M = lam*I - (W1^{-1} + R)^{-1} + (W2^{-1} + R)^{-1}, regularizing
-    near-singular Gram matrices by rank_tol * lam_max * I.
+    near-singular Gram matrices by RANK_TOL * lam_max * I.
     """
     ra = as_array(r)
     m = pair.m

@@ -2,13 +2,15 @@
 
 Subcommands: ``solve`` (single power point), ``sweep`` (power grid),
 ``certify`` (ZF/WF/IS verdicts), ``oracle`` (Monte-Carlo estimate) and
-``figure`` (built-in demo sweeps).  Scenario files are JSON; matrices are
-row-major nested arrays with complex entries written as [re, im] pairs and a
-"matrix_kind" field choosing between Gram matrices (W) and raw channels (H).
+``figure`` (built-in demo sweeps).  Each takes ``--out``, ``--format`` and
+``--units``; all but ``certify`` also take the oracle's ``--samples`` and
+``--seed``.  Scenario files are JSON; matrices are row-major nested arrays
+with complex entries written as [re, im] pairs and a "matrix_kind" field
+choosing between Gram matrices (W) and raw channels (H).
 
 Output is CSV (stable header: snr_db,p_t,solver,capacity,lower,upper,lambda,
 active_modes,status) or JSON.  Capacities are in nats unless --units bits.
-Exit codes: 0 success, 1 input error, 2 solver non-convergence.
+Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
     return mat
 
 
-def _parse_channel(obj, rank_tol: float) -> ChannelPair:
+def _parse_channel(obj) -> ChannelPair:
     if not isinstance(obj, dict):
         raise ValueError("field 'channel': expected an object")
     kind = obj.get("matrix_kind")
@@ -103,8 +105,8 @@ def _parse_channel(obj, rank_tol: float) -> ChannelPair:
     if kind == "W":
         if a.shape[0] != a.shape[1] or b.shape != a.shape:
             raise ValueError("field 'channel': W1 and W2 must be square with equal shape")
-        return ChannelPair.from_gram(a, b, rank_tol=rank_tol)
-    return ChannelPair.from_channels(a, b, rank_tol=rank_tol)
+        return ChannelPair.from_gram(a, b)
+    return ChannelPair.from_channels(a, b)
 
 
 def _parse_grid(obj) -> list[tuple[float, float]]:
@@ -147,8 +149,7 @@ def _parse_solvers(obj) -> list[str]:
     return list(names)
 
 
-def load_scenario(path: str, rank_tol: float = 1e-10,
-                  oracle_overrides: dict | None = None) -> ScenarioSpec:
+def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -160,7 +161,7 @@ def load_scenario(path: str, rank_tol: float = 1e-10,
         raise ValueError("scenario requires 'channel' and 'power_grid' fields")
     oracle_doc = dict(doc.get("oracle", {}))
     oracle_doc.update(oracle_overrides or {})
-    known = {"samples", "seed", "refine_rounds", "grid_points", "complex_sampling"}
+    known = {"samples", "seed", "refine_rounds", "complex_sampling"}
     bad = set(oracle_doc) - known
     if bad:
         raise ValueError(f"field 'oracle': unknown keys {sorted(bad)}")
@@ -171,7 +172,7 @@ def load_scenario(path: str, rank_tol: float = 1e-10,
     if units not in ("nats", "bits"):
         raise ValueError("field 'units': must be 'nats' or 'bits'")
     return ScenarioSpec(
-        pair=_parse_channel(doc["channel"], rank_tol),
+        pair=_parse_channel(doc["channel"]),
         grid=_parse_grid(doc["power_grid"]),
         solvers=_parse_solvers(doc.get("solver")),
         oracle_cfg=OracleConfig(**oracle_doc),
@@ -331,45 +332,43 @@ def _emit(rows: list[Row], out_format: str, units: str,
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wiretap-mimo",
-        description="Secrecy capacities and optimal signaling for Gaussian "
-                    "MIMO wiretap channels.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, so it exits 1 like any input
+    error: argparse's own exit code 2 means non-convergence here."""
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="wiretap-mimo",
+                     description="Secrecy capacities and optimal signaling for "
+                                 "Gaussian MIMO wiretap channels.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, desc in (("solve", "solve a single power point"),
+                       ("sweep", "solve every point of the power grid"),
+                       ("certify", "run ZF/WF/IS optimality certificates"),
+                       ("oracle", "Monte-Carlo capacity estimate"),
+                       ("figure", "emit data for the built-in demo sweeps")):
+        p = sub.add_parser(name, help=desc)
+        if name == "figure":
+            p.add_argument("which", choices=("fig1", "fig3"))
+        else:
             p.add_argument("--input", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--units", choices=("nats", "bits"), default=None)
-        p.add_argument("--seed", type=int, default=None, help="oracle RNG seed")
-        p.add_argument("--samples", type=int, default=None,
-                       help="oracle sample count")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="relative rank tolerance for matrix construction")
-
-    for name, desc in (("solve", "solve a single power point"),
-                       ("sweep", "solve every point of the power grid"),
-                       ("certify", "run ZF/WF/IS optimality certificates"),
-                       ("oracle", "Monte-Carlo capacity estimate")):
-        common(sub.add_parser(name, help=desc))
-
-    fig = sub.add_parser("figure", help="emit data for the built-in demo sweeps")
-    fig.add_argument("which", choices=("fig1", "fig3"))
-    common(fig, needs_input=False)
+        if name != "certify":  # the one subcommand that runs no oracle
+            p.add_argument("--seed", type=int, help="oracle RNG seed")
+            p.add_argument("--samples", type=int, help="oracle sample count")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.samples is not None:
-            overrides["samples"] = args.samples
+        args = build_parser().parse_args(argv)
+        overrides = {k: getattr(args, k) for k in ("seed", "samples")
+                     if getattr(args, k, None) is not None}
 
         if args.command == "figure":
             if args.which == "fig1":
@@ -382,8 +381,7 @@ def main(argv=None) -> int:
             _emit(rows, args.format or "csv", args.units or "nats", args.out)
             return 0
 
-        spec = load_scenario(args.input, rank_tol=args.tol,
-                             oracle_overrides=overrides)
+        spec = load_scenario(args.input, oracle_overrides=overrides)
         out_format = args.format or spec.out_format
         units = args.units or spec.units
 

@@ -98,8 +98,7 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
         if (off1 <= 10 * COMMUTE_TOL * max(n1, 1e-300)
                 and off2 <= 10 * COMMUTE_TOL * max(n2, 1e-300)):
             return CommonBasisChannel(
-                v, clean_spectrum(np.diag(d1).real, pair.w1.rank_tol),
-                clean_spectrum(np.diag(d2).real, pair.w2.rank_tol))
+                v, clean_spectrum(np.diag(d1).real), clean_spectrum(np.diag(d2).real))
     raise NotCommutingError(
         f"pencil diagonalization failed to split degeneracies "
         f"(off-diagonal residual {last_off:.3e})", commutator_norm=resid)

@@ -4,10 +4,10 @@ All rates and capacities are in nats (natural logarithm).  Matrices are
 small and dense; every spectral operation goes through ``numpy.linalg.eigh``
 after mandatory symmetrization.  Every rank decision (nullspaces,
 pseudo-inverses, active modes, "singular" solver branches) uses one relative
-eigenvalue cutoff ``rank_tol * max_i |lambda_i|``, applied in one place:
-:func:`clean_spectrum`, which :meth:`HermitianMatrix.spectrum` applies to a
-matrix at its own ``rank_tol``.  Every total power passes
-:func:`check_p_total`.
+eigenvalue cutoff ``RANK_TOL * max_i |lambda_i|`` with the constant
+``RANK_TOL = 1e-10``, applied in one place: :func:`clean_spectrum`, which
+:meth:`HermitianMatrix.spectrum` applies to a matrix.  Every total power
+passes :func:`check_p_total`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-10
+# the relative eigenvalue cutoff of every rank decision
+RANK_TOL = 1e-10
 
 # construction-time guard: worst admissible asymmetry relative to ||A||
 _ASYMMETRY_TOL = 1e-8
@@ -45,16 +46,16 @@ def check_p_total(p_total: float) -> None:
         raise ValueError("p_total must be finite and positive")
 
 
-def _zero_cut(w: np.ndarray, rank_tol: float) -> float:
+def _zero_cut(w: np.ndarray) -> float:
     """The magnitude at or below which an entry of the spectrum ``w`` is zero."""
-    return rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)
+    return RANK_TOL * (float(np.max(np.abs(w))) if w.size else 0.0)
 
 
-def clean_spectrum(w: np.ndarray, rank_tol: float) -> np.ndarray:
-    """``w`` with every entry at or below ``rank_tol * max |w|`` set to
+def clean_spectrum(w: np.ndarray) -> np.ndarray:
+    """``w`` with every entry at or below ``RANK_TOL * max |w|`` set to
     exactly zero, negative round-off included: the one rank rule."""
     w = np.asarray(w, dtype=float)
-    return np.where(w > _zero_cut(w, rank_tol), w, 0.0)
+    return np.where(w > _zero_cut(w), w, 0.0)
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -92,23 +93,20 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A square Hermitian (or real symmetric) matrix with a rank-tolerance policy.
+    """A square Hermitian (or real symmetric) matrix.
 
     Construction symmetrizes the input; entries whose asymmetry exceeds
     ``1e-8 * ||A||`` are rejected rather than silently averaged away.
-    Eigenvalues with ``|lambda_i| <= rank_tol * max_j |lambda_j|`` count as
+    Eigenvalues with ``|lambda_i| <= RANK_TOL * max_j |lambda_j|`` count as
     exactly zero for all rank and nullspace queries.
     """
 
     entries: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if self.rank_tol <= 0:
-            raise ValueError("rank_tol must be positive")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
         a = a.astype(dtype)
         if not np.all(np.isfinite(a)):
@@ -151,16 +149,16 @@ class HermitianMatrix:
 
     def spectrum(self) -> np.ndarray:
         """The eigenvalues (decreasing) through :func:`clean_spectrum`."""
-        return clean_spectrum(self.eigenvalues(), self.rank_tol)
+        return clean_spectrum(self.eigenvalues())
 
     def rank(self) -> int:
         w = self.eigenvalues()
-        return int(np.count_nonzero(np.abs(w) > _zero_cut(w, self.rank_tol)))
+        return int(np.count_nonzero(np.abs(w) > _zero_cut(w)))
 
     def null_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the numerical nullspace."""
         dec = self.eig()
-        keep = np.abs(dec.eigenvalues) <= _zero_cut(dec.eigenvalues, self.rank_tol)
+        keep = np.abs(dec.eigenvalues) <= _zero_cut(dec.eigenvalues)
         return dec.eigenvectors[:, keep]
 
     def is_psd(self) -> bool:
@@ -169,23 +167,21 @@ class HermitianMatrix:
         if "_eig" in self.__dict__ or np.count_nonzero(a) > np.count_nonzero(w):
             # not diagonal (a diagonal matrix needs no decomposition)
             w = self.eigenvalues()
-        return bool(w.size == 0 or np.min(w) >= -_zero_cut(w, self.rank_tol))
+        return bool(w.size == 0 or np.min(w) >= -_zero_cut(w))
 
     def sqrt_psd(self) -> "HermitianMatrix":
         """Principal square root; tiny negative eigenvalues are clipped to zero."""
         dec = self.eig()
         w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-        return HermitianMatrix((dec.eigenvectors * w) @ dec.eigenvectors.conj().T,
-                               rank_tol=self.rank_tol)
+        return HermitianMatrix((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
 
     def pinv(self) -> "HermitianMatrix":
-        """Moore-Penrose pseudo-inverse with the rank_tol eigenvalue cutoff."""
+        """Moore-Penrose pseudo-inverse with the RANK_TOL eigenvalue cutoff."""
         dec = self.eig()
         w = dec.eigenvalues
-        cut = _zero_cut(w, self.rank_tol)
+        cut = _zero_cut(w)
         inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-        return HermitianMatrix((dec.eigenvectors * inv) @ dec.eigenvectors.conj().T,
-                               rank_tol=self.rank_tol)
+        return HermitianMatrix((dec.eigenvectors * inv) @ dec.eigenvectors.conj().T)
 
 
 MatrixLike = Union[HermitianMatrix, np.ndarray]
@@ -195,10 +191,10 @@ def as_array(a: MatrixLike) -> np.ndarray:
     return a.entries if isinstance(a, HermitianMatrix) else np.asarray(a)
 
 
-def as_hermitian(a: MatrixLike, rank_tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
+def as_hermitian(a: MatrixLike) -> HermitianMatrix:
     if isinstance(a, HermitianMatrix):
         return a
-    return HermitianMatrix(np.asarray(a), rank_tol=rank_tol)
+    return HermitianMatrix(np.asarray(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,16 +216,12 @@ class ChannelPair:
             )
         for name, w in (("W1", self.w1), ("W2", self.w2)):
             if not w.is_psd():
-                raise ValueError(f"{name} is not positive semidefinite within rank_tol")
+                raise ValueError(f"{name} is not positive semidefinite within RANK_TOL")
         object.__setattr__(self, "_facts", {})
 
     @property
     def m(self) -> int:
         return self.w1.dim
-
-    @property
-    def rank_tol(self) -> float:
-        return min(self.w1.rank_tol, self.w2.rank_tol)
 
     def fact(self, name: str, compute):
         """``compute(self)``, run on the first call for ``name`` and kept; a
@@ -262,20 +254,17 @@ class ChannelPair:
         return self.fact("omni", compute)
 
     @classmethod
-    def from_gram(cls, w1: MatrixLike, w2: MatrixLike,
-                  rank_tol: float = DEFAULT_RANK_TOL) -> "ChannelPair":
-        return cls(as_hermitian(w1, rank_tol), as_hermitian(w2, rank_tol))
+    def from_gram(cls, w1: MatrixLike, w2: MatrixLike) -> "ChannelPair":
+        return cls(as_hermitian(w1), as_hermitian(w2))
 
     @classmethod
-    def from_channels(cls, h1: np.ndarray, h2: np.ndarray,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> "ChannelPair":
+    def from_channels(cls, h1: np.ndarray, h2: np.ndarray) -> "ChannelPair":
         """Build the pair from raw channel matrices via W_k = H_k^H H_k."""
         h1 = np.asarray(h1)
         h2 = np.asarray(h2)
         if h1.ndim != 2 or h2.ndim != 2 or h1.shape[1] != h2.shape[1]:
             raise ValueError("H1 and H2 must be 2-D with the same number of columns")
-        return cls(HermitianMatrix(h1.conj().T @ h1, rank_tol=rank_tol),
-                   HermitianMatrix(h2.conj().T @ h2, rank_tol=rank_tol))
+        return cls(HermitianMatrix(h1.conj().T @ h1), HermitianMatrix(h2.conj().T @ h2))
 
 
 class SolveStatus(Enum):
@@ -382,13 +371,13 @@ def inv_winv_plus_r(w: HermitianMatrix, r: np.ndarray) -> np.ndarray:
     return sym(wh @ np.linalg.solve(inner, wh))
 
 
-def _coerce_psd(r: MatrixLike, m: int, rank_tol: float) -> HermitianMatrix:
+def _coerce_psd(r: MatrixLike, m: int) -> HermitianMatrix:
     """Validate dimensions and positive semidefiniteness of a covariance input."""
-    h = as_hermitian(r, rank_tol)
+    h = as_hermitian(r)
     if h.dim != m:
         raise ValueError(f"covariance dimension {h.dim} does not match channel dimension {m}")
     if not h.is_psd():
-        raise ValueError("covariance is not positive semidefinite within rank_tol")
+        raise ValueError("covariance is not positive semidefinite within RANK_TOL")
     return h
 
 
@@ -405,13 +394,13 @@ def secrecy_rate(pair: ChannelPair, r: MatrixLike) -> float:
 
     Negative values are returned as-is; callers interpret them as zero rate.
     """
-    rh = _coerce_psd(r, pair.m, pair.rank_tol)
+    rh = _coerce_psd(r, pair.m)
     return logdet_i_plus(pair.w1, rh) - logdet_i_plus(pair.w2, rh)
 
 
 def weak_rate(pair: ChannelPair, r: MatrixLike) -> float:
     """Weak-eavesdropper rate ln|I + W1 R| - tr(W2 R) in nats (signed)."""
-    rh = _coerce_psd(r, pair.m, pair.rank_tol)
+    rh = _coerce_psd(r, pair.m)
     leak = float(np.trace(pair.w2.entries @ rh.entries).real)
     return logdet_i_plus(pair.w1, rh) - leak
 
@@ -419,7 +408,7 @@ def weak_rate(pair: ChannelPair, r: MatrixLike) -> float:
 def positive_part(a: HermitianMatrix) -> HermitianMatrix:
     """Projection onto the positive eigenmodes: sum of lambda_i u_i u_i^H over lambda_i > 0."""
     u = a.eig().eigenvectors
-    return HermitianMatrix((u * a.spectrum()) @ u.conj().T, rank_tol=a.rank_tol)
+    return HermitianMatrix((u * a.spectrum()) @ u.conj().T)
 
 
 def epsilon_from_pathloss(alpha: float, n2: float, m: float,

@@ -219,6 +219,8 @@ class NegligibilityReport:
 
 def negligibility_margins(problem: IsotropicProblem,
                           threshold: float = 0.1) -> NegligibilityReport:
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     eps = problem.epsilon
     snr_margin = eps * problem.p_total
     if eps == 0.0:

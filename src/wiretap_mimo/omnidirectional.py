@@ -40,6 +40,8 @@ def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassificatio
     """Classify W2 as omnidirectional when its positive eigenvalues agree
     within relative tolerance ``delta``.  A zero matrix has no active
     subspace and is not classified as omnidirectional."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     ev = w2.spectrum()
     pos = ev > 0
     r2 = int(np.count_nonzero(pos))
@@ -84,7 +86,7 @@ def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
         iso, cov = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
         capacity, status = bounds.lower_nats, SolveStatus.BOUNDS_ONLY
     return SolveResult(
-        covariance=HermitianMatrix(sym(cov), rank_tol=pair.rank_tol),
+        covariance=HermitianMatrix(sym(cov)),
         capacity_nats=capacity,
         lagrange_lambda=iso.lagrange_lambda,
         active_modes=iso.active_modes,

@@ -202,7 +202,7 @@ def mc_capacity(pair: ChannelPair, p_total: float,
             cand *= shrink[:, None, None]
             consider(cand)
 
-    return best_val, HermitianMatrix(sym(best_r), rank_tol=pair.rank_tol)
+    return best_val, HermitianMatrix(sym(best_r))
 
 
 _REFINE_GRID = np.linspace(0.0, 1.0, 201)

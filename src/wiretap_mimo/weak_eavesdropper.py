@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, SolveResult, SolveStatus, as_array,
+                   NotApplicableError, RANK_TOL, SolveResult, SolveStatus, as_array,
                    check_p_total, frob, inv_winv_plus_r, secrecy_rate, sym)
 
 
@@ -94,7 +94,7 @@ def _null_space_contained(pair: ChannelPair) -> bool:
     if nullb.shape[1] == 0:
         return True
     resid = np.linalg.norm(pair.w1.entries @ nullb, 2)
-    return resid <= pair.rank_tol * max(frob(pair.w1.entries), 1e-300)
+    return resid <= RANK_TOL * max(frob(pair.w1.entries), 1e-300)
 
 
 def threshold_power(pair: ChannelPair) -> float:
@@ -115,11 +115,11 @@ def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
                     lam: float) -> SolveResult:
     """The result of a covariance from the general closed form; its mode
     powers are the eigenvalues of the covariance's kept decomposition."""
-    cov_h = HermitianMatrix(sym(cov), rank_tol=pair.rank_tol)
+    cov_h = HermitianMatrix(sym(cov))
     powers = cov_h.spectrum()
     capacity = max(cw, 0.0)
     used = float(np.sum(powers))
-    zero = capacity == 0.0 and used <= pair.rank_tol
+    zero = capacity == 0.0 and used <= RANK_TOL
     # not SolveResult.zero_rate: a zero-rate weak result keeps its
     # multiplier and active-mode count
     return SolveResult(
@@ -206,7 +206,7 @@ def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:
     """
     if pair.w2.spectrum()[-1] == 0:
         raise NotApplicableError("saturation formulas need W2 positive definite")
-    diff = HermitianMatrix(pair.w1.entries - pair.w2.entries, rank_tol=pair.rank_tol)
+    diff = HermitianMatrix(pair.w1.entries - pair.w2.entries)
     if diff.spectrum()[-1] == 0:
         raise NotApplicableError("saturation formulas need W1 - W2 positive definite")
     _, logdet1 = np.linalg.slogdet(pair.w1.entries)

@@ -65,6 +65,8 @@ class TestScenarioParsing:
         (lambda d: d.update(solver="newton"), "unknown solver"),
         (lambda d: d.update(units="furlongs"), "units"),
         (lambda d: d["channel"].update(w1=[[1, 2]]), "square"),
+        # only separable_oracle reads grid_points, and no CLI path runs it
+        (lambda d: d.update(oracle={"grid_points": 5}), "unknown keys"),
     ])
     def test_malformed_scenarios(self, tmp_path, mutate, message):
         doc = fig1_doc()
@@ -224,6 +226,23 @@ class TestMainCommandLine:
         path = write_scenario(tmp_path, {"channel": {}})
         assert main(["sweep", "--input", path]) == 1
         assert main(["sweep", "--input", str(tmp_path / "missing.json")]) == 1
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # argparse's own exit code 2 would read as solver non-convergence
+        assert main(["sweep"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        path = write_scenario(tmp_path, fig1_doc())
+        assert main(["sweep", "--input", path, "--tol", "0.5"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+
+    def test_certify_rejects_oracle_flags(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, fig1_doc())
+        assert main(["certify", "--input", path, "--samples", "5", "--seed", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         from wiretap_mimo import ConvergenceError

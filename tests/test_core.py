@@ -37,7 +37,7 @@ class TestHermitianMatrix:
         h = HermitianMatrix(np.diag([1.0, 1e-12, 0.0]))
         assert h.rank() == 1
         assert h.null_basis().shape == (3, 2)
-        # eigenvalues below rank_tol * max count as zero for PSD queries too
+        # eigenvalues below RANK_TOL * max count as zero for PSD queries too
         h2 = HermitianMatrix(np.diag([1.0, -1e-12]))
         assert h2.is_psd()
 

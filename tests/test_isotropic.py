@@ -117,7 +117,7 @@ class TestCapacityBounds:
         assert b.gap_bound_nats == pytest.approx(asym, abs=1e-3)
 
     def test_round_off_eigenvalue_is_not_an_active_mode(self):
-        # an eigenvalue of W1 below rank_tol * max is zero for the mode
+        # an eigenvalue of W1 below RANK_TOL * max is zero for the mode
         # count behind the gap bound, as for every other rank decision
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -34,7 +34,7 @@ CLASSES = {
     "omni_noncontained": _noncontained_omni,
 }
 # a one-row eavesdropper 20 dB stronger: at high SNR the multiplier falls
-# below rank_tol * max(W2)
+# below RANK_TOL * max(W2)
 SWEEP_CLASSES = {**CLASSES, "rank_deficient_strong":
                  lambda rng, m: _rank_deficient(rng, m, 100.0)}
 
@@ -139,7 +139,7 @@ def test_general_weak_solve_needs_few_evaluations(monkeypatch):
 def test_full_rank_ill_conditioned_w2_below_its_threshold():
     # W2 of full rank has no null directions to drop, so the search may go
     # down to lam = 0, where the trace is the threshold power; with
-    # cond(W2) = 1e9 the root at 0.9 of it lies below 2 rank_tol max(W2)
+    # cond(W2) = 1e9 the root at 0.9 of it lies below 2 RANK_TOL max(W2)
     rng = np.random.default_rng(61)
     for m in range(2, 6):
         for _ in range(3):

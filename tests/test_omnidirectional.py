@@ -6,8 +6,8 @@ import pytest
 from wiretap_mimo import (ChannelPair, HermitianMatrix, IsotropicProblem,
                           NotApplicableError, Objective, OracleConfig,
                           SolveStatus, classify_omni, mc_capacity,
-                          range_containment_residual, solve_isotropic,
-                          solve_omni)
+                          negligibility_margins, range_containment_residual,
+                          solve_isotropic, solve_omni)
 from util import random_psd, random_unitary
 
 
@@ -44,6 +44,15 @@ class TestClassifyOmni:
         w2 = HermitianMatrix(np.diag([0.5, 0.5 * (1 + 1e-9)]))
         assert classify_omni(w2, delta=1e-8).is_omni
         assert not classify_omni(w2, delta=1e-10).is_omni
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_tolerances_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        classify_omni(HermitianMatrix(0.5 * np.eye(2)), delta=bad)
+    problem = IsotropicProblem(np.array([2.0, 1.0]), 0.5, 1.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        negligibility_margins(problem, threshold=bad)
 
 
 class TestSolveOmni:
