@@ -20,8 +20,9 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, RANK_TOL, as_array, check_p_total,
-                   clean_spectrum, frob, inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, RANK_TOL, _coerce_psd, check_gains,
+                   check_nonnegative, check_positive, clean_spectrum, frob,
+                   inv_winv_plus_r, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -77,7 +78,7 @@ def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     would not pay (lam1_i <= lam2_i + lambda).  A certified solution needs
     no wiretap code: the eavesdropper receives exactly nothing.
     """
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     if pair.w2.rank() == pair.m:
         return CertificateReport(Verdict.NECESSARY_FAILS, details={
             "reason": "W2 is positive definite: no zero-leakage direction exists",
@@ -137,9 +138,9 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateRepor
     never certifies optimality (verdict stays INCONCLUSIVE); any violation is
     NECESSARY_FAILS.
     """
-    ra = np.asarray(r.entries if isinstance(r, HermitianMatrix) else r)
-    ev, u = np.linalg.eigh(sym(ra))
-    ev, u = ev[::-1], u[:, ::-1]
+    check_positive("p_total", p_total)  # never read: P_T sets no ZF condition
+    dec = _coerce_psd(r, pair.m).eig()
+    ev, u = dec.eigenvalues, dec.eigenvectors
     active = clean_spectrum(ev) > 0
     details: dict = {"active_modes": int(np.count_nonzero(active))}
     if not np.any(active):
@@ -191,7 +192,7 @@ def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     1/lam2_i = 1/lam1_i + alpha across all active modes, and inactive modes
     that either satisfy the same relation or are dominated (lam1_i <= lam2_i).
     """
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     channel, report = _common_basis(pair)
     if channel is None:
         return report
@@ -245,7 +246,7 @@ def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
     lambda = 1/(a_i + a) - 1/(b_i + a) consistent across all modes, where
     a_i and b_i are the inverse eigenvalues and a = P_T / m.
     """
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     channel, report = _common_basis(pair)
     if channel is None:
         return report
@@ -282,23 +283,20 @@ def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
     is (P_T / m) I by construction.
     """
     b_rest = np.asarray(b_rest, dtype=float)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if b_rest.shape != (m - 1,):
-        raise ValueError(f"b_rest must have length m - 1 = {m - 1}")
-    check_p_total(p_total)
-    if not b1 > 0:
-        raise ValueError(f"violated: b1 > 0 (got b1 = {b1!r})")
+    if b_rest.shape != (m - 1,):  # no length matches an m below 1
+        raise ValueError(f"need m >= 1 and b_rest of length m - 1, got m = {m!r}")
+    check_positive("p_total", p_total)
+    check_positive("b1", b1)
     if not 0 < a1 < b1:
         raise ValueError(f"violated: 0 < a1 < b1 (got a1 = {a1!r}, b1 = {b1!r})")
     a = p_total / m
     lam = 1.0 / (a1 + a) - 1.0 / (b1 + a)
     bound = lam * a * a / (1.0 - lam * a)
-    bad = b_rest <= bound
+    bad = ~((b_rest > bound) & (b_rest < math.inf))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"violated: b_{i + 2} > lam*a^2/(1 - lam*a) = {bound!r} "
+            f"violated: lam*a^2/(1 - lam*a) = {bound!r} < b_{i + 2} < inf "
             f"(got b_{i + 2} = {b_rest[i]!r})")
     a_rest = -a + 1.0 / (lam + 1.0 / (b_rest + a))
     a_all = np.concatenate(([a1], a_rest))
@@ -310,23 +308,19 @@ def construct_wf_optimal_channel(lam1, alpha: float,
                                  basis: np.ndarray | None = None) -> ChannelPair:
     """Build a channel on which standard water-filling is wiretap-optimal,
     by setting lam2_i = lam1_i / (1 + alpha * lam1_i) for every mode."""
-    l1 = np.asarray(lam1, dtype=float)
-    if np.any(l1 < 0):
-        raise ValueError("lam1 must be nonnegative")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    l1 = check_gains("lam1", lam1)
+    check_positive("alpha", alpha)
     return _pair_in_basis(l1, l1 / (1.0 + alpha * l1), basis)
 
 
 def _pair_in_basis(lam1, lam2, basis) -> ChannelPair:
-    """The pair with eigenvalues (lam1, lam2) on the columns of ``basis``
-    (the standard basis when None)."""
-    w1, w2 = np.diag(lam1), np.diag(lam2)
-    if basis is not None:
-        basis = np.asarray(basis)
-        w1 = basis @ w1 @ basis.conj().T
-        w2 = basis @ w2 @ basis.conj().T
-    return ChannelPair.from_gram(w1, w2)
+    """The pair with eigenvalues (lam1, lam2) on the columns of the unitary
+    ``basis`` (the standard basis when None)."""
+    ch = common_rsv.CommonBasisChannel(
+        np.eye(len(lam1)) if basis is None else basis, lam1, lam2)
+    v = ch.basis
+    return ChannelPair.from_gram((v * ch.lam1) @ v.conj().T,
+                                 (v * ch.lam2) @ v.conj().T)
 
 
 class KktForm(Enum):
@@ -352,7 +346,9 @@ def kkt_residual_general(pair: ChannelPair, r, lam: float, form: KktForm,
     M = lam*I - (W1^{-1} + R)^{-1} + (W2^{-1} + R)^{-1}, regularizing
     near-singular Gram matrices by RANK_TOL * lam_max * I.
     """
-    ra = as_array(r)
+    ra = _coerce_psd(r, pair.m).entries
+    check_nonnegative("lam", lam)
+    check_nonnegative("p_total", p_total)
     m = pair.m
     if form is KktForm.ZF:
         mat = sym(lam * (pair.w1.entries @ ra)) - pair.w1.entries \

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -159,10 +159,11 @@ def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSp
         raise ValueError("scenario file must contain a JSON object")
     if "channel" not in doc or "power_grid" not in doc:
         raise ValueError("scenario requires 'channel' and 'power_grid' fields")
-    oracle_doc = dict(doc.get("oracle", {}))
-    oracle_doc.update(oracle_overrides or {})
-    known = {"samples", "seed", "refine_rounds", "complex_sampling"}
-    bad = set(oracle_doc) - known
+    oracle_doc = doc.get("oracle", {})
+    if not isinstance(oracle_doc, dict):
+        raise ValueError("field 'oracle': expected an object")
+    oracle_doc = {**oracle_doc, **(oracle_overrides or {})}
+    bad = set(oracle_doc) - {f.name for f in fields(OracleConfig)}
     if bad:
         raise ValueError(f"field 'oracle': unknown keys {sorted(bad)}")
     out_format = doc.get("format", "csv")
@@ -364,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_oracle_flags(overrides: dict, what: str) -> None:
+    if overrides:
+        raise ValueError(f"{what} runs no oracle, so it takes no "
+                         + " or ".join(f"--{k}" for k in overrides))
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -373,10 +380,8 @@ def main(argv=None) -> int:
         if args.command == "figure":
             if args.which == "fig1":
                 rows = run_sweep(_fig1_spec(OracleConfig(**overrides)))
-            elif overrides:
-                raise ValueError("figure fig3 runs no oracle, so it takes no "
-                                 + " or ".join(f"--{k}" for k in overrides))
             else:
+                _reject_oracle_flags(overrides, "figure fig3")
                 rows = _fig3_rows()
             _emit(rows, args.format or "csv", args.units or "nats", args.out)
             return 0
@@ -389,6 +394,8 @@ def main(argv=None) -> int:
             raise ValueError("'solve' requires exactly one power point; "
                              "use 'sweep' for grids")
         if args.command in ("solve", "sweep"):
+            if "oracle" not in spec.solvers:
+                _reject_oracle_flags(overrides, f"{args.command} with no 'oracle' solver")
             rows = run_sweep(spec)
         elif args.command == "certify":
             rows = [row for snr_db, p_t in spec.grid

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import ChannelPair, SolveResult, check_p_total, clean_spectrum, frob
+from .core import (ChannelPair, SolveResult, check_gains, check_positive,
+                   clean_spectrum, frob)
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
@@ -51,17 +52,15 @@ class CommonBasisChannel:
 
     def __init__(self, basis: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
         basis = np.asarray(basis)
-        m = basis.shape[0]
-        gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(m))) > 1e-10:
-            raise ValueError("basis must be unitary within 1e-10")
+        m = len(basis)
+        if (basis.shape != (m, m) or not np.all(np.isfinite(basis))
+                or not np.max(np.abs(basis.conj().T @ basis - np.eye(m))) <= 1e-10):
+            raise ValueError("basis must be finite, square and unitary within 1e-10")
         self.basis = basis
-        self.lam1 = np.asarray(lam1, dtype=float)
-        self.lam2 = np.asarray(lam2, dtype=float)
+        self.lam1 = check_gains("lam1", lam1)
+        self.lam2 = check_gains("lam2", lam2)
         if self.lam1.shape != (m,) or self.lam2.shape != (m,):
             raise ValueError("eigenvalue vectors must have length m")
-        if np.any(self.lam1 < 0) or np.any(self.lam2 < 0):
-            raise ValueError("eigenvalue vectors must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -111,7 +110,7 @@ def solve_common_rsv(channel: CommonBasisChannel, p_total: float) -> SolveResult
     eavesdropper eigenvalue as the per-mode leakage gain; modes are active
     exactly when lam1_i > lam2_i + lambda.
     """
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     l1, l2 = channel.lam1, channel.lam2
     if np.max(l1 - l2) <= 0:
         return SolveResult.zero_rate(channel.m)

@@ -6,8 +6,10 @@ after mandatory symmetrization.  Every rank decision (nullspaces,
 pseudo-inverses, active modes, "singular" solver branches) uses one relative
 eigenvalue cutoff ``RANK_TOL * max_i |lambda_i|`` with the constant
 ``RANK_TOL = 1e-10``, applied in one place: :func:`clean_spectrum`, which
-:meth:`HermitianMatrix.spectrum` applies to a matrix.  Every total power
-passes :func:`check_p_total`.
+:meth:`HermitianMatrix.spectrum` applies to a matrix.  Every input passes
+one rule per kind, written once here (:func:`check_positive`,
+:func:`check_nonnegative`, :func:`check_gains`, :class:`HermitianMatrix`,
+:func:`_coerce_psd`): NaN, inf or a wrong shape is a ValueError at entry.
 """
 
 from __future__ import annotations
@@ -40,10 +42,29 @@ class NotApplicableError(ValueError):
     """An operation's mathematical precondition does not hold for this input."""
 
 
-def check_p_total(p_total: float) -> None:
-    """Reject a total power that is not a positive finite number."""
-    if not 0.0 < p_total < math.inf:
-        raise ValueError("p_total must be finite and positive")
+def check_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a finite number above zero."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a finite number at or above zero."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def check_gains(name: str, values, decreasing: bool = False) -> np.ndarray:
+    """``values`` as a float vector: nonempty, 1-D, finite and nonnegative
+    (and sorted in decreasing order if asked)."""
+    g = np.asarray(values, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector")
+    if not np.all((g >= 0.0) & (g < math.inf)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if decreasing and np.any(np.diff(g) > 0):
+        raise ValueError(f"{name} must be sorted in decreasing order")
+    return g
 
 
 def _zero_cut(w: np.ndarray) -> float:
@@ -187,10 +208,6 @@ class HermitianMatrix:
 MatrixLike = Union[HermitianMatrix, np.ndarray]
 
 
-def as_array(a: MatrixLike) -> np.ndarray:
-    return a.entries if isinstance(a, HermitianMatrix) else np.asarray(a)
-
-
 def as_hermitian(a: MatrixLike) -> HermitianMatrix:
     if isinstance(a, HermitianMatrix):
         return a
@@ -260,10 +277,10 @@ class ChannelPair:
     @classmethod
     def from_channels(cls, h1: np.ndarray, h2: np.ndarray) -> "ChannelPair":
         """Build the pair from raw channel matrices via W_k = H_k^H H_k."""
-        h1 = np.asarray(h1)
-        h2 = np.asarray(h2)
-        if h1.ndim != 2 or h2.ndim != 2 or h1.shape[1] != h2.shape[1]:
-            raise ValueError("H1 and H2 must be 2-D with the same number of columns")
+        h1, h2 = np.asarray(h1), np.asarray(h2)
+        if (h1.ndim != 2 or h2.ndim != 2 or h1.shape[1] != h2.shape[1]
+                or not np.isfinite(h1).all() or not np.isfinite(h2).all()):
+            raise ValueError("H1 and H2 must be finite and 2-D with equal column counts")
         return cls(HermitianMatrix(h1.conj().T @ h1), HermitianMatrix(h2.conj().T @ h2))
 
 
@@ -315,10 +332,8 @@ class SolveResult:
     bounds: Optional[CapacityBounds] = None
 
     def __post_init__(self):
-        if self.capacity_nats < 0:
-            raise ValueError("capacity_nats must be nonnegative")
-        if self.lagrange_lambda < 0:
-            raise ValueError("lagrange_lambda must be nonnegative")
+        check_nonnegative("capacity_nats", self.capacity_nats)
+        check_nonnegative("lagrange_lambda", self.lagrange_lambda)
         if not self.covariance.is_psd():
             raise ValueError("covariance must be positive semidefinite")
 
@@ -372,7 +387,7 @@ def inv_winv_plus_r(w: HermitianMatrix, r: np.ndarray) -> np.ndarray:
 
 
 def _coerce_psd(r: MatrixLike, m: int) -> HermitianMatrix:
-    """Validate dimensions and positive semidefiniteness of a covariance input."""
+    """``r`` as a checked covariance: square, finite, PSD, of dimension m."""
     h = as_hermitian(r)
     if h.dim != m:
         raise ValueError(f"covariance dimension {h.dim} does not match channel dimension {m}")
@@ -381,11 +396,10 @@ def _coerce_psd(r: MatrixLike, m: int) -> HermitianMatrix:
     return h
 
 
-def logdet_i_plus(w: MatrixLike, r: MatrixLike) -> float:
+def logdet_i_plus(w: HermitianMatrix, r: MatrixLike) -> float:
     """ln|I + W R| for PSD W and R, evaluated through a Hermitian eigenproblem."""
-    wa = as_array(w)
     rh = as_hermitian(r).sqrt_psd().entries
-    ev = np.linalg.eigvalsh(sym(rh @ wa @ rh))
+    ev = np.linalg.eigvalsh(sym(rh @ w.entries @ rh))
     return float(np.sum(np.log1p(np.clip(ev, 0.0, None))))
 
 
@@ -416,8 +430,7 @@ def epsilon_from_pathloss(alpha: float, n2: float, m: float,
     """Worst-case eavesdropper gain alpha * n2 * m / r_min**nu from a minimum distance."""
     for name, val in (("alpha", alpha), ("n2", n2), ("m", m),
                       ("r_min", r_min), ("nu", nu)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val!r}")
+        check_positive(name, val)
     return float(alpha * n2 * m * r_min ** (-nu))
 
 

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import _waterfill
-from .core import CapacityBounds, ChannelPair, SolveResult, check_p_total
+from .core import (CapacityBounds, ChannelPair, SolveResult, check_gains,
+                   check_nonnegative, check_positive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,20 +36,11 @@ class IsotropicProblem:
     p_total: float
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("gains must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
-        if np.any(g < 0):
-            raise ValueError("gains must be nonnegative")
-        if np.any(np.diff(g) > 0):
-            raise ValueError("gains must be sorted in decreasing order")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and nonnegative")
-        check_p_total(self.p_total)
+        g = check_gains("gains", self.gains, decreasing=True)
+        check_nonnegative("epsilon", self.epsilon)
+        check_positive("p_total", self.p_total)
         g.setflags(write=False)
-        object.__setattr__(self, "gains", np.asarray(g))
+        object.__setattr__(self, "gains", g)
 
     @property
     def m(self) -> int:
@@ -96,16 +88,13 @@ def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
     (those modes never activate).  Finite entries are strictly increasing
     for strictly decreasing gains.
     """
-    g = np.asarray(gains, dtype=float)
-    if np.any(np.diff(g) > 0):
-        raise ValueError("gains must be sorted in decreasing order")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    g = check_gains("gains", gains, decreasing=True)
+    check_nonnegative("epsilon", epsilon)
     m = g.size
     out = np.zeros(m)
     for k in range(2, m + 1):
         gk = g[k - 1]
-        if gk <= epsilon or gk <= 0:
+        if gk <= epsilon:
             out[k - 1:] = math.inf
             break
         # the k-th mode activates exactly when the multiplier drops to g_k - eps
@@ -219,8 +208,7 @@ class NegligibilityReport:
 
 def negligibility_margins(problem: IsotropicProblem,
                           threshold: float = 0.1) -> NegligibilityReport:
-    if not 0.0 <= threshold < math.inf:
-        raise ValueError("threshold must be finite and nonnegative")
+    check_nonnegative("threshold", threshold)
     eps = problem.epsilon
     snr_margin = eps * problem.p_total
     if eps == 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   SolveResult, SolveStatus, frob, sym)
+                   SolveResult, SolveStatus, check_nonnegative, frob, sym)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
 CONTAINMENT_TOL = 1e-8
@@ -40,8 +40,7 @@ def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassificatio
     """Classify W2 as omnidirectional when its positive eigenvalues agree
     within relative tolerance ``delta``.  A zero matrix has no active
     subspace and is not classified as omnidirectional."""
-    if not 0.0 <= delta < np.inf:
-        raise ValueError("delta must be finite and nonnegative")
+    check_nonnegative("delta", delta)
     ev = w2.spectrum()
     pos = ev > 0
     r2 = int(np.count_nonzero(pos))
@@ -56,10 +55,13 @@ def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassificatio
 def range_containment_residual(w1: HermitianMatrix,
                                active_basis: np.ndarray) -> float:
     """||(I - U U^H) W1|| / ||W1||; zero when range(W1) lies in span(U)."""
+    u = np.asarray(active_basis)
+    if u.ndim != 2 or u.shape[0] != w1.dim or not np.all(np.isfinite(u)):
+        raise ValueError("active_basis must be a finite matrix with m rows")
     n1 = frob(w1.entries)
     if n1 == 0.0:
         return 0.0
-    proj = active_basis @ active_basis.conj().T
+    proj = u @ u.conj().T
     return frob(w1.entries - proj @ w1.entries) / n1
 
 

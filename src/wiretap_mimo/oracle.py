@@ -16,41 +16,40 @@ samples of a shorter run (nested streams).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   check_p_total, sym)
+                   check_gains, check_positive, sym)
 
 _CHUNK = 1 << 15
+# points of the separable oracle's level-0 per-mode grid
+_GRID_POINTS = 2001
 _GOLDEN = 0.6180339887498949
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling budget and reproducibility knobs.
-
-    ``grid_points`` controls the separable oracle's per-mode search grids;
-    ``complex_sampling`` draws complex Gaussian factors even for real
-    channels (real-only sampling is available for real inputs).
-    """
+    """Sampling budget and reproducibility settings of :func:`mc_capacity`:
+    integers (``bool`` is not), with ``samples >= 1`` and
+    ``refine_rounds >= 0``.  Samples are always complex Gaussian."""
 
     samples: int = 200_000
     seed: int = 0
     refine_rounds: int = 3
-    grid_points: int = 2001
-    complex_sampling: bool = True
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd and at least 3")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))  # numpy integers too
+        if self.samples < 1 or self.refine_rounds < 0:
+            raise ValueError("samples must be at least 1 and refine_rounds nonnegative")
 
 
 class Objective(Enum):
@@ -130,27 +129,23 @@ def mc_capacity(pair: ChannelPair, p_total: float,
                 include_candidates: bool = True) -> tuple[float, HermitianMatrix]:
     """Best clamped rate over random feasible covariances (plus candidates).
 
-    Samples R = t * A A^H / tr(A A^H) with A a standard Gaussian matrix and
-    t drawn from a 50/50 mixture of the full power and Uniform(0, P_T]; the
-    boundary/interior mixture matters because the exact secrecy objective can
-    decrease with power.  Candidate seeding makes the result an
-    at-least-as-good check against any closed form in the pool.  Refinement
-    rounds perturb the incumbent locally with a scale shrinking tenfold per
-    round.  Deterministic for a fixed (seed, config); ties go to the earliest
-    sample.
+    Samples R = t * A A^H / tr(A A^H) with A a complex standard Gaussian
+    matrix and t drawn from a 50/50 mixture of the full power and
+    Uniform(0, P_T]; the boundary/interior mixture matters because the exact
+    secrecy objective can decrease with power.  Candidate seeding makes the
+    result an at-least-as-good check against any closed form in the pool.
+    Refinement rounds perturb the incumbent locally with a scale shrinking
+    tenfold per round.  Deterministic for a fixed (seed, config); ties go to
+    the earliest sample.
     """
     cfg = cfg or OracleConfig()
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     m = pair.m
-    use_complex = cfg.complex_sampling or np.iscomplexobj(pair.w1.entries) \
-        or np.iscomplexobj(pair.w2.entries)
-    dtype = np.complex128 if use_complex else np.float64
-    w1 = pair.w1.entries.astype(dtype)
-    w2 = pair.w2.entries.astype(dtype)
+    w1, w2 = pair.w1.entries.astype(complex), pair.w2.entries.astype(complex)
 
     # the zero covariance is the clamp floor and is always achievable
     best_val = 0.0
-    best_r = np.zeros((m, m), dtype=dtype)
+    best_r = np.zeros((m, m), dtype=complex)
 
     def consider(batch: np.ndarray):
         nonlocal best_val, best_r
@@ -162,7 +157,7 @@ def mc_capacity(pair: ChannelPair, p_total: float,
 
     if include_candidates:
         pool = _candidate_pool(pair, p_total)
-        consider(np.stack([c.astype(dtype) for c in pool]))
+        consider(np.stack([c.astype(complex) for c in pool]))
 
     rng_a = _stream(cfg.seed, 1)
     rng_t = _stream(cfg.seed, 2)
@@ -172,11 +167,8 @@ def mc_capacity(pair: ChannelPair, p_total: float,
         remaining -= n
         # sample-major draw keeps every sample at fixed stream positions, so
         # the first N samples of a longer run are exactly a shorter run's
-        if use_complex:
-            z = rng_a.standard_normal((n, 2, m, m))
-            a = z[:, 0] + 1j * z[:, 1]
-        else:
-            a = rng_a.standard_normal((n, m, m))
+        z = rng_a.standard_normal((n, 2, m, m))
+        a = z[:, 0] + 1j * z[:, 1]
         gram = np.einsum("nij,nkj->nik", a, a.conj())
         tr = np.einsum("nii->n", gram).real
         u = rng_t.random((n, 2))
@@ -191,7 +183,7 @@ def mc_capacity(pair: ChannelPair, p_total: float,
             scale = 0.1 * p_total / 10.0 ** round_idx
             x = rng_r.standard_normal((n_ref, m, m))
             y = rng_r.standard_normal((n_ref, m, m))
-            e = x + 1j * y if use_complex else x + y
+            e = x + 1j * y
             e = 0.5 * (e + np.conj(np.transpose(e, (0, 2, 1))))
             cand = best_r[None, :, :] + scale * e
             ev, vec = np.linalg.eigh(cand)
@@ -263,8 +255,7 @@ def _golden_polish(g1: np.ndarray, g2: np.ndarray, nu: float,
     return mid
 
 
-def separable_oracle(lam1, lam2, p_total: float,
-                     cfg: OracleConfig | None = None) -> float:
+def separable_oracle(lam1, lam2, p_total: float) -> float:
     """Best parallel-channel secrecy value sum_i [ln(1+l1_i p) - ln(1+l2_i p)].
 
     Modes with l1_i <= l2_i are never profitable and get zero power.  For the
@@ -273,14 +264,11 @@ def separable_oracle(lam1, lam2, p_total: float,
     per-mode maximizers consume the full power.  The returned value is
     evaluated at a feasible allocation, hence always achievable.
     """
-    cfg = cfg or OracleConfig()
-    l1 = np.asarray(lam1, dtype=float)
-    l2 = np.asarray(lam2, dtype=float)
-    if l1.shape != l2.shape or l1.ndim != 1:
+    l1 = check_gains("lam1", lam1)
+    l2 = check_gains("lam2", lam2)
+    if l1.shape != l2.shape:
         raise ValueError("lam1 and lam2 must be paired 1-D vectors")
-    if np.any(l1 < 0) or np.any(l2 < 0):
-        raise ValueError("eigenvalue vectors must be nonnegative")
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
 
     usable = l1 > l2
     if not np.any(usable):
@@ -295,7 +283,7 @@ def separable_oracle(lam1, lam2, p_total: float,
         # a single profitable mode takes all the power (f is increasing)
         return value(np.array([p_total]))
 
-    pts0 = np.linspace(0.0, p_total, cfg.grid_points)
+    pts0 = np.linspace(0.0, p_total, _GRID_POINTS)
     f0 = np.log1p(g1[:, None] * pts0[None, :]) \
         - np.log1p(g2[:, None] * pts0[None, :])
 

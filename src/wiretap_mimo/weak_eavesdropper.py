@@ -23,8 +23,9 @@ import numpy as np
 
 from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, RANK_TOL, SolveResult, SolveStatus, as_array,
-                   check_p_total, frob, inv_winv_plus_r, secrecy_rate, sym)
+                   NotApplicableError, RANK_TOL, SolveResult, SolveStatus,
+                   _coerce_psd, check_nonnegative, check_positive, frob,
+                   inv_winv_plus_r, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
@@ -171,7 +172,7 @@ def solve_weak(pair: ChannelPair, p_total: float) -> SolveResult:
     The multiplier is searched until the trace meets min(P_T, P_T*); above
     the threshold power only partial power is used.
     """
-    check_p_total(p_total)
+    check_positive("p_total", p_total)
     return _solve_weak_general(pair, p_total)
 
 
@@ -224,7 +225,9 @@ def kkt_residual_weak(pair: ChannelPair, r, lam: float,
     The dual variable is M = W2 + lambda*I - (I + W1 R)^{-1} W1; optimality
     requires M >= 0, M R = 0 and lambda * (tr R - P_T) = 0.
     """
-    ra = as_array(r)
+    ra = _coerce_psd(r, pair.m).entries
+    check_nonnegative("lam", lam)
+    check_nonnegative("p_total", p_total)
     m_dual = sym(pair.w2.entries + lam * np.eye(pair.m)
                  - inv_winv_plus_r(pair.w1, ra))
     return KktResidual.of(m_dual, ra, lam, p_total)

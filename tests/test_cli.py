@@ -65,8 +65,10 @@ class TestScenarioParsing:
         (lambda d: d.update(solver="newton"), "unknown solver"),
         (lambda d: d.update(units="furlongs"), "units"),
         (lambda d: d["channel"].update(w1=[[1, 2]]), "square"),
-        # only separable_oracle reads grid_points, and no CLI path runs it
         (lambda d: d.update(oracle={"grid_points": 5}), "unknown keys"),
+        (lambda d: d.update(oracle={"complex_sampling": False}),
+         "unknown keys.*complex_sampling"),
+        (lambda d: d.update(oracle=5), "'oracle': expected an object"),
     ])
     def test_malformed_scenarios(self, tmp_path, mutate, message):
         doc = fig1_doc()
@@ -243,6 +245,28 @@ class TestMainCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples" in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_no_oracle_solver_rejects_oracle_flags(self, tmp_path, capsys, command):
+        # the scenario's "oracle" section stays accepted: one file serves
+        # several subcommands
+        path = write_scenario(tmp_path, fig1_doc(solver="auto",
+                                                 oracle={"samples": 5}))
+        assert main([command, "--input", path]) == 0
+        capsys.readouterr()
+        assert main([command, "--input", path, "--samples", "5", "--seed", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err and "--seed" in captured.err
+        path = write_scenario(tmp_path, fig1_doc(solver=["weak", "oracle"]))
+        assert main([command, "--input", path, "--samples", "500"]) == 0
+
+    @pytest.mark.parametrize("oracle", [{"samples": 1500.5}, {"seed": "abc"},
+                                        {"samples": True}])
+    def test_bad_oracle_settings_exit_1(self, tmp_path, capsys, oracle):
+        path = write_scenario(tmp_path, fig1_doc(oracle=oracle))
+        assert main(["oracle", "--input", path]) == 1
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         from wiretap_mimo import ConvergenceError

@@ -84,11 +84,11 @@ class TestMcCapacity:
                               OracleConfig(samples=5_000, seed=17))
         assert best == pytest.approx(res.capacity_nats, abs=1e-9)
 
-    def test_real_only_sampling(self):
+    def test_real_channel_stays_below_capacity(self):
+        # complex samples include every real covariance
         pair = ChannelPair.from_gram(np.diag([2.0, 1.0]), np.zeros((2, 2)))
-        cfg = OracleConfig(samples=50_000, seed=19, complex_sampling=False)
-        best, best_r = mc_capacity(pair, 1.5, cfg=cfg, include_candidates=False)
-        assert not np.iscomplexobj(best_r.entries)
+        cfg = OracleConfig(samples=50_000, seed=19)
+        best, _ = mc_capacity(pair, 1.5, cfg=cfg, include_candidates=False)
         assert best <= math.log(3) + math.log(1.5) + 1e-9
 
     def test_larger_m_uses_slogdet_path(self):
@@ -141,8 +141,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(samples=0)
     with pytest.raises(ValueError):
-        OracleConfig(grid_points=100)  # even
-    with pytest.raises(ValueError):
-        OracleConfig(grid_points=1)
-    with pytest.raises(ValueError):
         OracleConfig(refine_rounds=-1)
+    for bad in ({"samples": 1.5}, {"seed": 1.5}, {"refine_rounds": 0.5},
+                {"samples": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OracleConfig(**bad)
