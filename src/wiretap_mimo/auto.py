@@ -16,7 +16,7 @@ def solve_auto(pair: ChannelPair, p_total: float
     * ``rsv`` when W1 and W2 share an eigenbasis (exact);
     * ``omni`` when W2 is omnidirectional with range(W1) in its span (exact);
     * else ``weak``, with its sandwich in ``bounds``, then ``isotropic``, the
-      isotropic sandwich (left out when W2 = 0).
+      isotropic sandwich (W2 = 0 commutes, so it never gets here).
     """
     try:
         channel = pair.common_basis()
@@ -24,13 +24,7 @@ def solve_auto(pair: ChannelPair, p_total: float
         pass
     else:
         return [("rsv", common_rsv.solve_common_rsv(channel, p_total))]
-    cls, containment = pair.omni()
-    if cls.is_omni and containment <= omnidirectional.CONTAINMENT_TOL:
+    if pair.omni().is_omni and pair.range_contained():
         return [("omni", omnidirectional.solve_omni(pair, p_total))]
-    out = [("weak", weak_eavesdropper.solve_weak_with_bounds(pair, p_total))]
-    try:
-        out.append(("isotropic",
-                    isotropic.capacity_bounds_isotropic(pair, p_total)))
-    except ValueError:
-        pass  # W2 = 0: the weak result already is the exact solution
-    return out
+    return [("weak", weak_eavesdropper.solve_weak_with_bounds(pair, p_total)),
+            ("isotropic", isotropic.capacity_bounds_isotropic(pair, p_total))]

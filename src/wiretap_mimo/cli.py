@@ -59,13 +59,20 @@ class Row:
     covariance: Optional[np.ndarray] = None  # emitted by `solve` in JSON mode
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float when it is a finite JSON number (an int or a
+    float, never a bool); otherwise a ValueError naming ``where``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, (int, float)) for v in entry)):
-        return complex(entry[0], entry[1])
-    raise ValueError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+    """A matrix entry: a number, or a complex number as an [re, im] pair."""
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_number(entry[0], where), _number(entry[1], where))
+    return complex(_number(entry, where))
 
 
 def _parse_matrix(obj, where: str) -> np.ndarray:
@@ -118,15 +125,16 @@ def _parse_grid(obj) -> list[tuple[float, float]]:
             raise ValueError("field 'power_grid.p_t': expected a nonempty list")
         grid = []
         for v in values:
-            if not isinstance(v, (int, float)) or not v > 0 or not math.isfinite(v):
+            v = _number(v, "field 'power_grid.p_t'")
+            if v <= 0:
                 raise ValueError(f"field 'power_grid.p_t': invalid power {v!r}")
-            grid.append((10.0 * math.log10(v), float(v)))
+            grid.append((10.0 * math.log10(v), v))
         return grid
     needed = ("db_start", "db_stop", "db_step")
     if all(k in obj for k in needed):
-        start, stop, step = (float(obj[k]) for k in needed)
-        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0:
-            raise ValueError("field 'power_grid': dB range must be finite with step > 0")
+        start, stop, step = (_number(obj[k], f"field 'power_grid.{k}'") for k in needed)
+        if step <= 0:
+            raise ValueError("field 'power_grid': dB range must have step > 0")
         if stop < start:
             raise ValueError("field 'power_grid': db_stop must be >= db_start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -195,16 +203,6 @@ def _row(snr_db, p_t, solver, out) -> Row:
                out.covariance.entries)
 
 
-def _iso_row(pair, snr_db, p_t) -> Row:
-    cls, _ = pair.omni()
-    if cls.is_omni and cls.r2 == pair.m:
-        res = solve_isotropic(IsotropicProblem(pair.w1.spectrum(), cls.epsilon, p_t))
-        return Row(snr_db, p_t, "isotropic", res.capacity_nats,
-                   res.capacity_nats, res.capacity_nats, res.lagrange_lambda,
-                   res.active_modes, res.status.value)
-    return _row(snr_db, p_t, "isotropic", capacity_bounds_isotropic(pair, p_t))
-
-
 def _oracle_row(pair, snr_db, p_t, cfg) -> Row:
     best, best_r = mc_capacity(pair, p_t, Objective.EXACT, cfg)
     return Row(snr_db, p_t, "oracle", best, None, None, None, None,
@@ -226,24 +224,19 @@ def _certify_rows(pair, snr_db, p_t) -> list[Row]:
 
 
 def _solver_rows(spec: ScenarioSpec, snr_db, p_t, name) -> list[Row]:
-    """Rows of one named solver at one power.  With ``auto`` the oracle row
-    follows the auto rows."""
+    """Rows of one named solver at one power."""
     pair = spec.pair
     if name == "auto":
-        rows = [_row(snr_db, p_t, solver, out)
+        return [_row(snr_db, p_t, solver, out)
                 for solver, out in auto.solve_auto(pair, p_t)]
-        if "oracle" in spec.solvers:
-            rows.append(_oracle_row(pair, snr_db, p_t, spec.oracle_cfg))
-        return rows
     if name == "oracle":
-        return ([] if "auto" in spec.solvers
-                else [_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)])
-    if name == "isotropic":
-        return [_iso_row(pair, snr_db, p_t)]
+        return [_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)]
     if name == "certify":
         return _certify_rows(pair, snr_db, p_t)
     if name == "weak":
         out = weak_eavesdropper.solve_weak_with_bounds(pair, p_t)
+    elif name == "isotropic":
+        out = capacity_bounds_isotropic(pair, p_t)
     elif name == "omni":
         out = omnidirectional.solve_omni(pair, p_t)
     else:  # rsv
@@ -252,8 +245,8 @@ def _solver_rows(spec: ScenarioSpec, snr_db, p_t, name) -> list[Row]:
 
 
 def run_sweep(spec: ScenarioSpec) -> list[Row]:
-    """One row per (power point, solver); solver errors land in the status
-    column without aborting the rest of the sweep."""
+    """Rows per power point in solver-list order; solver errors land in the
+    status column without aborting the rest of the sweep."""
     rows: list[Row] = []
     for snr_db, p_t in spec.grid:
         for name in spec.solvers:

@@ -98,6 +98,9 @@ class SpectralDecomposition:
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
         v = np.asarray(self.eigenvectors)
+        if (w.ndim != 1 or v.shape != (w.size, w.size)
+                or not np.isfinite(w).all() or not np.isfinite(v).all()):
+            raise ValueError("expected m finite eigenvalues and finite m x m eigenvectors")
         if np.any(np.diff(w) > 0):
             raise ValueError("eigenvalues must be sorted in decreasing order")
         gram = v.conj().T @ v
@@ -196,14 +199,6 @@ class HermitianMatrix:
         w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
         return HermitianMatrix((dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
 
-    def pinv(self) -> "HermitianMatrix":
-        """Moore-Penrose pseudo-inverse with the RANK_TOL eigenvalue cutoff."""
-        dec = self.eig()
-        w = dec.eigenvalues
-        cut = _zero_cut(w)
-        inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-        return HermitianMatrix((dec.eigenvectors * inv) @ dec.eigenvectors.conj().T)
-
 
 MatrixLike = Union[HermitianMatrix, np.ndarray]
 
@@ -219,8 +214,8 @@ class ChannelPair:
     """Gram matrices (W1, W2) of the legitimate and eavesdropper channels.
 
     Structure that depends on the pair alone (shared eigenbasis, W2's
-    omnidirectional class, weak threshold power) is computed on first use
-    and kept on the pair: see :meth:`fact`.
+    omnidirectional class, range containment, weak threshold power) is
+    computed on first use and kept on the pair: see :meth:`fact`.
     """
 
     w1: HermitianMatrix
@@ -261,14 +256,22 @@ class ChannelPair:
         return self.fact("common_basis", common_rsv.detect_common_rsv)
 
     def omni(self):
-        """W2's ``omnidirectional.classify_omni`` classification and the
-        ``range_containment_residual`` of W1 against its active subspace."""
+        """W2's ``omnidirectional.classify_omni`` classification."""
         from . import omnidirectional as om
+        return self.fact("omni", lambda p: om.classify_omni(p.w2))
 
+    def range_contained(self) -> bool:
+        """Whether range(W1) lies inside range(W2): W1's largest gain on
+        W2's nullspace is zero by the one rank rule, i.e. at most
+        ``RANK_TOL * lambda_max(W1)``, the cutoff that zeroes an eigenvalue
+        of W1."""
         def compute(p):
-            cls = om.classify_omni(p.w2)
-            return cls, om.range_containment_residual(p.w1, cls.active_basis)
-        return self.fact("omni", compute)
+            null = p.w2.null_basis()
+            if null.shape[1] == 0:
+                return True
+            gain = np.linalg.eigvalsh(sym(null.conj().T @ p.w1.entries @ null))[-1]
+            return bool(gain <= _zero_cut(p.w1.eigenvalues()))
+        return self.fact("range_contained", compute)
 
     @classmethod
     def from_gram(cls, w1: MatrixLike, w2: MatrixLike) -> "ChannelPair":
@@ -298,7 +301,6 @@ class CapacityBounds:
     mid_nats: float
     upper_nats: float
     gap_bound_nats: float
-    provenance: tuple[str, str, str] = ("", "", "")
 
     def __post_init__(self):
         tol = 1e-9 * max(1.0, abs(self.upper_nats), abs(self.gap_bound_nats))
@@ -431,7 +433,10 @@ def epsilon_from_pathloss(alpha: float, n2: float, m: float,
     for name, val in (("alpha", alpha), ("n2", n2), ("m", m),
                       ("r_min", r_min), ("nu", nu)):
         check_positive(name, val)
-    return float(alpha * n2 * m * r_min ** (-nu))
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        eps = float(alpha * n2 * m * np.float64(r_min) ** -nu)
+    check_nonnegative("epsilon", eps)
+    return eps
 
 
 NATS_PER_BIT = math.log(2.0)

@@ -126,9 +126,6 @@ def capacity_bounds_isotropic(pair: ChannelPair, p_total: float) -> CapacityBoun
         mid_nats=0.5 * (lower + upper),
         upper_nats=upper,
         gap_bound_nats=gap,
-        provenance=("isotropic solve at largest eigenvalue of W2",
-                    "midpoint (informational)",
-                    "isotropic solve at smallest eigenvalue of W2"),
     )
 
 

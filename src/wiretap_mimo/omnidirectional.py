@@ -18,8 +18,6 @@ from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
                    SolveResult, SolveStatus, check_nonnegative, frob, sym)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
-CONTAINMENT_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class OmniClassification:
@@ -74,11 +72,11 @@ def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
     are attached and the achievable lower-bound covariance is returned
     with status BOUNDS_ONLY.
     """
-    cls, containment = pair.omni()
+    cls = pair.omni()
     if not cls.is_omni:
         raise NotApplicableError("W2 is not omnidirectional (non-uniform positive spectrum)")
     bounds = None
-    if containment <= CONTAINMENT_TOL:
+    if pair.range_contained():
         iso, cov = solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
         capacity, status = iso.capacity_nats, iso.status
     else:

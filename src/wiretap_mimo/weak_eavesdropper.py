@@ -24,22 +24,22 @@ import numpy as np
 from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
                    NotApplicableError, RANK_TOL, SolveResult, SolveStatus,
-                   _coerce_psd, check_nonnegative, check_positive, frob,
+                   _coerce_psd, check_nonnegative, check_positive,
                    inv_winv_plus_r, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
     """W2's eigenvalues (ascending) and eigenvectors on the directions the
-    closed form uses, decided once per pair.  When W2's nullspace lies
-    inside W1's, those are W2's range alone: the null directions carry no
-    gain, and dropping them is the pseudo-inverse at lam = 0.  Otherwise
-    every direction, with W2's spectrum cleaned (``HermitianMatrix.spectrum``)
+    closed form uses, decided once per pair.  When ``pair.range_contained()``,
+    those are W2's range alone: the null directions carry no gain, and
+    dropping them is the pseudo-inverse at lam = 0.  Otherwise every
+    direction, with W2's spectrum cleaned (``HermitianMatrix.spectrum``)
     so that round-off cannot shift the multiplier added to the null
     directions."""
     s2 = pair.w2.spectrum()[::-1]
     v2 = pair.w2.eig().eigenvectors[:, ::-1]
     keep = s2 > 0
-    if _null_space_contained(pair):
+    if pair.range_contained():
         return s2[keep], v2[:, keep]
     return np.where(keep, s2, 0.0), v2
 
@@ -89,25 +89,16 @@ def _trace_slope(qh, qu, ev, gains) -> float:
     return -direct - 0.5 * float(np.sum(a * div * (ev[:, None] + ev[None, :])))
 
 
-def _null_space_contained(pair: ChannelPair) -> bool:
-    """Whether the nullspace of W2 lies inside the nullspace of W1."""
-    nullb = pair.w2.null_basis()
-    if nullb.shape[1] == 0:
-        return True
-    resid = np.linalg.norm(pair.w1.entries @ nullb, 2)
-    return resid <= RANK_TOL * max(frob(pair.w1.entries), 1e-300)
-
-
 def threshold_power(pair: ChannelPair) -> float:
     """Saturation power beyond which the weak solution stops using extra power.
 
     Infinite when W2 has a nullspace direction that W1 can still exploit
-    (power can always be dumped there at no leakage cost).  When the
-    nullspace of W2 sits inside that of W1, the value is computed on the
-    matrices projected orthogonally to the W2 nullspace, which is what the
-    pseudo-inverse realizes.
+    (power can always be dumped there at no leakage cost).  When range(W1)
+    lies inside range(W2) (``ChannelPair.range_contained``), the value is
+    computed on the matrices projected orthogonally to the W2 nullspace,
+    which is what the pseudo-inverse realizes.
     """
-    if not _null_space_contained(pair):
+    if not pair.range_contained():
         return math.inf
     return pair.fact("weak_saturation", _saturation)[0]
 
@@ -187,9 +178,6 @@ def solve_weak_with_bounds(pair: ChannelPair, p_total: float) -> SolveResult:
         mid_nats=mid,
         upper_nats=res.capacity_nats + gap,
         gap_bound_nats=gap,
-        provenance=("weak-eavesdropper capacity",
-                    "achievable rate of the weak-optimal covariance",
-                    "weak capacity plus quadratic leakage bound"),
     ))
 
 

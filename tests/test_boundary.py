@@ -64,10 +64,17 @@ TABLE = {
             wm.HermitianMatrix(R), *[v if j == i else 0.5 for j in (0, 1)],
             2, 1.0, wm.SolveStatus.SOLVED), NONNEGATIVE)
         for i, name in enumerate(("capacity_nats", "lagrange_lambda"))],
+    "SpectralDecomposition": [
+        ("eigenvalues", lambda v: wm.SpectralDecomposition(v, np.eye(2)),
+         array([2.0, 1.0], (3,), (1, 2))),
+        ("eigenvectors", lambda v: wm.SpectralDecomposition(np.array([2.0, 1.0]), v),
+         MATRIX)],
     "epsilon_from_pathloss": [
         (name, lambda v, i=i: wm.epsilon_from_pathloss(
             *[v if j == i else 2.0 for j in range(5)]), POSITIVE)
-        for i, name in enumerate(("alpha", "n2", "m", "r_min", "nu"))],
+        for i, name in enumerate(("alpha", "n2", "m", "r_min", "nu"))] + [
+        # finite positive inputs whose gain overflows a float
+        ("r_min", lambda v: wm.epsilon_from_pathloss(1.0, 1.0, 1.0, v, 2.0), [1e-300])],
     "secrecy_rate": [("r", lambda v: wm.secrecy_rate(PAIR, v), MATRIX)],
     "weak_rate": [("r", lambda v: wm.weak_rate(PAIR, v), MATRIX)],
     "solve_weak": [p_total_of(wm.solve_weak)],
@@ -142,9 +149,9 @@ TABLE = {
 # public callables with no row, and why: they take no number or array from
 # their caller, or only objects that were checked when they were built
 EXEMPT = {
-    "result record": {"CapacityBounds", "KktResidual", "SpectralDecomposition",
-                      "CertificateReport", "OmniClassification",
-                      "AsymptoticReport", "NegligibilityReport"},
+    "result record": {"CapacityBounds", "KktResidual", "CertificateReport",
+                      "OmniClassification", "AsymptoticReport",
+                      "NegligibilityReport"},
     "enum": {"SolveStatus", "AsymptoticRegime", "KktForm", "Verdict", "Objective"},
     "exception": {"ConvergenceError", "NotApplicableError", "NotCommutingError"},
     "unit conversion of any float": {"nats_to_bits"},

@@ -69,6 +69,18 @@ class TestScenarioParsing:
         (lambda d: d.update(oracle={"complex_sampling": False}),
          "unknown keys.*complex_sampling"),
         (lambda d: d.update(oracle=5), "'oracle': expected an object"),
+        # one rule for every JSON number: an int or a float, never a bool
+        (lambda d: d.update(power_grid={"db_start": [1], "db_stop": 2, "db_step": 1}),
+         r"db_start': expected a finite number, got \[1\]"),
+        (lambda d: d.update(power_grid={"db_start": 1, "db_stop": None, "db_step": 1}),
+         "db_stop'.*got None"),
+        (lambda d: d.update(power_grid={"db_start": 1, "db_stop": 2, "db_step": "1"}),
+         "db_step'.*got '1'"),
+        (lambda d: d.update(power_grid={"db_start": True, "db_stop": 2, "db_step": 1}),
+         "db_start'.*got True"),
+        (lambda d: d.update(power_grid={"p_t": [True]}), "p_t'.*got True"),
+        (lambda d: d["channel"].update(w1=[[True, 0], [0, 1]]),
+         r"w1\[0\]\[0\].*got True"),
     ])
     def test_malformed_scenarios(self, tmp_path, mutate, message):
         doc = fig1_doc()
@@ -118,6 +130,21 @@ class TestSweep:
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
         assert rows[0].solver == "omni"
         assert rows[0].capacity == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_isotropic_rows_are_the_sandwich_in_solver_order(self, tmp_path):
+        # W2 = eps I: the named isotropic solver gives the isotropic sandwich
+        # (tight here) and auto the exact row; rows follow the solver list
+        doc = fig1_doc(channel={"matrix_kind": "W",
+                                "w1": [[2, 1], [1, 1]],
+                                "w2": [[0.5, 0], [0, 0.5]]},
+                       solver=["oracle", "isotropic", "auto"],
+                       oracle={"samples": 2000, "seed": 1})
+        rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
+        assert [r.solver for r in rows] == ["oracle", "isotropic", "rsv"]
+        iso, rsv = rows[1], rows[2]
+        assert (iso.status, iso.lam, iso.active_modes) == ("BoundsOnly", None, None)
+        assert iso.lower == iso.capacity == iso.upper
+        assert iso.capacity == pytest.approx(rsv.capacity, rel=1e-12)
 
     def test_auto_dispatch_general(self, tmp_path):
         doc = fig1_doc(solver=["auto", "oracle"],

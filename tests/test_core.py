@@ -41,14 +41,11 @@ class TestHermitianMatrix:
         h2 = HermitianMatrix(np.diag([1.0, -1e-12]))
         assert h2.is_psd()
 
-    def test_pinv_and_sqrt(self):
+    def test_sqrt_psd(self):
         rng = np.random.default_rng(0)
         w = random_psd(rng, 3)
-        h = HermitianMatrix(w)
-        s = h.sqrt_psd().entries
+        s = HermitianMatrix(w).sqrt_psd().entries
         assert np.allclose(s @ s, w, atol=1e-10)
-        p = h.pinv().entries
-        assert np.allclose(w @ p @ w, w, atol=1e-9)
 
     def test_diagonal_psd_check_needs_no_decomposition(self, monkeypatch):
         calls = []
@@ -99,6 +96,20 @@ class TestChannelPair:
     def test_psd_enforced(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             ChannelPair.from_gram(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("leak, w2, contained", [
+        (0.0, [0.5, 0.0], True),
+        # W1's gain on W2's nullspace is leak^2 * lambda_max(W1): a leak of
+        # 1e-7 is below RANK_TOL and counts as no gain at all
+        (1e-7, [0.5, 0.0], True),
+        (1e-3, [0.5, 0.0], False),
+        (1e-3, [0.5, 1e-3], True),   # W2 has no nullspace
+        (0.0, [0.0, 0.0], False),    # W2 = 0 is all nullspace
+    ])
+    def test_range_containment_is_decided_by_the_rank_rule(self, leak, w2, contained):
+        g = np.array([[1.0], [leak]])
+        pair = ChannelPair.from_gram(g @ g.T, np.diag(w2))
+        assert pair.range_contained() is contained
 
     def test_from_channels_forms_gram(self):
         h1 = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])

@@ -26,6 +26,20 @@ def _noncontained_omni(rng, m):
                                  rng.uniform(0.2, 2.0) * (u @ u.conj().T))
 
 
+def _nearly_contained(rng, m):
+    # W2 = eps U U^H of rank m - 1 and W1 = G G^H, with G inside span(U) but
+    # for a leak of relative amplitude 1e-7: W1's gain on W2's nullspace is
+    # ~1e-14 of its largest, which the rank rule counts as zero
+    v = random_unitary(rng, m)
+    u = v[:, :m - 1]
+    g = u @ (rng.standard_normal((m - 1, m - 1))
+             + 1j * rng.standard_normal((m - 1, m - 1)))
+    leak = np.outer(v[:, m - 1], rng.standard_normal(m - 1))
+    g = g + 1e-7 * np.linalg.norm(g) / np.linalg.norm(leak) * leak
+    return ChannelPair.from_gram(g @ g.conj().T,
+                                 rng.uniform(0.2, 2.0) * (u @ u.conj().T))
+
+
 CLASSES = {
     "commuting": lambda rng, m: random_commuting_pair(rng, m)[0],
     "general": lambda rng, m: ChannelPair.from_gram(random_psd(rng, m),
@@ -36,7 +50,8 @@ CLASSES = {
 # a one-row eavesdropper 20 dB stronger: at high SNR the multiplier falls
 # below RANK_TOL * max(W2)
 SWEEP_CLASSES = {**CLASSES, "rank_deficient_strong":
-                 lambda rng, m: _rank_deficient(rng, m, 100.0)}
+                 lambda rng, m: _rank_deficient(rng, m, 100.0),
+                 "nearly_contained": _nearly_contained}
 
 
 @pytest.mark.parametrize("kind", sorted(SWEEP_CLASSES))
