@@ -1,10 +1,13 @@
-"""Scalar power allocations shared by the closed-form solvers.
+"""Scalar power allocations over independent modes, and their one solve.
 
-Two allocation rules live here:
+Mode i has gain g_i and leak (eavesdropper gain) e_i.  :func:`solve_modes`
+serves every closed form that reduces to such modes (isotropic, contained
+omnidirectional, shared eigenbasis) and picks the allocation from the input:
 
-* the classic water-filling ``p_i = (1/lam - 1/g_i)_+`` (exact, sort-based), and
-* the secrecy allocation over parallel modes with per-mode leakage gains,
-  where the per-mode power at multiplier ``lam`` is
+* no mode leaks: the classic water-filling ``p_i = (1/lam - 1/g_i)_+``
+  (``standard_waterfill``, exact, sort-based);
+* else the secrecy allocation (``secrecy_waterfill``), where the per-mode
+  power at multiplier ``lam`` is
 
       p_i = 2 t_i / ((e_i + g_i) (1 + sqrt(1 + q_i))),
       q_i = 4 e_i g_i t_i / (e_i + g_i)^2,
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, check_positive
+from .core import ConvergenceError, SolveResult, check_positive
 
 # a search stops once the power residual is within _POWER_TOL * P_T, and
 # gives up after _MAX_EVALS evaluations of the total power
@@ -47,6 +50,7 @@ def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, f
     Returns ``(powers, lam)`` with ``powers_i = (1/lam - 1/g_i)_+`` and
     ``sum(powers) = p_total``.  Modes with zero gain receive no power.  When
     no gain is positive the powers are all zero and ``lam`` is ``inf``.
+    Levels are measured from 1/g_1, so powers stay exact at small P_T g_1.
     """
     g = np.asarray(gains, dtype=float)
     check_positive("p_total", p_total)
@@ -57,18 +61,18 @@ def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, f
     if npos == 0:
         return powers, math.inf
     inv = 1.0 / gs[:npos]
-    prefix = np.cumsum(inv)
+    rel = inv - inv[0]
+    prefix = np.cumsum(rel)
     k = 1
     for j in range(2, npos + 1):
         level = (p_total + prefix[j - 1]) / j
-        if level > inv[j - 1]:
+        if level > rel[j - 1]:
             k = j
         else:
             break
     level = (p_total + prefix[k - 1]) / k
-    alloc = level - inv[:k]
-    powers[order[:k]] = alloc
-    return powers, 1.0 / level
+    powers[order[:k]] = level - rel[:k]
+    return powers, 1.0 / (level + inv[0])
 
 
 def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
@@ -211,10 +215,21 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
     return powers, lam
 
 
-def parallel_secrecy_value(lam1: np.ndarray, lam2: np.ndarray | float,
-                           powers: np.ndarray) -> float:
-    """sum_i [ln(1 + lam1_i p_i) - ln(1 + lam2_i p_i)] in nats."""
-    l1 = np.asarray(lam1, dtype=float)
-    l2 = np.broadcast_to(np.asarray(lam2, dtype=float), l1.shape)
-    p = np.asarray(powers, dtype=float)
-    return float(np.sum(np.log1p(l1 * p) - np.log1p(l2 * p)))
+def solve_modes(gains: np.ndarray, leaks: np.ndarray | float, p_total: float,
+                basis: np.ndarray | None = None) -> SolveResult:
+    """The secrecy optimum over independent modes with gains ``gains`` and
+    leaks ``leaks`` (a scalar leaks equally into every mode).
+
+    Exact water-filling when no mode leaks, else the secrecy allocation;
+    zero rate when no mode beats its leak.  The covariance is diag(powers),
+    or ``V diag(powers) V^H`` on the unitary ``basis`` V.
+    """
+    if np.asarray(leaks).any():
+        powers, lam = secrecy_waterfill(gains, leaks, p_total)
+    else:
+        powers, lam = standard_waterfill(gains, p_total)
+    if not powers.any():
+        return SolveResult.zero_rate(powers.size)
+    capacity = float(np.sum(np.log1p(gains * powers) - np.log1p(leaks * powers)))
+    cov = np.diag(powers) if basis is None else (basis * powers) @ basis.conj().T
+    return SolveResult.solved(cov, powers, capacity, float(lam))

@@ -101,7 +101,8 @@ def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
 
     leaky = ~zf_mode
     margin = float(np.min(l2[leaky] + lam - l1[leaky])) if np.any(leaky) else math.inf
-    cond_c = margin >= -1e-12 * max(1.0, lam)
+    # relative to the terms compared, so the verdict keeps the scaling symmetry
+    cond_c = margin >= -1e-12 * max(lam, float(np.max(l1[leaky], initial=0.0)))
     details = {
         "zf_modes": int(np.count_nonzero(usable)),
         "water_lambda": lam,

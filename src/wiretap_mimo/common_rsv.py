@@ -107,14 +107,8 @@ def solve_common_rsv(channel: CommonBasisChannel, p_total: float) -> SolveResult
     """Exact optimal covariance for a shared-eigenbasis channel.
 
     Per-mode powers follow the quadratic-root allocation with the paired
-    eavesdropper eigenvalue as the per-mode leakage gain; modes are active
-    exactly when lam1_i > lam2_i + lambda.
+    eavesdropper eigenvalue as the per-mode leakage gain (water-filling when
+    W2 = 0); modes are active exactly when lam1_i > lam2_i + lambda.
     """
     check_positive("p_total", p_total)
-    l1, l2 = channel.lam1, channel.lam2
-    if np.max(l1 - l2) <= 0:
-        return SolveResult.zero_rate(channel.m)
-    powers, lam = _waterfill.secrecy_waterfill(l1, l2, p_total)
-    cov = (channel.basis * powers) @ channel.basis.conj().T
-    capacity = _waterfill.parallel_secrecy_value(l1, l2, powers)
-    return SolveResult.solved(cov, powers, capacity, float(lam))
+    return _waterfill.solve_modes(channel.lam1, channel.lam2, p_total, channel.basis)

@@ -56,28 +56,16 @@ def solve_isotropic(problem: IsotropicProblem) -> SolveResult:
     saturation regime; use :func:`asymptotic_capacity`'s saturation ratio to
     detect when extra power has stopped paying.
     """
-    g = problem.gains
-    eps = problem.epsilon
-    if g[0] <= eps:
-        return SolveResult.zero_rate(problem.m)
-    if eps == 0.0:
-        powers, lam = _waterfill.standard_waterfill(g, problem.p_total)
-    else:
-        powers, lam = _waterfill.secrecy_waterfill(g, eps, problem.p_total)
-    capacity = _waterfill.parallel_secrecy_value(g, eps, powers)
-    return SolveResult.solved(np.diag(powers), powers, capacity, float(lam))
+    return _waterfill.solve_modes(problem.gains, problem.epsilon, problem.p_total)
 
 
-def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float, p_total: float
-                                ) -> tuple[SolveResult, np.ndarray]:
+def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float,
+                                p_total: float) -> SolveResult:
     """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
-    ``epsilon``, with the covariance rotated into W1's eigenbasis.
-
-    Returns the per-mode result and the covariance in the antenna basis.
-    """
-    res = solve_isotropic(IsotropicProblem(pair.w1.spectrum(), epsilon, p_total))
-    u = pair.w1.eig().eigenvectors
-    return res, (u * res.mode_powers) @ u.conj().T
+    ``epsilon``, with the covariance on W1's eigenvectors (antenna basis)."""
+    problem = IsotropicProblem(pair.w1.spectrum(), epsilon, p_total)
+    return _waterfill.solve_modes(problem.gains, problem.epsilon, p_total,
+                                  pair.w1.eig().eigenvectors)
 
 
 def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:

@@ -10,13 +10,16 @@ containment only the isotropic sandwich bounds are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   SolveResult, SolveStatus, check_nonnegative, frob, sym)
+                   SolveResult, SolveStatus, frob)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
+
+# relative spread up to which W2's positive eigenvalues count as one gain
+OMNI_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,11 +37,10 @@ class OmniClassification:
     r2: int
 
 
-def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassification:
+def classify_omni(w2: HermitianMatrix) -> OmniClassification:
     """Classify W2 as omnidirectional when its positive eigenvalues agree
-    within relative tolerance ``delta``.  A zero matrix has no active
+    within relative tolerance ``OMNI_TOL``.  A zero matrix has no active
     subspace and is not classified as omnidirectional."""
-    check_nonnegative("delta", delta)
     ev = w2.spectrum()
     pos = ev > 0
     r2 = int(np.count_nonzero(pos))
@@ -46,7 +48,7 @@ def classify_omni(w2: HermitianMatrix, delta: float = 1e-8) -> OmniClassificatio
     if r2 == 0:
         return OmniClassification(False, 0.0, basis, 0)
     mean = float(np.mean(ev[pos]))
-    uniform = float(np.max(ev[pos]) - np.min(ev[pos])) <= delta * mean
+    uniform = float(np.max(ev[pos]) - np.min(ev[pos])) <= OMNI_TOL * mean
     return OmniClassification(uniform, mean if uniform else 0.0, basis, r2)
 
 
@@ -75,23 +77,11 @@ def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
     cls = pair.omni()
     if not cls.is_omni:
         raise NotApplicableError("W2 is not omnidirectional (non-uniform positive spectrum)")
-    bounds = None
     if pair.range_contained():
-        iso, cov = solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
-        capacity, status = iso.capacity_nats, iso.status
-    else:
-        bounds = capacity_bounds_isotropic(pair, p_total)
-        # the lower bound is achievable: signaling designed against the worst
-        # isotropic eavesdropper cannot do worse on the true channel
-        iso, cov = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
-        capacity, status = bounds.lower_nats, SolveStatus.BOUNDS_ONLY
-    return SolveResult(
-        covariance=HermitianMatrix(sym(cov)),
-        capacity_nats=capacity,
-        lagrange_lambda=iso.lagrange_lambda,
-        active_modes=iso.active_modes,
-        power_used=iso.power_used,
-        status=status,
-        mode_powers=iso.mode_powers,
-        bounds=bounds,
-    )
+        return solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
+    bounds = capacity_bounds_isotropic(pair, p_total)
+    # the lower bound is achievable: signaling designed against the worst
+    # isotropic eavesdropper cannot do worse on the true channel
+    res = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
+    return replace(res, capacity_nats=bounds.lower_nats,
+                   status=SolveStatus.BOUNDS_ONLY, bounds=bounds)

@@ -107,7 +107,7 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
 
     attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
     attempt(lambda: isotropic.solve_isotropic_in_w1_basis(
-        pair, float(pair.w2.spectrum()[0]), p_total)[1])
+        pair, float(pair.w2.spectrum()[0]), p_total).covariance.entries)
     attempt(lambda: common_rsv.solve_common_rsv(
         pair.common_basis(), p_total).covariance.entries)
     attempt(lambda: omnidirectional.solve_omni(pair, p_total).covariance.entries)

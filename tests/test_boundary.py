@@ -94,7 +94,6 @@ TABLE = {
     "threshold_powers": [
         ("gains", lambda v: wm.threshold_powers(v, 0.1), VECTOR),
         ("epsilon", lambda v: wm.threshold_powers([2.0, 1.0], v), NONNEGATIVE)],
-    "classify_omni": [("delta", lambda v: wm.classify_omni(OMNI.w2, v), NONNEGATIVE)],
     "range_containment_residual": [
         ("active_basis", lambda v: wm.range_containment_residual(OMNI.w1, v),
          array(np.eye(2)[:, :1], (3, 1), (2,)))],
@@ -158,7 +157,7 @@ EXEMPT = {
     "takes only checked objects": {"positive_part", "saturation_capacities",
                                    "threshold_power", "solve_isotropic",
                                    "asymptotic_capacity", "commutation_residual",
-                                   "detect_common_rsv"},
+                                   "detect_common_rsv", "classify_omni"},
 }
 
 def label(bad) -> str:

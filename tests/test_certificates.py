@@ -35,6 +35,15 @@ class TestZfCertify:
         assert zf_certify(pair, 0.9 * p_edge).verdict is Verdict.SUFFICIENT_HOLDS
         assert zf_certify(pair, 1.0).verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+    def test_leaky_mode_verdict_is_scale_free(self, s):
+        # the leaky mode activates at P_T = 1.5/s, for every scale s
+        pair = ChannelPair.from_gram(s * np.diag([2.0, 1.5]), s * np.diag([0.0, 1.0]))
+        below = zf_certify(pair, 1.5 * (1 - 1e-3) / s)
+        above = zf_certify(pair, 1.5 * (1 + 1e-3) / s)
+        assert below.verdict is Verdict.SUFFICIENT_HOLDS
+        assert above.verdict is Verdict.INCONCLUSIVE
+
     def test_non_commuting_is_inconclusive(self):
         pair = ChannelPair.from_gram(np.diag([2.0, 1.0]),
                                      0.1 * np.array([[1.0, 1.0], [1.0, 1.0]]))

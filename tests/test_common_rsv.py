@@ -54,11 +54,18 @@ class TestDetect:
 
 class TestSolve:
     def test_waterfilling_when_no_leakage(self):
-        pair = ChannelPair.from_gram(np.diag([2.0, 1.0]), np.zeros((2, 2)))
-        res = solve_common_rsv(detect_common_rsv(pair), 1.5)
-        powers, _ = standard_waterfill(np.array([2.0, 1.0]), 1.5)
-        got = np.sort(res.mode_powers)[::-1]
-        assert np.allclose(got, powers, atol=1e-9)
+        # W2 = 0: the exact allocation, not a multiplier search
+        rng = np.random.default_rng(8)
+        for m in (2, 3, 5):
+            v = random_unitary(rng, m)
+            lam1 = rng.uniform(0.1, 3.0, m)
+            pair = ChannelPair.from_gram((v * lam1) @ v.conj().T, np.zeros((m, m)))
+            ch = detect_common_rsv(pair)
+            for p in (0.1, 2.0, 1e4):
+                res = solve_common_rsv(ch, p)
+                powers, lam = standard_waterfill(ch.lam1, p)
+                assert np.array_equal(res.mode_powers, powers)
+                assert res.lagrange_lambda == lam
 
     def test_uniform_leakage_matches_isotropic(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ class TestSolveIsotropic:
         assert res.active_modes == 1
 
     def test_no_eavesdropper_flag_is_waterfilling(self):
-        gains = np.array([3.0, 2.0, 0.5])
-        res = solve(gains, 0.0, 2.0)
-        powers, lam = standard_waterfill(gains, 2.0)
-        assert np.allclose(res.mode_powers, powers, atol=1e-12)
-        assert res.lagrange_lambda == pytest.approx(lam, abs=1e-12)
+        # inverse gains 1/3, 1/2, 2: two modes share the level 17/12
+        res = solve([3.0, 2.0, 0.5], 0.0, 2.0)
+        assert np.allclose(res.mode_powers, [13 / 12, 11 / 12, 0.0],
+                           rtol=0, atol=1e-15)
+        assert res.lagrange_lambda == pytest.approx(12 / 17, rel=1e-15)
 
     def test_small_epsilon_approaches_waterfilling(self):
         gains = np.array([3.0, 2.0, 0.5])
@@ -322,3 +323,39 @@ def test_capacity_matches_exact_rate_against_isotropic_w2():
         res = solve(gains, eps, 2.0)
         cov = (u * res.mode_powers) @ u.conj().T
         assert secrecy_rate(pair, cov) == pytest.approx(res.capacity_nats, abs=1e-9)
+
+
+def _exact_level(gains, p_total):
+    """The water level 1/lam of exact water-filling, in rational arithmetic."""
+    inv = sorted(1 / Fraction(g) for g in gains if g > 0)
+    p = Fraction(p_total)
+    k = 1
+    while k < len(inv) and (p + sum(inv[:k + 1])) / (k + 1) > inv[k]:
+        k += 1
+    return (p + sum(inv[:k])) / k
+
+
+def test_standard_waterfill_matches_exact_arithmetic():
+    # the level is close to 1/g_1 when P_T g_1 is small: powers measured from
+    # the level would cancel; they must stay accurate relative to P_T
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for m in range(1, 6):
+        for scale in 10.0 ** np.arange(-6, 4):
+            for db in range(-10, 81, 10):
+                p = 10.0 ** (db / 10)
+                for _ in range(4):
+                    g = scale * rng.uniform(0.0, 1.0, m)
+                    g[rng.uniform(size=m) < 0.2] = 0.0
+                    if not g.any():
+                        continue
+                    powers, lam = standard_waterfill(g, p)
+                    level = _exact_level(g, p)
+                    exact = [max(level - 1 / Fraction(x), 0) if x > 0 else 0
+                             for x in g]
+                    worst = max(worst, max(abs(float(Fraction(q) - e))
+                                           for q, e in zip(powers, exact)) / p)
+                    assert abs(float(Fraction(lam) * level - 1)) <= 1e-14
+                    if np.count_nonzero(g) == 1:
+                        assert powers.sum() == p  # one mode takes exactly P_T
+    assert worst <= 1e-14

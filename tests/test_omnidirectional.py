@@ -41,15 +41,15 @@ class TestClassifyOmni:
         assert not cls.is_omni and cls.r2 == 0
 
     def test_delta_tolerance(self):
-        w2 = HermitianMatrix(np.diag([0.5, 0.5 * (1 + 1e-9)]))
-        assert classify_omni(w2, delta=1e-8).is_omni
-        assert not classify_omni(w2, delta=1e-10).is_omni
+        # OMNI_TOL = 1e-8: a relative spread of 1e-9 is one gain, 1e-7 is not
+        inside = HermitianMatrix(np.diag([0.5, 0.5 * (1 + 1e-9)]))
+        outside = HermitianMatrix(np.diag([0.5, 0.5 * (1 + 1e-7)]))
+        assert classify_omni(inside).is_omni
+        assert not classify_omni(outside).is_omni
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
 def test_tolerances_must_be_finite_and_nonnegative(bad):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        classify_omni(HermitianMatrix(0.5 * np.eye(2)), delta=bad)
     problem = IsotropicProblem(np.array([2.0, 1.0]), 0.5, 1.0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         negligibility_margins(problem, threshold=bad)
