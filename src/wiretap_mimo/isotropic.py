@@ -193,11 +193,14 @@ class NegligibilityReport:
 
 def negligibility_margins(problem: IsotropicProblem,
                           threshold: float = 0.1) -> NegligibilityReport:
+    """The two margins of ``problem``; negligible when both are strictly
+    below ``threshold``.  epsilon = 0 takes the same path as any epsilon, so
+    the verdict is continuous there: both margins are 0, negligible at every
+    positive threshold and not at 0.  With no active mode (all gains zero)
+    the gain margin is inf, and the eavesdropper is never negligible."""
     check_nonnegative("threshold", threshold)
     eps = problem.epsilon
     snr_margin = eps * problem.p_total
-    if eps == 0.0:
-        return NegligibilityReport(0.0, 0.0, True, threshold)
     res = solve_isotropic(problem)
     active = res.mode_powers > 0
     if not np.any(active):

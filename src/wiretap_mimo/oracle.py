@@ -8,6 +8,12 @@ objective by bisecting a shared power multiplier while solving each scalar
 mode by grid zooming plus a golden-section polish; it never uses the
 closed-form allocation it is meant to check.
 
+``mc_capacity`` scores each covariance R = s F F^H through its m x m root
+F in factor form: with W = L L^H factored once per call, ln|I + W R| =
+ln|I_r + s B B^H| for B = L^H F (Sylvester), from one real matrix product
+per batch and an elementwise LDL^H, the same path for every m.  Only the
+winner of a batch is formed as a matrix; the samples do not depend on this.
+
 Determinism: every sample is derived from fixed positions of Philox streams
 keyed by (seed, stream id), so results are bit-identical for a given
 (seed, config) and the first N samples of a longer run are exactly the
@@ -62,36 +68,71 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _batch_logdet_i_plus(w: np.ndarray, rbatch: np.ndarray) -> np.ndarray:
-    """ln|I + w R_n| for a batch of PSD R_n; eigenvalues of I + wR are >= 1."""
-    m = w.shape[0]
-    mats = np.einsum("ij,njk->nik", w, rbatch)
-    mats[:, np.arange(m), np.arange(m)] += 1.0
-    if m == 1:
-        det = mats[:, 0, 0]
-    elif m == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    elif m == 3:
-        det = (mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2]
-                                - mats[:, 1, 2] * mats[:, 2, 1])
-               - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2]
-                                  - mats[:, 1, 2] * mats[:, 2, 0])
-               + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
-                                  - mats[:, 1, 1] * mats[:, 2, 0]))
-    else:
-        _, logdet = np.linalg.slogdet(mats)
-        return logdet
-    return np.log(np.maximum(det.real, 1e-300))
+def _factor_map(w: HermitianMatrix) -> np.ndarray:
+    """The real (2r, 2m) matrix that takes the stacked real and imaginary
+    parts of any m-row F to those of B = L^H F, where W = L L^H keeps the r
+    eigenvalues of W that the rank rule leaves nonzero: by Sylvester's
+    identity |I + W F F^H| = |I_r + B B^H|."""
+    spec = w.spectrum()
+    r = int(np.count_nonzero(spec))
+    lh = (w.eig().eigenvectors[:, :r] * np.sqrt(spec[:r])).conj().T
+    return np.block([[lh.real, -lh.imag], [lh.imag, lh.real]])
 
 
-def _batch_objective(w1: np.ndarray, w2: np.ndarray, rbatch: np.ndarray,
-                     objective: Objective) -> np.ndarray:
-    c1 = _batch_logdet_i_plus(w1, rbatch)
+def _logdet_i_plus(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln|I_r + s_n B_n B_n^H| for every sample n, from the real and
+    imaginary parts of B stored n-last, shape (2, r, k, n).
+
+    An elementwise LDL^H factorization runs on the r(r+1)/2 lower entries
+    of s B B^H, each a length-n real array (a pair of them off the
+    diagonal).  Every pivot is 1 + e with e >= 0, a Schur complement of the
+    identity plus a PSD matrix, so no pivot is small and the log-determinant
+    is the sum of log1p(e).
+    """
+    r = b.shape[1]
+    bre, bim = b
+    # g[i, k], k < i: (real, imaginary) part of s (B B^H)_ik; g[i, i]: e_i
+    g = {}
+    for i in range(r):
+        g[i, i] = s * np.einsum("pjn,pjn->n", b[:, i], b[:, i])
+        for k in range(i):
+            g[i, k] = (s * np.einsum("pjn,pjn->n", b[:, i], b[:, k]),
+                       s * (np.einsum("jn,jn->n", bim[i], bre[k])
+                            - np.einsum("jn,jn->n", bre[i], bim[k])))
+    total = np.zeros(b.shape[-1])
+    for j in range(r):
+        total += np.log1p(g[j, j])
+        inv = 1.0 / (1.0 + g[j, j])
+        for i in range(j + 1, r):
+            xr, xi = g[i, j]
+            cr, ci = xr * inv, xi * inv
+            g[i, i] = g[i, i] - (xr * cr + xi * ci)
+            for k in range(j + 1, i):
+                # g_ik -= g_ij conj(g_kj) / pivot_j
+                yr, yi = g[k, j]
+                zr, zi = g[i, k]
+                g[i, k] = (zr - (cr * yr + ci * yi), zi - (ci * yr - cr * yi))
+    return total
+
+
+def _terms(maps: list[np.ndarray], roots: np.ndarray, s: np.ndarray,
+           objective: Objective) -> tuple[np.ndarray, np.ndarray]:
+    """ln|I + W1 R_n| and the eavesdropper's term, ln|I + W2 R_n| (EXACT) or
+    tr(W2 R_n) (WEAK), for R_n = s_n F_n F_n^H.
+
+    ``roots[n]`` holds the real and imaginary parts of F_n, shape (2, m, k);
+    ``maps`` are the two :func:`_factor_map` of (W1, W2).
+    """
+    n, _, _, k = roots.shape
+    r1, r2 = (mp.shape[0] // 2 for mp in maps)
+    # one real product forms B = L^H F of both channels for the whole
+    # batch, n-last, without transposing the sample-major roots
+    b = np.kron(np.vstack(maps), np.eye(k)) @ roots.reshape(n, -1).T
+    c1 = _logdet_i_plus(b[:2 * r1 * k].reshape(2, r1, k, n), s)
+    b2 = b[2 * r1 * k:]
     if objective is Objective.EXACT:
-        c2 = _batch_logdet_i_plus(w2, rbatch)
-    else:
-        c2 = np.einsum("ij,nji->n", w2, rbatch).real
-    return np.maximum(c1 - c2, 0.0)
+        return c1, _logdet_i_plus(b2.reshape(2, r2, k, n), s)
+    return c1, s * np.einsum("jn,jn->n", b2, b2)  # s ||L2^H F||_F^2
 
 
 def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
@@ -141,23 +182,32 @@ def mc_capacity(pair: ChannelPair, p_total: float,
     cfg = cfg or OracleConfig()
     check_positive("p_total", p_total)
     m = pair.m
-    w1, w2 = pair.w1.entries.astype(complex), pair.w2.entries.astype(complex)
+    maps = [_factor_map(pair.w1), _factor_map(pair.w2)]
 
     # the zero covariance is the clamp floor and is always achievable
     best_val = 0.0
     best_r = np.zeros((m, m), dtype=complex)
 
-    def consider(batch: np.ndarray):
+    def consider(roots: np.ndarray, s: np.ndarray):
+        """Samples s_n F_n F_n^H, F_n given as real and imaginary parts
+        ``roots[n]`` of shape (2, m, m); only the winner is formed."""
         nonlocal best_val, best_r
-        vals = _batch_objective(w1, w2, batch, objective)
+        c1, c2 = _terms(maps, roots, s, objective)
+        vals = np.maximum(c1 - c2, 0.0)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])
-            best_r = batch[j].copy()
+            f = roots[j, 0] + 1j * roots[j, 1]
+            best_r = s[j] * (f @ f.conj().T)
+
+    def consider_psd(ev: np.ndarray, vec: np.ndarray):
+        """Covariances vec diag(ev) vec^H, ev >= 0, through their roots."""
+        f = vec * np.sqrt(ev)[:, None, :]
+        consider(np.stack([f.real, f.imag], axis=1), np.ones(ev.shape[0]))
 
     if include_candidates:
-        pool = _candidate_pool(pair, p_total)
-        consider(np.stack([c.astype(complex) for c in pool]))
+        ev, vec = np.linalg.eigh(np.stack(_candidate_pool(pair, p_total)))
+        consider_psd(np.clip(ev, 0.0, None), vec)
 
     rng_a = _stream(cfg.seed, 1)
     rng_t = _stream(cfg.seed, 2)
@@ -166,15 +216,13 @@ def mc_capacity(pair: ChannelPair, p_total: float,
         n = min(_CHUNK, remaining)
         remaining -= n
         # sample-major draw keeps every sample at fixed stream positions, so
-        # the first N samples of a longer run are exactly a shorter run's
+        # the first N samples of a longer run are exactly a shorter run's;
+        # z[n] holds the real and imaginary parts of A_n
         z = rng_a.standard_normal((n, 2, m, m))
-        a = z[:, 0] + 1j * z[:, 1]
-        gram = np.einsum("nij,nkj->nik", a, a.conj())
-        tr = np.einsum("nii->n", gram).real
+        tr = np.einsum("nk,nk->n", z.reshape(n, -1), z.reshape(n, -1))
         u = rng_t.random((n, 2))
         t = np.where(u[:, 0] < 0.5, p_total, p_total * (1.0 - u[:, 1]))
-        batch = gram * (t / np.maximum(tr, 1e-300))[:, None, None]
-        consider(batch)
+        consider(z, t / np.maximum(tr, 1e-300))
 
     if cfg.refine_rounds > 0 and best_val > 0.0:
         rng_r = _stream(cfg.seed, 3)
@@ -185,14 +233,10 @@ def mc_capacity(pair: ChannelPair, p_total: float,
             y = rng_r.standard_normal((n_ref, m, m))
             e = x + 1j * y
             e = 0.5 * (e + np.conj(np.transpose(e, (0, 2, 1))))
-            cand = best_r[None, :, :] + scale * e
-            ev, vec = np.linalg.eigh(cand)
+            ev, vec = np.linalg.eigh(best_r[None, :, :] + scale * e)
             ev = np.clip(ev, 0.0, None)
-            cand = np.einsum("nij,nj,nkj->nik", vec, ev, vec.conj())
-            tr = np.einsum("nii->n", cand).real
-            shrink = np.minimum(1.0, p_total / np.maximum(tr, 1e-300))
-            cand *= shrink[:, None, None]
-            consider(cand)
+            shrink = np.minimum(1.0, p_total / np.maximum(ev.sum(axis=1), 1e-300))
+            consider_psd(ev * shrink[:, None], vec)
 
     return best_val, HermitianMatrix(sym(best_r))
 

@@ -227,6 +227,16 @@ class TestNegligibility:
         assert rep.snr_margin == 0.0 and rep.gain_margin == 0.0
         assert rep.negligible
 
+    @pytest.mark.parametrize("gains", [[2.0, 1.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("threshold", [0.0, 0.1])
+    def test_verdict_continuous_at_zero_epsilon(self, gains, threshold):
+        reps = [negligibility_margins(IsotropicProblem(np.array(gains), eps, 1.0),
+                                      threshold)
+                for eps in (0.0, 1e-300)]
+        assert reps[0].negligible == reps[1].negligible
+        # all-zero gains leave no active mode: never negligible
+        assert reps[0].negligible == (threshold > 0 and gains[0] > 0)
+
     def test_high_power_not_negligible(self):
         rep = negligibility_margins(IsotropicProblem(np.array([2.0, 1.0]), 0.5, 100.0))
         assert rep.snr_margin == pytest.approx(50.0)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wiretap_mimo import (ChannelPair, Objective, OracleConfig, mc_capacity,
-                          secrecy_rate, separable_oracle, solve_common_rsv,
-                          detect_common_rsv)
+from wiretap_mimo import (ChannelPair, HermitianMatrix, Objective, OracleConfig,
+                          mc_capacity, secrecy_rate, separable_oracle,
+                          solve_common_rsv, detect_common_rsv)
 from wiretap_mimo._waterfill import standard_waterfill
+from wiretap_mimo.oracle import _factor_map, _terms
 from util import fig1_pair, random_commuting_pair, random_psd
 
 
@@ -91,13 +92,103 @@ class TestMcCapacity:
         best, _ = mc_capacity(pair, 1.5, cfg=cfg, include_candidates=False)
         assert best <= math.log(3) + math.log(1.5) + 1e-9
 
-    def test_larger_m_uses_slogdet_path(self):
+    def test_m5_best_r_achieves_best_value(self):
         rng = np.random.default_rng(23)
         pair = ChannelPair.from_gram(random_psd(rng, 5),
                                      random_psd(rng, 5, scale=0.2))
         best, best_r = mc_capacity(pair, 1.0,
                                    cfg=OracleConfig(samples=3_000, seed=29))
         assert best == pytest.approx(secrecy_rate(pair, best_r), abs=1e-9)
+
+
+def _integer_h(rng, rows, m):
+    return rng.integers(-3, 4, (rows, m)) + 1j * rng.integers(-3, 4, (rows, m))
+
+
+def test_factor_form_matches_slogdet():
+    """The oracle's ln|I + W R| and tr(W R), in factor form, against
+    slogdet and the trace of the formed complex128 matrices, m = 1 to 5 and
+    P_T from 1e-8 to 1e8.
+
+    W is full rank, or H^H H of every lower rank (rank one from a one-row
+    H), some with rounding-negative computed eigenvalues.  The rank-deficient H have small
+    integer entries, so H^H H is exact, and their reference is slogdet of
+    the Sylvester form I + H R H^H: on the m x m product I + W R, slogdet
+    itself is off by up to 5e-9 relative at P_T = 1e8 (against 50-digit
+    arithmetic, which both the factor form and the Sylvester form meet
+    within 3e-14).
+    """
+    negative = 0
+    for m in range(1, 6):
+        rng = np.random.default_rng(60 + m)
+        n = 64
+        f = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        s = np.logspace(-8, 8, n) / np.einsum("nij,nij->n", f.conj(), f).real
+        r = s[:, None, None] * (f @ f.conj().transpose(0, 2, 1))
+        roots = np.stack([f.real, f.imag], axis=1)
+        full = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for h in [full] + [_integer_h(rng, k, m) for k in range(1, m)]:
+            w = HermitianMatrix(h.conj().T @ h)
+            negative += np.linalg.eigvalsh(w.entries)[0] < 0
+            if h.shape[0] == m:
+                ref = np.linalg.slogdet(np.eye(m) + w.entries @ r)[1]
+            else:
+                ref = np.linalg.slogdet(np.eye(h.shape[0])
+                                        + h @ r @ h.conj().T)[1]
+            maps = [_factor_map(w)] * 2
+            logdet, _ = _terms(maps, roots, s, Objective.EXACT)
+            _, leak = _terms(maps, roots, s, Objective.WEAK)
+            trace = np.einsum("ij,nji->n", w.entries, r).real
+            assert np.all(np.abs(logdet - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+            assert np.all(np.abs(leak - trace) <= 1e-12 * np.maximum(1.0, trace))
+    assert negative > 0
+
+
+def _golden_pairs():
+    rng = np.random.default_rng(4243)
+
+    def h(rows, m):
+        return rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+
+    pairs = {f"m{m}": ChannelPair.from_channels(h(m, m), 0.3 * h(m, m))
+             for m in range(1, 6)}
+    pairs.update({f"m{m}-row": ChannelPair.from_channels(h(m, m), h(1, m))
+                  for m in (3, 5)})
+    return pairs
+
+
+# best values of mc_capacity(pair, 2.0, objective, OracleConfig(samples=4_000,
+# seed=7), include_candidates) as computed when the objective was still
+# evaluated on each sample's formed m x m covariance
+GOLDEN = {
+    "m1": (0.950364873681252, 0.950364873681252,
+           0.9078566460779651, 0.9078566460779651),
+    "m2": (2.5823145671831735, 2.5823145671831735,
+           2.4052595371222942, 2.4051924515421326),
+    "m3": (3.442136594176414, 3.430069829078185,
+           3.4158510260500172, 3.3765930974046463),
+    "m4": (4.205456224703614, 4.10090355039187,
+           4.014647341533009, 3.8521438681050624),
+    "m5": (6.176346295255826, 5.802058931458896,
+           6.081922136290636, 5.5937091287560765),
+    "m3-row": (3.3812378605134406, 3.348588241495079,
+               3.381013364219588, 3.348468609476991),
+    "m5-row": (6.287899596455248, 5.834849480185264,
+               6.285067563568469, 5.607941217446008),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_best_values_match_formed_covariance_golden(name):
+    pair = _golden_pairs()[name]
+    runs = [(objective, cand) for objective in (Objective.EXACT, Objective.WEAK)
+            for cand in (True, False)]
+    for (objective, cand), expected in zip(runs, GOLDEN[name]):
+        best, best_r = mc_capacity(pair, 2.0, objective,
+                                   OracleConfig(samples=4_000, seed=7), cand)
+        assert best == pytest.approx(expected, rel=1e-12)
+        assert best_r.is_psd()
+        assert best_r.trace() <= 2.0 * (1 + 1e-12)
 
 
 class TestSeparableOracle:
