@@ -17,17 +17,17 @@ omnidirectional, shared eigenbasis) and picks the allocation from the input:
   small arguments; it degenerates to water-filling exactly when ``e_i = 0``.
 
 Every closed-form multiplier search runs through ``_find_multiplier``: a
-bracketed root-finder that takes the caller's Newton-type step while it
-stays inside the bracket and bisects (on log lam) otherwise.  It stops when
-the power residual is within ``_POWER_TOL * P_T``, a rule relative to the
-total power at every power, so every SNR is reachable at float resolution
-and results keep the scaling symmetry W -> sW, P_T -> P_T/s to rounding.
-Over parallel modes (``secrecy_waterfill``) the active set is fixed first,
-from one vectorised evaluation at the sorted activation multipliers.  Every
-step, there and on the general weak path, is the root of one local model
-of the total in x = 1/lam (``_model_root``), matched to its value and
-slope, and over parallel modes also to its curvature; a few evaluations
-per solve.
+bracketed root-finder over a whole power grid at once, each point taking
+the caller's Newton-type step while it stays inside its bracket and
+bisecting (on log lam) otherwise.  A point stops when its power residual is
+within ``_POWER_TOL * P_T``, a rule relative to the total power at every
+power, so every SNR is reachable at float resolution and results keep the
+scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
+(``secrecy_waterfill``) each point's active set is fixed first, from one
+vectorised evaluation at the sorted activation multipliers.  Every step,
+there and on the general weak path, is the root of one local model of the
+total in x = 1/lam (``_model_root``), matched to its value and slope, and
+over parallel modes also to its curvature; a few evaluations per solve.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, SolveResult, check_positive
+from .core import ConvergenceError, SolveResult, check_powers
 
 # a search stops once the power residual is within _POWER_TOL * P_T, and
 # gives up after _MAX_EVALS evaluations of the total power
@@ -44,8 +44,9 @@ _POWER_TOL = 1e-12
 _MAX_EVALS = 200
 
 
-def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, float]:
-    """Exact water-filling over nonnegative gains.
+def standard_waterfill(gains: np.ndarray, p_total) -> tuple[np.ndarray, np.ndarray]:
+    """Exact water-filling over nonnegative gains at each power ``p_total``
+    (a float or a 1-D array: the outputs take its shape).
 
     Returns ``(powers, lam)`` with ``powers_i = (1/lam - 1/g_i)_+`` and
     ``sum(powers) = p_total``.  Modes with zero gain receive no power.  When
@@ -53,33 +54,31 @@ def standard_waterfill(gains: np.ndarray, p_total: float) -> tuple[np.ndarray, f
     Levels are measured from 1/g_1, so powers stay exact at small P_T g_1.
     """
     g = np.asarray(gains, dtype=float)
-    check_positive("p_total", p_total)
-    powers = np.zeros_like(g)
+    shape = np.asarray(p_total, dtype=float).shape
+    p = check_powers("p_total", p_total)
+    powers = np.zeros((p.size, g.size))
     order = np.argsort(g)[::-1]
-    gs = g[order]
-    npos = int(np.count_nonzero(gs > 0))
+    npos = int(np.count_nonzero(g > 0))
     if npos == 0:
-        return powers, math.inf
-    inv = 1.0 / gs[:npos]
+        return powers.reshape(shape + g.shape), np.full(shape, math.inf)[()]
+    inv = 1.0 / g[order[:npos]]
     rel = inv - inv[0]
     prefix = np.cumsum(rel)
-    k = 1
-    for j in range(2, npos + 1):
-        level = (p_total + prefix[j - 1]) / j
-        if level > rel[j - 1]:
-            k = j
-        else:
-            break
-    level = (p_total + prefix[k - 1]) / k
-    powers[order[:k]] = level - rel[:k]
-    return powers, 1.0 / (level + inv[0])
+    # mode j joins while the level over the first j modes clears its offset
+    on = np.logical_and.accumulate(
+        (p[:, None] + prefix) / np.arange(1, npos + 1) > rel, axis=1)
+    k = on.sum(axis=1)
+    level = (p + prefix[k - 1]) / k
+    powers[:, order[:npos]] = np.where(on, level[:, None] - rel, 0.0)
+    return (powers.reshape(shape + g.shape),
+            (1.0 / (level + inv[0])).reshape(shape)[()])
 
 
 def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
                         lam: float) -> np.ndarray:
     """Per-mode powers of the secrecy allocation at multiplier ``lam``."""
     g = np.asarray(gains, dtype=float)
-    e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape)
+    e = np.asarray(leaks, dtype=float)
     t = np.maximum((g - e) / lam - 1.0, 0.0)
     s = g + e
     safe_s = np.where(t > 0, s, 1.0)
@@ -87,149 +86,155 @@ def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
     return np.where(t > 0, 2.0 * t / (safe_s * (1.0 + np.sqrt(1.0 + q))), 0.0)
 
 
-def _find_multiplier(power_at, lo: float, hi: float, p_total: float,
-                     label: str = "multiplier"):
-    """Safeguarded bracketed search for the multiplier ``lam`` in [lo, hi] at
-    which the total power is ``p_total``.
+def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier"):
+    """Safeguarded bracketed search for the multipliers ``lam`` in [lo, hi]
+    at which the total power is ``p_total`` (arrays over a grid's points).
 
-    ``power_at(lam)`` returns ``(total power, payload, guess)``: the total
-    is nonincreasing in lam, at least ``p_total`` at ``lo`` and at most it at
-    ``hi``, and ``guess`` is the caller's Newton-type estimate of the root
-    from a local model at lam, or None.  The search starts at ``hi``; each
-    evaluation moves one end of the bracket, and the next point is the guess
-    when it lies strictly inside and moves less than half the step before
-    last (Brent's safeguard), else the bracket's midpoint (geometric when
-    lo > 0).  Stops once ``|total - p_total| <= _POWER_TOL * p_total`` and
-    returns ``(lam, payload)`` of that evaluation; raises
-    :class:`ConvergenceError` when the bracket is exhausted at float
-    resolution or ``_MAX_EVALS`` evaluations are spent.
+    ``power_at(lam, live)`` evaluates the points ``live`` and returns arrays
+    ``(total, payload, guess)`` over them, ``payload`` a tuple: the total is
+    nonincreasing in lam, ``p_total`` lies between its values at ``hi`` and
+    ``lo``, and ``guess`` is a Newton-type root estimate, or NaN.  A point
+    starts at ``hi``; each evaluation moves one end of its bracket, and its
+    next point is the guess when it lies strictly inside and moves less than
+    half the step before last (Brent's safeguard), else the midpoint
+    (geometric when lo > 0).  A point stops, and leaves the batch, once
+    ``|total - p_total| <= _POWER_TOL * p_total``.  Returns ``lam`` and each
+    point's payload; raises :class:`ConvergenceError` with a point's residual
+    when its bracket is exhausted or ``_MAX_EVALS`` evaluations are spent.
     """
-    tol = _POWER_TOL * p_total
-    lam, resid = hi, math.inf
-    step = older = math.inf  # the last two step lengths
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lam, p, live = hi.copy(), p_total, np.arange(hi.size)
+    step = older = np.full(hi.size, math.inf)  # the last two step lengths
+    found, payloads = np.empty(hi.size), [None] * hi.size
     for _ in range(_MAX_EVALS):
-        total, payload, guess = power_at(lam)
-        resid = total - p_total
-        if abs(resid) <= tol:
-            return lam, payload
-        if resid > 0:
-            lo = lam
-        else:
-            hi = lam
-        if (guess is not None and lo < guess < hi
-                and abs(guess - lam) < 0.5 * older):
-            nxt = guess
-        elif lo > 0.0:
-            nxt = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            nxt = 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            break  # bracket exhausted at float resolution
-        older, step, lam = step, abs(nxt - lam), nxt
+        total, payload, guess = power_at(lam, live)
+        resid = total - p
+        done = np.abs(resid) <= _POWER_TOL * p
+        if done.any():
+            for j in np.flatnonzero(done):
+                found[live[j]] = lam[j]
+                payloads[live[j]] = tuple(a[j] for a in payload)
+            if done.all():
+                return found, payloads
+            lo, hi, lam, p, live, resid, guess, step, older = (
+                a[~done] for a in (lo, hi, lam, p, live, resid, guess, step, older))
+        up = resid > 0
+        lo, hi = np.where(up, lam, lo), np.where(up, hi, lam)
+        mid = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+        nxt = np.where((lo < guess) & (guess < hi)
+                       & (np.abs(guess - lam) < 0.5 * older), guess, mid)
+        stuck = ~((lo < nxt) & (nxt < hi))
+        if stuck.any():  # bracket exhausted at float resolution
+            break
+        older, step, lam = step, np.abs(nxt - lam), nxt
+    bad = int(np.argmax(stuck))  # the first stuck point, else the first live one
     raise ConvergenceError(
-        f"{label} search stopped with power residual {resid:.3e} "
-        f"(tolerance {tol:.3e})", residual=resid)
+        f"{label} search stopped with power residual {resid[bad]:.3e} "
+        f"(tolerance {_POWER_TOL * p[bad]:.3e})", residual=float(resid[bad]))
 
 
-def _model_root(lam: float, total: float, slope: float, curve: float,
-               p_total: float) -> float | None:
+def _model_root(lam: np.ndarray, total: np.ndarray, slope: np.ndarray,
+                curve, p_total: np.ndarray) -> np.ndarray:
     """Root of the local model ``a x^alpha + b`` of the total power in
-    ``x = 1/lam`` that matches its value, slope and curvature at lam.
+    ``x = 1/lam`` that matches its value, slope and curvature at lam (each
+    an array over points).
 
     ``slope`` and ``curve`` are the first and second derivatives of the
     total in x; ``curve = 0`` makes the step a plain Newton step in x.  Over
     parallel modes the total is concave in x and convex in lam, so
     alpha = 1 + x curve / slope lies in [-1, 1] and the model root lies
-    between the Newton roots in x (alpha = 1) and in lam (alpha = -1).  None
-    when the model cannot reach ``p_total``.
+    between the Newton roots in x (alpha = 1) and in lam (alpha = -1).  NaN
+    where the model cannot reach ``p_total``.
     """
-    if not slope > 0.0:
-        return None
-    x = 1.0 / lam
-    alpha = min(max(1.0 + x * curve / slope, -1.0), 1.0)
-    r = (p_total - total) / (x * slope)
-    if abs(alpha) < 1e-9:
-        h = r
-    elif alpha * r > -1.0:
-        h = math.log1p(alpha * r) / alpha
-    else:
-        return None
-    return lam * math.exp(-h) if -h < 700.0 else None
+    with np.errstate(all="ignore"):  # the points it cannot serve are masked
+        x = 1.0 / lam
+        alpha = np.minimum(np.maximum(1.0 + x * curve / slope, -1.0), 1.0)
+        r = (p_total - total) / (x * slope)
+        flat = np.abs(alpha) < 1e-9
+        h = np.where(flat, r, np.log1p(alpha * r) / alpha)
+        reach = (slope > 0.0) & (flat | (alpha * r > -1.0)) & (-h < 700.0)
+        return np.where(reach, lam * np.exp(-h), math.nan)
 
 
 def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
-                      p_total: float) -> tuple[np.ndarray, float]:
-    """Secrecy power allocation: the multiplier at which full power is used.
+                      p_total) -> tuple[np.ndarray, np.ndarray]:
+    """Secrecy power allocation: the multiplier at which full power is used,
+    at each power ``p_total`` (a float or a 1-D array; outputs take its shape).
 
     Returns ``(powers, lam)``.  If no mode satisfies ``g_i > e_i`` the zero
     allocation is returned with ``lam = 0``.  Mode i is active exactly when
     lam < d_i = g_i - e_i.  One vectorised evaluation at the activation
-    multipliers fixes the active set; the root is then searched on that
-    smooth piece, between bounds from the single-mode inverses, with the
-    curvature model of :func:`_model_root` as the step.  Raises
-    :class:`ConvergenceError` when the power residual cannot be driven
-    within ``_POWER_TOL * p_total``.
+    multipliers fixes every point's active set; the roots are then searched
+    on those smooth pieces, between bounds from the single-mode inverses,
+    with the curvature model of :func:`_model_root` as the step.  Raises
+    :class:`ConvergenceError` when a residual cannot be driven within
+    ``_POWER_TOL * p_total``.
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
-    check_positive("p_total", p_total)
+    shape = np.asarray(p_total, dtype=float).shape
+    p = check_powers("p_total", p_total)
     d = g - e
+    powers = np.zeros((p.size, g.size))
     if not g.size or float(np.max(d)) <= 0:
-        return np.zeros_like(g), 0.0
-
-    def alone(i, q):
-        # the multiplier at which mode i alone carries power q
-        return float(d[i] / ((1.0 + g[i] * q) * (1.0 + e[i] * q)))
-
+        return powers.reshape(shape + g.shape), np.zeros(shape)[()]
     order = np.argsort(-d, kind="stable")
     order = order[d[order] > 0]
-    k = 1
-    if order.size > 1:
-        # total power at the multiplier where each further mode activates;
-        # a mode activating exactly at p_total joins, so the root is then hi
-        at = np.sum(secrecy_mode_powers(g, e, d[order[1:], None]), axis=1)
-        k += int(np.count_nonzero(at <= p_total))
-    active = order[:k]
-    if k == 1:
-        # one active mode carries all the power
-        powers = np.zeros(d.shape)
-        powers[active[0]] = p_total
-        return powers, alone(active[0], p_total)
-    lo = float(d[order[k]]) if k < order.size else 0.0
-    hi = float(d[active[-1]])
-    lo = max(lo, max(alone(i, p_total) for i in active))
-    hi = min(hi, max(alone(i, p_total / k) for i in active))
-    ga, ea, da = g[active], e[active], d[active]
+    gs, es, ds = g[order], e[order], d[order]
+    # total power at the multiplier where each further mode activates; a
+    # mode activating exactly at p_total joins, so the root is then hi
+    at = np.sum(secrecy_mode_powers(gs, es, ds[1:, None]), axis=1)
+    k = 1 + np.count_nonzero(at <= p[:, None], axis=1)
+    active = np.arange(order.size) < k[:, None]
 
-    def power_at(lam):
-        powers = secrecy_mode_powers(g, e, lam)
-        total = float(np.sum(powers))
-        # in x = 1/lam: dp/dx = d / (g + e + 2 g e p) and
-        # d2p/dx2 = -2 g e (dp/dx)^3 / d
-        d1 = da / (ga + ea + 2.0 * ga * ea * powers[active])
-        d2 = -2.0 * ga * ea * d1 ** 3 / da
-        return total, powers, _model_root(lam, total, float(np.sum(d1)),
-                                          float(np.sum(d2)), p_total)
+    def alone(q):
+        # the multiplier at which each mode alone carries power q
+        return np.max(np.where(active, ds / ((1.0 + gs * q[:, None])
+                                             * (1.0 + es * q[:, None])), 0.0),
+                      axis=1)
 
-    lam, powers = _find_multiplier(power_at, lo, max(hi, lo), p_total)
-    return powers, lam
+    # one active mode carries all the power
+    lam = alone(p)
+    powers[np.flatnonzero(k == 1), order[0]] = p[k == 1]
+    many = np.flatnonzero(k > 1)
+    if many.size:
+        lo = np.maximum(np.append(ds, 0.0)[k[many]], lam[many])
+        hi = np.minimum(ds[k[many] - 1], alone(p / k)[many])
+        act, pm = active[many], p[many]
+
+        def power_at(lam, live):
+            pw = secrecy_mode_powers(gs, es, lam[:, None])
+            total = np.sum(pw, axis=1)
+            # in x = 1/lam: dp/dx = d / (g + e + 2 g e p) and
+            # d2p/dx2 = -2 g e (dp/dx)^3 / d
+            d1 = np.where(act[live], ds / (gs + es + 2.0 * gs * es * pw), 0.0)
+            d2 = -2.0 * gs * es * d1 ** 3 / ds
+            return total, (pw,), _model_root(lam, total, np.sum(d1, axis=1),
+                                             np.sum(d2, axis=1), pm[live])
+
+        lam[many], found = _find_multiplier(power_at, lo, np.maximum(hi, lo), pm)
+        powers[many[:, None], order] = [pw for pw, in found]
+    return powers.reshape(shape + g.shape), lam.reshape(shape)[()]
 
 
-def solve_modes(gains: np.ndarray, leaks: np.ndarray | float, p_total: float,
-                basis: np.ndarray | None = None) -> SolveResult:
+def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,
+                p_total: np.ndarray,
+                basis: np.ndarray | None = None) -> list[SolveResult]:
     """The secrecy optimum over independent modes with gains ``gains`` and
-    leaks ``leaks`` (a scalar leaks equally into every mode).
+    leaks ``leaks`` (a scalar leaks equally into every mode), at each power
+    of the 1-D array ``p_total``.
 
     Exact water-filling when no mode leaks, else the secrecy allocation;
     zero rate when no mode beats its leak.  The covariance is diag(powers),
     or ``V diag(powers) V^H`` on the unitary ``basis`` V.
     """
     if np.asarray(leaks).any():
-        powers, lam = secrecy_waterfill(gains, leaks, p_total)
+        powers, lams = secrecy_waterfill(gains, leaks, p_total)
     else:
-        powers, lam = standard_waterfill(gains, p_total)
-    if not powers.any():
-        return SolveResult.zero_rate(powers.size)
-    capacity = float(np.sum(np.log1p(gains * powers) - np.log1p(leaks * powers)))
-    cov = np.diag(powers) if basis is None else (basis * powers) @ basis.conj().T
-    return SolveResult.solved(cov, powers, capacity, float(lam))
+        powers, lams = standard_waterfill(gains, p_total)
+    capacities = np.sum(np.log1p(gains * powers) - np.log1p(leaks * powers),
+                        axis=-1)
+    return [SolveResult.solved(
+        np.diag(pw) if basis is None else (basis * pw) @ basis.conj().T,
+        pw, float(capacity), float(lam))
+        for pw, capacity, lam in zip(powers, capacities, lams)]

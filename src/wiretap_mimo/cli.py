@@ -223,40 +223,43 @@ def _certify_rows(pair, snr_db, p_t) -> list[Row]:
     return rows
 
 
-def _solver_rows(spec: ScenarioSpec, snr_db, p_t, name) -> list[Row]:
-    """Rows of one named solver at one power."""
-    pair = spec.pair
-    if name == "auto":
-        return [_row(snr_db, p_t, solver, out)
-                for solver, out in auto.solve_auto(pair, p_t)]
-    if name == "oracle":
-        return [_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)]
-    if name == "certify":
-        return _certify_rows(pair, snr_db, p_t)
-    if name == "weak":
-        out = weak_eavesdropper.solve_weak_with_bounds(pair, p_t)
-    elif name == "isotropic":
-        out = capacity_bounds_isotropic(pair, p_t)
-    elif name == "omni":
-        out = omnidirectional.solve_omni(pair, p_t)
-    else:  # rsv
-        out = common_rsv.solve_common_rsv(pair.common_basis(), p_t)
-    return [_row(snr_db, p_t, name, out)]
+def _solver_rows(spec: ScenarioSpec, name: str) -> list[list[Row]]:
+    """Rows of one named solver at every point of the grid, per point: one
+    grid solve, or one solve per point for the oracle and the certificates.
+    An error lands in the status column of every point it stopped."""
+    pair, grid = spec.pair, spec.grid
+    if name in ("oracle", "certify"):
+        out = []
+        for snr_db, p_t in grid:
+            try:
+                out.append([_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)]
+                           if name == "oracle" else _certify_rows(pair, snr_db, p_t))
+            except ValueError as err:
+                out.append([Row(snr_db, p_t, name, status=f"error: {err}")])
+        return out
+    powers = np.array([p_t for _, p_t in grid])
+    try:
+        if name == "auto":
+            outs = auto.solve_auto(pair, powers)
+        elif name == "rsv":
+            outs = common_rsv.solve_common_rsv(pair.common_basis(), powers)
+        else:
+            outs = {"weak": weak_eavesdropper.solve_weak_with_bounds,
+                    "isotropic": capacity_bounds_isotropic,
+                    "omni": omnidirectional.solve_omni}[name](pair, powers)
+    except ValueError as err:  # NotCommutingError included
+        return [[Row(snr_db, p_t, name, status=f"error: {err}")]
+                for snr_db, p_t in grid]
+    return [[_row(snr_db, p_t, solver, out)
+             for solver, out in (point if name == "auto" else [(name, point)])]
+            for (snr_db, p_t), point in zip(grid, outs)]
 
 
 def run_sweep(spec: ScenarioSpec) -> list[Row]:
     """Rows per power point in solver-list order; solver errors land in the
     status column without aborting the rest of the sweep."""
-    rows: list[Row] = []
-    for snr_db, p_t in spec.grid:
-        for name in spec.solvers:
-            try:
-                rows.extend(_solver_rows(spec, snr_db, p_t, name))
-            except ConvergenceError:
-                raise
-            except (ValueError, common_rsv.NotCommutingError) as err:
-                rows.append(Row(snr_db, p_t, name, status=f"error: {err}"))
-    return rows
+    columns = [_solver_rows(spec, name) for name in spec.solvers]
+    return [row for point in zip(*columns) for rows in point for row in rows]
 
 
 def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
@@ -267,14 +270,14 @@ def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
 
 
 def _fig3_rows() -> list[Row]:
-    gains = np.array([2.0, 1.0])
-    rows = []
-    for db in range(-10, 31):
-        p_t = 10.0 ** (db / 10.0)
-        for eps in (0.0, 0.1, 0.5):
-            res = solve_isotropic(IsotropicProblem(gains, eps, p_t))
-            rows.append(_row(float(db), p_t, f"isotropic(eps={eps:g})", res))
-    return rows
+    gains, epsilons = np.array([2.0, 1.0]), (0.0, 0.1, 0.5)
+    grid = [(float(db), 10.0 ** (db / 10.0)) for db in range(-10, 31)]
+    powers = np.array([p_t for _, p_t in grid])
+    columns = [solve_isotropic(IsotropicProblem(gains, eps, powers))
+               for eps in epsilons]
+    return [_row(snr_db, p_t, f"isotropic(eps={eps:g})", res)
+            for (snr_db, p_t), point in zip(grid, zip(*columns))
+            for eps, res in zip(epsilons, point)]
 
 
 def _convert(value, units):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import (ChannelPair, SolveResult, check_gains, check_positive,
-                   clean_spectrum, frob)
+from .core import (ChannelPair, SolveResult, check_gains, clean_spectrum,
+                   frob, over_powers)
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
 # fixed so detection is reproducible run to run
@@ -103,12 +103,13 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
         f"(off-diagonal residual {last_off:.3e})", commutator_norm=resid)
 
 
-def solve_common_rsv(channel: CommonBasisChannel, p_total: float) -> SolveResult:
+@over_powers
+def solve_common_rsv(channel: CommonBasisChannel,
+                     p_total: np.ndarray) -> list[SolveResult]:
     """Exact optimal covariance for a shared-eigenbasis channel.
 
     Per-mode powers follow the quadratic-root allocation with the paired
     eavesdropper eigenvalue as the per-mode leakage gain (water-filling when
     W2 = 0); modes are active exactly when lam1_i > lam2_i + lambda.
     """
-    check_positive("p_total", p_total)
     return _waterfill.solve_modes(channel.lam1, channel.lam2, p_total, channel.basis)

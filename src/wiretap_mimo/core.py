@@ -7,13 +7,14 @@ pseudo-inverses, active modes, "singular" solver branches) uses one relative
 eigenvalue cutoff ``RANK_TOL * max_i |lambda_i|`` with the constant
 ``RANK_TOL = 1e-10``, applied in one place: :func:`clean_spectrum`, which
 :meth:`HermitianMatrix.spectrum` applies to a matrix.  Every input passes
-one rule per kind, written once here (:func:`check_positive`,
-:func:`check_nonnegative`, :func:`check_gains`, :class:`HermitianMatrix`,
-:func:`_coerce_psd`): NaN, inf or a wrong shape is a ValueError at entry.
+one rule per kind, written once here (the ``check_*`` functions,
+:class:`HermitianMatrix`, :func:`_coerce_psd`): NaN, inf or a wrong shape is
+a ValueError at entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,28 @@ def check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def check_powers(name: str, value) -> np.ndarray:
+    """The power rule: ``value`` is one finite power above zero or a nonempty
+    1-D array of them; returned as a 1-D float array (a grid of one)."""
+    p = np.asarray(value, dtype=float)
+    if p.ndim > 1 or p.size == 0:
+        raise ValueError(f"{name} must be a float or a nonempty 1-D array")
+    if not (0.0 < p.min() and p.max() < math.inf):  # NaN fails both
+        raise ValueError(f"{name} must be finite and positive")
+    return p.reshape(-1)
+
+
+def over_powers(solve):
+    """``solve(obj, powers)``, one outcome per power of a 1-D grid, as a
+    solver of ``(obj, p_total)`` by :func:`check_powers`: one power gives
+    one outcome, a grid the list of outcomes in order."""
+    @functools.wraps(solve)
+    def solver(obj, p_total):
+        outs = solve(obj, check_powers("p_total", p_total))
+        return outs if np.ndim(p_total) else outs[0]
+    return solver
+
+
 def check_gains(name: str, values, decreasing: bool = False) -> np.ndarray:
     """``values`` as a float vector: nonempty, 1-D, finite and nonnegative
     (and sorted in decreasing order if asked)."""
@@ -80,8 +103,8 @@ def clean_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^H) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^H) / 2 of a matrix or of each in a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def frob(a: np.ndarray) -> float:
@@ -192,6 +215,16 @@ class HermitianMatrix:
             # not diagonal (a diagonal matrix needs no decomposition)
             w = self.eigenvalues()
         return bool(w.size == 0 or np.min(w) >= -_zero_cut(w))
+
+    def root(self) -> np.ndarray:
+        """L with W = L L^H over the r eigenvalues the rank rule keeps (their
+        eigenvectors times their square roots), kept like :meth:`eig`."""
+        if "_root" not in self.__dict__:
+            spec = self.spectrum()
+            r = int(np.count_nonzero(spec))
+            object.__setattr__(self, "_root", self.eig().eigenvectors[:, :r]
+                               * np.sqrt(spec[:r]))
+        return self._root
 
     def sqrt_psd(self) -> "HermitianMatrix":
         """Principal square root; tiny negative eigenvalues are clipped to zero."""
@@ -342,16 +375,15 @@ class SolveResult:
     @classmethod
     def solved(cls, covariance: np.ndarray, powers: np.ndarray,
                capacity: float, lam: float) -> "SolveResult":
-        """The result of the per-mode allocation ``powers``."""
+        """The result of the per-mode allocation ``powers``; with no power in
+        any mode, no mode beats the eavesdropper: zero rate, multiplier 0."""
+        if not powers.any():
+            m = powers.size
+            return cls(HermitianMatrix(np.zeros((m, m))), 0.0, 0.0, 0, 0.0,
+                       SolveStatus.ZERO_RATE, np.zeros(m))
         return cls(HermitianMatrix(covariance), max(capacity, 0.0), lam,
                    int(np.count_nonzero(powers > 0)), float(np.sum(powers)),
                    SolveStatus.SOLVED, powers)
-
-    @classmethod
-    def zero_rate(cls, m: int) -> "SolveResult":
-        """No transmission: no mode beats the eavesdropper."""
-        return cls(HermitianMatrix(np.zeros((m, m))), 0.0, 0.0, 0, 0.0,
-                   SolveStatus.ZERO_RATE, np.zeros(m))
 
 
 @dataclass(frozen=True)
@@ -399,9 +431,10 @@ def _coerce_psd(r: MatrixLike, m: int) -> HermitianMatrix:
 
 
 def logdet_i_plus(w: HermitianMatrix, r: MatrixLike) -> float:
-    """ln|I + W R| for PSD W and R, evaluated through a Hermitian eigenproblem."""
-    rh = as_hermitian(r).sqrt_psd().entries
-    ev = np.linalg.eigvalsh(sym(rh @ w.entries @ rh))
+    """ln|I + W R| for PSD W and R, as ln|I_r + L^H R L| with W = L L^H
+    (:meth:`HermitianMatrix.root`): W's null directions add exactly 0."""
+    lr = w.root()
+    ev = np.linalg.eigvalsh(sym(lr.conj().T @ as_hermitian(r).entries @ lr))
     return float(np.sum(np.log1p(np.clip(ev, 0.0, None))))
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, SolveResult, check_gains,
-                   check_nonnegative, check_positive)
+                   check_nonnegative, check_powers, over_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,26 +29,32 @@ class IsotropicProblem:
     ``gains`` are the eigenvalues of W1 sorted in decreasing order;
     ``epsilon`` is the uniform eavesdropper gain.  ``epsilon = 0`` is accepted
     as an explicit no-eavesdropper flag and reproduces standard water-filling.
+    ``p_total`` is one power or a power grid (``core.check_powers``).
     """
 
     gains: np.ndarray
     epsilon: float
-    p_total: float
+    p_total: Union[float, np.ndarray]
 
     def __post_init__(self):
         g = check_gains("gains", self.gains, decreasing=True)
         check_nonnegative("epsilon", self.epsilon)
-        check_positive("p_total", self.p_total)
+        p = check_powers("p_total", self.p_total)
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
+        if np.ndim(self.p_total):
+            p.setflags(write=False)
+            object.__setattr__(self, "p_total", p)
 
     @property
     def m(self) -> int:
         return self.gains.size
 
 
-def solve_isotropic(problem: IsotropicProblem) -> SolveResult:
-    """Capacity and per-mode powers against an isotropic eavesdropper.
+def solve_isotropic(problem: IsotropicProblem
+                    ) -> Union[SolveResult, list[SolveResult]]:
+    """Capacity and per-mode powers against an isotropic eavesdropper; a
+    list, one per power, when the problem holds a power grid.
 
     The covariance is returned in the eigenbasis of the gains (diagonal);
     rotate by the eigenvectors of W1 to express it in the antenna basis.
@@ -56,16 +62,19 @@ def solve_isotropic(problem: IsotropicProblem) -> SolveResult:
     saturation regime; use :func:`asymptotic_capacity`'s saturation ratio to
     detect when extra power has stopped paying.
     """
-    return _waterfill.solve_modes(problem.gains, problem.epsilon, problem.p_total)
+    out = _waterfill.solve_modes(problem.gains, problem.epsilon,
+                                 check_powers("p_total", problem.p_total))
+    return out if np.ndim(problem.p_total) else out[0]
 
 
 def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float,
-                                p_total: float) -> SolveResult:
+                                p_total: np.ndarray) -> list[SolveResult]:
     """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
-    ``epsilon``, with the covariance on W1's eigenvectors (antenna basis)."""
+    ``epsilon`` and each power of the 1-D array ``p_total``, with the
+    covariance on W1's eigenvectors (antenna basis)."""
     problem = IsotropicProblem(pair.w1.spectrum(), epsilon, p_total)
-    return _waterfill.solve_modes(problem.gains, problem.epsilon, p_total,
-                                  pair.w1.eig().eigenvectors)
+    return _waterfill.solve_modes(problem.gains, problem.epsilon,
+                                  problem.p_total, pair.w1.eig().eigenvectors)
 
 
 def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
@@ -78,20 +87,18 @@ def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
     """
     g = check_gains("gains", gains, decreasing=True)
     check_nonnegative("epsilon", epsilon)
-    m = g.size
-    out = np.zeros(m)
-    for k in range(2, m + 1):
-        gk = g[k - 1]
-        if gk <= epsilon:
-            out[k - 1:] = math.inf
-            break
-        # the k-th mode activates exactly when the multiplier drops to g_k - eps
-        out[k - 1] = float(np.sum(
-            _waterfill.secrecy_mode_powers(g[:k - 1], epsilon, gk - epsilon)))
+    out = np.full(g.size, math.inf)
+    out[0] = 0.0
+    # the k-th mode activates exactly when the multiplier drops to g_k - eps
+    d = g[1:] - epsilon
+    out[1:][d > 0] = np.sum(_waterfill.secrecy_mode_powers(
+        g, epsilon, d[d > 0, None]), axis=1)
     return out
 
 
-def capacity_bounds_isotropic(pair: ChannelPair, p_total: float) -> CapacityBounds:
+@over_powers
+def capacity_bounds_isotropic(pair: ChannelPair,
+                              p_total: np.ndarray) -> list[CapacityBounds]:
     """Sandwich the secrecy capacity between isotropic solves at the extreme
     eigenvalues of W2: C*(eps_max) <= C_s <= C*(eps_min)."""
     gains = pair.w1.spectrum()
@@ -99,22 +106,19 @@ def capacity_bounds_isotropic(pair: ChannelPair, p_total: float) -> CapacityBoun
     eps1, epsm = float(ev2[0]), float(ev2[-1])
     if eps1 <= 0:
         raise ValueError("W2 must be nonzero; use standard water-filling instead")
-    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total)).capacity_nats
-    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total)).capacity_nats
+    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total))
+    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total))
     m_plus = int(np.count_nonzero(gains > epsm))
-    if m_plus == 0:
-        gap = 0.0
-    else:
-        finite_gap = m_plus * math.log(
-            (1.0 + eps1 * p_total / m_plus) / (1.0 + epsm * p_total / m_plus))
-        ratio_gap = m_plus * math.log(eps1 / epsm) if epsm > 0 else math.inf
-        gap = min(finite_gap, ratio_gap)
-    return CapacityBounds(
-        lower_nats=lower,
-        mid_nats=0.5 * (lower + upper),
-        upper_nats=upper,
-        gap_bound_nats=gap,
-    )
+    gaps = np.zeros(p_total.shape) if m_plus == 0 else np.minimum(
+        m_plus * np.log((1.0 + eps1 * p_total / m_plus)
+                        / (1.0 + epsm * p_total / m_plus)),
+        m_plus * math.log(eps1 / epsm) if epsm > 0 else math.inf)
+    return [CapacityBounds(
+        lower_nats=low.capacity_nats,
+        mid_nats=0.5 * (low.capacity_nats + high.capacity_nats),
+        upper_nats=high.capacity_nats,
+        gap_bound_nats=float(gap),
+    ) for low, high, gap in zip(lower, upper, gaps)]
 
 
 class AsymptoticRegime(Enum):
@@ -146,7 +150,10 @@ def _saturation_terms(g: np.ndarray, eps: float) -> tuple[float, float]:
 
 def asymptotic_capacity(problem: IsotropicProblem,
                         regime: AsymptoticRegime) -> AsymptoticReport:
-    """Closed-form high/low-SNR capacity values with validity diagnostics."""
+    """Closed-form high/low-SNR capacity values with validity diagnostics,
+    at the problem's one power (a power grid is refused)."""
+    if np.ndim(problem.p_total):
+        raise ValueError("p_total must be one power here, not a grid")
     g = problem.gains
     eps = problem.epsilon
     p = problem.p_total
@@ -197,7 +204,10 @@ def negligibility_margins(problem: IsotropicProblem,
     below ``threshold``.  epsilon = 0 takes the same path as any epsilon, so
     the verdict is continuous there: both margins are 0, negligible at every
     positive threshold and not at 0.  With no active mode (all gains zero)
-    the gain margin is inf, and the eavesdropper is never negligible."""
+    the gain margin is inf, and the eavesdropper is never negligible.  Needs
+    the problem's one power: a power grid is refused."""
+    if np.ndim(problem.p_total):
+        raise ValueError("p_total must be one power here, not a grid")
     check_nonnegative("threshold", threshold)
     eps = problem.epsilon
     snr_margin = eps * problem.p_total

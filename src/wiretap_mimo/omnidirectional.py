@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   SolveResult, SolveStatus, frob)
+                   SolveResult, SolveStatus, frob, over_powers)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
 # relative spread up to which W2's positive eigenvalues count as one gain
@@ -65,7 +65,8 @@ def range_containment_residual(w1: HermitianMatrix,
     return frob(w1.entries - proj @ w1.entries) / n1
 
 
-def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
+@over_powers
+def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> list[SolveResult]:
     """Secrecy capacity against an omnidirectional eavesdropper.
 
     With range containment the capacity equals the isotropic one on the
@@ -79,9 +80,11 @@ def solve_omni(pair: ChannelPair, p_total: float) -> SolveResult:
         raise NotApplicableError("W2 is not omnidirectional (non-uniform positive spectrum)")
     if pair.range_contained():
         return solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
-    bounds = capacity_bounds_isotropic(pair, p_total)
     # the lower bound is achievable: signaling designed against the worst
     # isotropic eavesdropper cannot do worse on the true channel
-    res = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
-    return replace(res, capacity_nats=bounds.lower_nats,
-                   status=SolveStatus.BOUNDS_ONLY, bounds=bounds)
+    return [replace(res, capacity_nats=bounds.lower_nats,
+                    status=SolveStatus.BOUNDS_ONLY, bounds=bounds)
+            for res, bounds in zip(
+                solve_isotropic_in_w1_basis(
+                    pair, float(pair.w2.spectrum()[0]), p_total),
+                capacity_bounds_isotropic(pair, p_total))]

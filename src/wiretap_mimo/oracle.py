@@ -73,9 +73,7 @@ def _factor_map(w: HermitianMatrix) -> np.ndarray:
     parts of any m-row F to those of B = L^H F, where W = L L^H keeps the r
     eigenvalues of W that the rank rule leaves nonzero: by Sylvester's
     identity |I + W F F^H| = |I_r + B B^H|."""
-    spec = w.spectrum()
-    r = int(np.count_nonzero(spec))
-    lh = (w.eig().eigenvectors[:, :r] * np.sqrt(spec[:r])).conj().T
+    lh = w.root().conj().T
     return np.block([[lh.real, -lh.imag], [lh.imag, lh.real]])
 
 
@@ -148,7 +146,7 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
 
     attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
     attempt(lambda: isotropic.solve_isotropic_in_w1_basis(
-        pair, float(pair.w2.spectrum()[0]), p_total).covariance.entries)
+        pair, float(pair.w2.spectrum()[0]), [p_total])[0].covariance.entries)
     attempt(lambda: common_rsv.solve_common_rsv(
         pair.common_basis(), p_total).covariance.entries)
     attempt(lambda: omnidirectional.solve_omni(pair, p_total).covariance.entries)

@@ -24,8 +24,8 @@ import numpy as np
 from . import _waterfill
 from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
                    NotApplicableError, RANK_TOL, SolveResult, SolveStatus,
-                   _coerce_psd, check_nonnegative, check_positive,
-                   inv_winv_plus_r, secrecy_rate, sym)
+                   _coerce_psd, check_nonnegative, inv_winv_plus_r,
+                   over_powers, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
@@ -44,35 +44,39 @@ def _weak_core(pair: ChannelPair):
     return np.where(keep, s2, 0.0), v2
 
 
-def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray, lam: float):
-    """Covariance, trace, weak capacity and d(trace)/d(lam) of the closed form
-    at multiplier lam, on the directions ``s2``, ``v2`` of :func:`_weak_core`.
+def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray,
+                 lam: np.ndarray):
+    """Covariances, traces, weak capacities and d(trace)/d(lam) of the closed
+    form at each multiplier of the array ``lam`` (stacked along a first
+    axis), on the directions ``s2``, ``v2`` of :func:`_weak_core`.
 
     ``lam = 0`` is evaluated only on W2's range, where it is the
     pseudo-inverse of W2 (the problem projected orthogonally to the
     nullspace of W2).
     """
-    inv_sqrt = 1.0 / np.sqrt(lam + s2)
-    qh = (v2 * inv_sqrt) @ v2.conj().T  # Q^(1/2)
-    w1h = sym(qh @ pair.w1.entries @ qh)
-    ev, u = np.linalg.eigh(w1h)
+    inv_sqrt = 1.0 / np.sqrt(lam[:, None] + s2)
+    v2h = v2.conj().T
+    qh = (v2 * inv_sqrt[:, None, :]) @ v2h  # Q^(1/2)
+    ev, u = np.linalg.eigh(sym(qh @ pair.w1.entries @ qh))
     # (I - What1^{-1})_+ keeps only eigenmodes with eigenvalue above one;
     # singular modes of What1 drop out automatically
-    gains = np.where(ev > 1.0, 1.0 - 1.0 / np.where(ev > 1.0, ev, 1.0), 0.0)
+    on = ev > 1.0
+    gains = np.where(on, 1.0 - 1.0 / np.where(on, ev, 1.0), 0.0)
     qu = qh @ u
-    cov = (qu * gains) @ qu.conj().T
-    trace = float(np.einsum("ij,j,ij->", qu.conj(), gains, qu).real)
+    cov = (qu * gains[:, None, :]) @ qu.conj().swapaxes(1, 2)
+    trace = np.einsum("nij,nj,nij->n", qu.conj(), gains, qu).real
     # weak capacity in closed form: sum of ln over active modes minus the
     # leakage trace tr(What2 * D), What2 = Q^(1/2) W2 Q^(1/2) taken from W2's
     # spectrum, so that its null directions leak exactly nothing
-    w2h = (v2 * (s2 * inv_sqrt ** 2)) @ v2.conj().T
-    leak = float(np.einsum("ij,j,ij->", u.conj(), gains, (w2h @ u)).real)
-    cw = float(np.sum(np.log(ev[ev > 1.0]))) - leak
+    w2h = (v2 * (s2 * inv_sqrt ** 2)[:, None, :]) @ v2h
+    leak = np.einsum("nij,nj,nij->n", u.conj(), gains, w2h @ u).real
+    cw = np.sum(np.log(np.where(on, ev, 1.0)), axis=1) - leak
     return cov, trace, cw, _trace_slope(qh, qu, ev, gains)
 
 
-def _trace_slope(qh, qu, ev, gains) -> float:
-    """d tr R / d lam for R = Q^(1/2) f(What1) Q^(1/2), f(t) = (1 - 1/t)_+.
+def _trace_slope(qh, qu, ev, gains) -> np.ndarray:
+    """d tr R / d lam for R = Q^(1/2) f(What1) Q^(1/2), f(t) = (1 - 1/t)_+,
+    for each stacked Q^(1/2) ``qh``.
 
     With dQ/dlam = -Q^2 and A = U^H Q U, the Daleckii-Krein formula gives
     -sum_j f_j |Q u_j|^2 - 1/2 sum_ij |A_ij|^2 G_ij (ev_i + ev_j), where G
@@ -80,13 +84,15 @@ def _trace_slope(qh, qu, ev, gains) -> float:
     """
     on = ev > 1.0
     e = np.where(on, ev, 1.0)
-    one = on[:, None] ^ on[None, :]  # exactly one of the pair active
-    gap = np.where(one, ev[:, None] - ev[None, :], 1.0)
-    div = np.where(on[:, None] & on[None, :], 1.0 / np.outer(e, e),
-                   np.where(one, (gains[:, None] - gains[None, :]) / gap, 0.0))
-    a = np.abs(qu.conj().T @ qu) ** 2
-    direct = float(np.einsum("j,ij->", gains, np.abs(qh @ qu) ** 2))
-    return -direct - 0.5 * float(np.sum(a * div * (ev[:, None] + ev[None, :])))
+    # a[col] and a[row] hold a_i and a_j over each stacked matrix's pairs (i, j)
+    col, row = (slice(None), slice(None), None), (slice(None), None, slice(None))
+    one = on[col] ^ on[row]  # exactly one of the pair active
+    gap = np.where(one, ev[col] - ev[row], 1.0)
+    div = np.where(on[col] & on[row], 1.0 / (e[col] * e[row]),
+                   np.where(one, (gains[col] - gains[row]) / gap, 0.0))
+    a = np.abs(qu.conj().swapaxes(1, 2) @ qu) ** 2
+    direct = np.einsum("nj,nij->n", gains, np.abs(qh @ qu) ** 2)
+    return -direct - 0.5 * np.sum(a * div * (ev[col] + ev[row]), axis=(1, 2))
 
 
 def threshold_power(pair: ChannelPair) -> float:
@@ -112,7 +118,7 @@ def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
     capacity = max(cw, 0.0)
     used = float(np.sum(powers))
     zero = capacity == 0.0 and used <= RANK_TOL
-    # not SolveResult.zero_rate: a zero-rate weak result keeps its
+    # not SolveResult.solved: a zero-rate weak result keeps its
     # multiplier and active-mode count
     return SolveResult(
         covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero else cov_h,
@@ -129,61 +135,66 @@ def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
     """Power and result of the closed form at lam = 0: the threshold power
     when it is finite, and the optimum at every power from there on."""
     s2, v2 = pair.fact("weak_core", _weak_core)
-    cov, trace, cw, _ = _weak_cov_at(pair, s2, v2, 0.0)
-    return trace, _general_result(pair, cov, cw, 0.0)
+    cov, trace, cw, _ = _weak_cov_at(pair, s2, v2, np.zeros(1))
+    return float(trace[0]), _general_result(pair, cov[0], float(cw[0]), 0.0)
 
 
-def _solve_weak_general(pair: ChannelPair, p_total: float) -> SolveResult:
+@over_powers
+def solve_weak(pair: ChannelPair, p_total: np.ndarray) -> list[SolveResult]:
+    """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
+
+    The multiplier is searched until the trace meets min(P_T, P_T*); above
+    the threshold power only partial power is used.  One search serves every
+    power below the threshold, and one cached result every power from it on.
+    """
     # W1 = 0 has threshold power 0, so the search below has a positive gain
-    if p_total >= pair.fact("threshold_power", threshold_power):
-        return pair.fact("weak_saturation", _saturation)[1]
+    saturated = p_total >= pair.fact("threshold_power", threshold_power)
+    out = [pair.fact("weak_saturation", _saturation)[1] if sat else None
+           for sat in saturated]
+    below = np.flatnonzero(~saturated)
+    if not below.size:
+        return out
+    p = p_total[below]
     s2, v2 = pair.fact("weak_core", _weak_core)
     # Loewner bounds: the trace at lam lies between the water-filling totals
     # over the eigenvalues of W1 at levels 1/(lam + max s2) and
     # 1/(lam + min s2), which brackets the root around the water-filling
     # multiplier
-    _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p_total)
-    lo = max(lam_wf - float(s2[-1]), 0.0)
-    hi = max(lam_wf - float(s2[0]), lo)
+    _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p)
+    lo = np.maximum(lam_wf - s2[-1], 0.0)
+    hi = np.maximum(lam_wf - s2[0], lo)
 
-    def power_at(lam):
+    def power_at(lam, live):
         cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
         # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
         return trace, (cov, cw), _waterfill._model_root(
-            lam, trace, -lam * lam * slope, 0.0, p_total)
+            lam, trace, -lam * lam * slope, 0.0, p[live])
 
-    lam, (cov, cw) = _waterfill._find_multiplier(
-        power_at, lo, hi, p_total, "weak-solver")
-    return _general_result(pair, cov, cw, lam)
-
-
-def solve_weak(pair: ChannelPair, p_total: float) -> SolveResult:
-    """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
-
-    The multiplier is searched until the trace meets min(P_T, P_T*); above
-    the threshold power only partial power is used.
-    """
-    check_positive("p_total", p_total)
-    return _solve_weak_general(pair, p_total)
+    lams, found = _waterfill._find_multiplier(power_at, lo, hi, p, "weak-solver")
+    for i, lam, (cov, cw) in zip(below, lams, found):
+        out[i] = _general_result(pair, cov, float(cw), float(lam))
+    return out
 
 
-def solve_weak_with_bounds(pair: ChannelPair, p_total: float) -> SolveResult:
+@over_powers
+def solve_weak_with_bounds(pair: ChannelPair,
+                           p_total: np.ndarray) -> list[SolveResult]:
     """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
     C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
-    res = solve_weak(pair, p_total)
-    gap = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
-    mid = max(secrecy_rate(pair, res.covariance), 0.0)
-    return dataclasses.replace(res, bounds=CapacityBounds(
+    gaps = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
+    return [dataclasses.replace(res, bounds=CapacityBounds(
         lower_nats=res.capacity_nats,
-        mid_nats=mid,
-        upper_nats=res.capacity_nats + gap,
-        gap_bound_nats=gap,
-    ))
+        mid_nats=max(secrecy_rate(pair, res.covariance), 0.0),
+        upper_nats=res.capacity_nats + float(gap),
+        gap_bound_nats=float(gap),
+    )) for res, gap in zip(solve_weak(pair, p_total), gaps)]
 
 
-def capacity_bounds_weak(pair: ChannelPair, p_total: float) -> CapacityBounds:
+@over_powers
+def capacity_bounds_weak(pair: ChannelPair,
+                         p_total: np.ndarray) -> list[CapacityBounds]:
     """Capacity sandwich C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
-    return solve_weak_with_bounds(pair, p_total).bounds
+    return [res.bounds for res in solve_weak_with_bounds(pair, p_total)]
 
 
 def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:

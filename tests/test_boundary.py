@@ -3,7 +3,8 @@
 One table over ``wiretap_mimo.__all__``: each row feeds one argument of one
 callable a bad value and expects a ValueError.  Every numeric argument gets
 NaN, +inf and -inf, and one that must be positive also 0 and -1; every array
-argument gets a NaN entry, an inf entry and a wrong shape.  A RuntimeWarning
+argument gets a NaN entry, an inf entry and a wrong shape, and a power that
+may be a grid also a grid with a zero entry and an empty one.  A RuntimeWarning
 on the way fails the suite too (``filterwarnings`` in pyproject.toml), so a
 row passes only when the input is refused before any arithmetic runs on it.
 """
@@ -40,13 +41,15 @@ def array(good, *wrong_shapes) -> list:
 
 
 POSITIVE, NONNEGATIVE = scalar(True), scalar(False)
+# a power grid: a NaN, an inf or a zero entry, two dimensions or no power
+POWERS = POSITIVE + array([1.0, 2.0], (1, 2), (0,)) + [np.array([1.0, 0.0])]
 MATRIX = array(np.eye(2), (2, 3), (3, 3))   # for m = 2
 VECTOR = array([2.0, 1.0], (1, 2))
 INTEGER = [NAN, INF, -INF, 1.5, True]
 
 
-def p_total_of(fn, pair=PAIR):
-    return ("p_total", lambda v: fn(pair, v), POSITIVE)
+def p_total_of(fn, pair=PAIR, bad=POSITIVE):
+    return ("p_total", lambda v: fn(pair, v), bad)
 
 
 # public name -> (argument, call with the bad value, bad values)
@@ -77,9 +80,9 @@ TABLE = {
         ("r_min", lambda v: wm.epsilon_from_pathloss(1.0, 1.0, 1.0, v, 2.0), [1e-300])],
     "secrecy_rate": [("r", lambda v: wm.secrecy_rate(PAIR, v), MATRIX)],
     "weak_rate": [("r", lambda v: wm.weak_rate(PAIR, v), MATRIX)],
-    "solve_weak": [p_total_of(wm.solve_weak)],
-    "solve_weak_with_bounds": [p_total_of(wm.solve_weak_with_bounds)],
-    "capacity_bounds_weak": [p_total_of(wm.capacity_bounds_weak)],
+    "solve_weak": [p_total_of(wm.solve_weak, bad=POWERS)],
+    "solve_weak_with_bounds": [p_total_of(wm.solve_weak_with_bounds, bad=POWERS)],
+    "capacity_bounds_weak": [p_total_of(wm.capacity_bounds_weak, bad=POWERS)],
     "kkt_residual_weak": [
         ("r", lambda v: wm.kkt_residual_weak(PAIR, v, 0.5, 1.0), MATRIX),
         ("lam", lambda v: wm.kkt_residual_weak(PAIR, R, v, 1.0), NONNEGATIVE),
@@ -87,8 +90,8 @@ TABLE = {
     "IsotropicProblem": [
         ("gains", lambda v: wm.IsotropicProblem(v, 0.1, 1.0), VECTOR),
         ("epsilon", lambda v: wm.IsotropicProblem([2.0, 1.0], v, 1.0), NONNEGATIVE),
-        ("p_total", lambda v: wm.IsotropicProblem([2.0, 1.0], 0.1, v), POSITIVE)],
-    "capacity_bounds_isotropic": [p_total_of(wm.capacity_bounds_isotropic)],
+        ("p_total", lambda v: wm.IsotropicProblem([2.0, 1.0], 0.1, v), POWERS)],
+    "capacity_bounds_isotropic": [p_total_of(wm.capacity_bounds_isotropic, bad=POWERS)],
     "negligibility_margins": [
         ("threshold", lambda v: wm.negligibility_margins(PROBLEM, v), NONNEGATIVE)],
     "threshold_powers": [
@@ -97,14 +100,14 @@ TABLE = {
     "range_containment_residual": [
         ("active_basis", lambda v: wm.range_containment_residual(OMNI.w1, v),
          array(np.eye(2)[:, :1], (3, 1), (2,)))],
-    "solve_omni": [p_total_of(wm.solve_omni, OMNI)],
+    "solve_omni": [p_total_of(wm.solve_omni, OMNI, POWERS)],
     "CommonBasisChannel": [
         ("basis", lambda v: wm.CommonBasisChannel(v, [2.0, 1.0], [0.5, 0.1]), MATRIX),
         ("lam1", lambda v: wm.CommonBasisChannel(np.eye(2), v, [0.5, 0.1]), VECTOR),
         ("lam2", lambda v: wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], v), VECTOR)],
     "solve_common_rsv": [
         ("p_total", lambda v: wm.solve_common_rsv(
-            wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], [0.5, 0.1]), v), POSITIVE)],
+            wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], [0.5, 0.1]), v), POWERS)],
     "zf_certify": [p_total_of(wm.zf_certify)],
     "wf_certify": [p_total_of(wm.wf_certify)],
     "is_certify": [p_total_of(wm.is_certify)],
@@ -142,7 +145,7 @@ TABLE = {
         ("lam2", lambda v: wm.separable_oracle([2.0, 1.0], v, 1.0), VECTOR),
         ("p_total", lambda v: wm.separable_oracle([2.0, 1.0], [0.5, 0.1], v),
          POSITIVE)],
-    "solve_auto": [p_total_of(wm.solve_auto)],
+    "solve_auto": [p_total_of(wm.solve_auto, bad=POWERS)],
 }
 
 # public callables with no row, and why: they take no number or array from
@@ -165,6 +168,8 @@ def label(bad) -> str:
         return repr(bad)
     if np.isnan(bad).any() or np.isinf(bad).any():
         return "nan-entry" if np.isnan(bad).any() else "inf-entry"
+    if bad.ndim == 1 and bad.size and not bad.all():
+        return "zero-entry"
     return f"shape{bad.shape}"
 
 

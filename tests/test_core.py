@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ class TestSecrecyRate:
             secrecy_rate(pair, np.eye(3))
         with pytest.raises(ValueError):
             secrecy_rate(pair, np.diag([1.0, -0.5]))
+
+    def test_rank_one_channel_is_exact_at_high_power(self):
+        # W1 = h^H h with a small integer row h: ln|I + W1 R| = log1p(h R h^H),
+        # whose argument is summed exactly in rationals.  It holds to 1e-14
+        # relative up to P_T = 1e8, where a log-det over R^(1/2) W1 R^(1/2)
+        # resolves the unit eigenvalues of W1's null directions only to
+        # eps ||R||
+        rng = np.random.default_rng(71)
+        for p_total in 10.0 ** np.arange(9):
+            for m in range(2, 6):
+                h = rng.integers(1, 4, m) * rng.choice([-1, 1], m)
+                r = random_psd(rng, m)
+                r = HermitianMatrix(p_total / np.trace(r).real * r).entries
+                quad = sum(Fraction(int(h[i] * h[j])) * Fraction(r[i, j].real)
+                           for i in range(m) for j in range(m))
+                pair = ChannelPair.from_gram(np.outer(h, h), np.zeros((m, m)))
+                assert secrecy_rate(pair, r) == pytest.approx(
+                    math.log1p(float(quad)), rel=1e-14)
 
     def test_unitary_congruence_invariance(self):
         rng = np.random.default_rng(7)

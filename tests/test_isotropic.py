@@ -69,6 +69,22 @@ class TestSolveIsotropic:
             with pytest.raises(ValueError, match="must be finite"):
                 IsotropicProblem(np.array([2.0, 1.0]), 0.5, bad)
 
+    def test_power_grid_gives_each_power_its_own_answer(self):
+        # a grid solves each power as if alone; the one-power reports refuse it
+        grid = np.array([0.5, 2.0, 40.0])
+        problem = IsotropicProblem(np.array([3.0, 2.0, 0.5]), 0.4, grid)
+        together = solve_isotropic(problem)
+        assert len(together) == grid.size
+        for p_total, res in zip(grid, together):
+            alone = solve([3.0, 2.0, 0.5], 0.4, float(p_total))
+            assert res.capacity_nats == alone.capacity_nats
+            assert res.lagrange_lambda == alone.lagrange_lambda
+            assert np.array_equal(res.mode_powers, alone.mode_powers)
+        with pytest.raises(ValueError, match="one power"):
+            asymptotic_capacity(problem, AsymptoticRegime.LOW_SNR)
+        with pytest.raises(ValueError, match="one power"):
+            negligibility_margins(problem)
+
 
 class TestThresholdPowers:
     def test_two_mode_value(self):

@@ -69,6 +69,55 @@ def test_every_point_of_a_high_snr_sweep_is_answered(kind):
                     assert math.isfinite(value)
 
 
+def _zero_gain_commuting(rng, m):
+    # a shared basis where W1 has zero gains and W2 leaks nothing on some modes
+    pair, v, lam1, lam2 = random_commuting_pair(rng, m)
+    lam1[rng.permutation(m)[:m // 2]] = 0.0
+    lam2[rng.permutation(m)[:(m + 1) // 2]] = 0.0
+    return ChannelPair.from_gram((v * lam1) @ v.conj().T, (v * lam2) @ v.conj().T)
+
+
+def _zero_gain_general(rng, m):
+    # W1 of rank m - 1 against a general W2
+    g = rng.standard_normal((m, m - 1)) + 1j * rng.standard_normal((m, m - 1))
+    return ChannelPair.from_gram(g @ g.conj().T, random_psd(rng, m))
+
+
+def _fingerprint(outcome):
+    """Everything ``solve_auto`` says at one power, floats and arrays as bits."""
+    out = []
+    for name, res in outcome:
+        out.append(name)
+        bounds = getattr(res, "bounds", res)  # the isotropic row is bounds only
+        if bounds is not res:
+            out += [res.status, res.active_modes, res.capacity_nats,
+                    res.lagrange_lambda, res.power_used,
+                    res.covariance.entries.tobytes(), res.mode_powers.tobytes()]
+        if bounds is not None:
+            out += [bounds.lower_nats, bounds.mid_nats, bounds.upper_nats,
+                    bounds.gap_bound_nats]
+    return out
+
+
+def test_a_point_solved_alone_equals_the_same_point_in_a_grid():
+    # each point of a grid follows its own search, so its answer does not
+    # depend on the grid around it: path, status, active modes, capacity,
+    # bounds, multiplier and covariance are bit-identical (a RuntimeWarning
+    # on the way fails the suite, e.g. a division on a zero-gain mode)
+    rng = np.random.default_rng(67)
+    grid = 10.0 ** (SWEEP_DB / 10.0)
+    makers = {**SWEEP_CLASSES, "zero_gain_commuting": _zero_gain_commuting,
+              "zero_gain_general": _zero_gain_general}
+    for i, kind in enumerate(sorted(makers)):
+        for m in (2 + i % 4, 2 + (i + 2) % 4):  # every class at two of m = 2-5
+            pair = makers[kind](rng, m)
+            together = solve_auto(pair, grid)
+            assert len(together) == grid.size
+            for p_total, outcome in zip(grid, together):
+                alone = solve_auto(pair, float(p_total))
+                assert _fingerprint(alone) == _fingerprint(outcome)
+
+
 def _scaled(pair, s):
     return ChannelPair.from_gram(s * pair.w1.entries, s * pair.w2.entries)
 

@@ -9,7 +9,6 @@ from wiretap_mimo import (ChannelPair, NotApplicableError, Objective,
                           kkt_residual_weak, mc_capacity,
                           saturation_capacities, solve_weak,
                           threshold_power, weak_rate)
-from wiretap_mimo.weak_eavesdropper import _solve_weak_general
 from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
 
@@ -142,7 +141,7 @@ class TestSolveWeak:
         pair = ChannelPair.from_gram(w1, w2)
         p_star = threshold_power(pair)
         assert math.isfinite(p_star)
-        res = _solve_weak_general(pair, 2.0 * p_star)
+        res = solve_weak(pair, 2.0 * p_star)
         assert res.lagrange_lambda == 0.0
         assert res.power_used == pytest.approx(p_star, abs=1e-9)
         # no power escapes into the shared nullspace
