@@ -22,7 +22,7 @@ from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
                    NotApplicableError, RANK_TOL, _coerce_psd, check_gains,
                    check_nonnegative, check_positive, clean_spectrum, frob,
-                   inv_winv_plus_r, secrecy_rate, sym)
+                   inv_winv_plus_r, over_powers, secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -58,77 +58,107 @@ class CertificateReport:
                              "SufficientHolds verdicts")
 
 
-def _common_basis(pair: ChannelPair):
+class CertificateReports(list):
+    """One certificate's reports over a power grid, in grid order, with the
+    ``verdict`` every point shares (None when they differ), which the bench
+    tracer reads off every certificate call."""
+
+    @property
+    def verdict(self) -> Optional[Verdict]:
+        verdicts = {report.verdict for report in self}
+        return verdicts.pop() if len(verdicts) == 1 else None
+
+
+def _each(n: int, verdict: Verdict, **details) -> CertificateReports:
+    """The channel-level ``verdict`` with ``details`` at each of n points."""
+    return CertificateReports(CertificateReport(verdict, details=dict(details))
+                              for _ in range(n))
+
+
+def _reports(pair: ChannelPair, details: list[dict], checks, covs: np.ndarray,
+             capacity=None, **certified) -> CertificateReports:
+    """One report per point from checks decided over the whole grid.
+
+    ``checks`` lists ``(passes, reason)``, ``passes`` a boolean array over
+    the points.  Point k is INCONCLUSIVE with the reason of the first check
+    it fails, else SUFFICIENT_HOLDS with covariance ``covs[k]``, capacity
+    ``capacity(k)`` (its secrecy rate when None) and ``certified`` added to
+    its details.
+    """
+    reports = CertificateReports()
+    for k, info in enumerate(details):
+        reason = next((why for passes, why in checks if not passes[k]), None)
+        if reason is not None:
+            reports.append(CertificateReport(Verdict.INCONCLUSIVE,
+                                             details={**info, "reason": reason}))
+            continue
+        cov_h = HermitianMatrix(covs[k])
+        reports.append(CertificateReport(
+            Verdict.SUFFICIENT_HOLDS, details={**info, **certified},
+            certified_covariance=cov_h, certified_capacity=(
+                max(secrecy_rate(pair, cov_h), 0.0) if capacity is None else capacity(k))))
+    return reports
+
+
+def _common_basis(pair: ChannelPair, n: int):
     """The pair's shared eigenbasis and None, or None and the inconclusive
-    report when W1 and W2 do not commute."""
+    reports at each of n points when W1 and W2 do not commute."""
     try:
         return pair.common_basis(), None
     except common_rsv.NotCommutingError as err:
-        return None, CertificateReport(Verdict.INCONCLUSIVE, details={
-            "reason": "W1 and W2 do not share an eigenbasis",
-            "commutator_norm": err.commutator_norm,
-        })
+        return None, _each(n, Verdict.INCONCLUSIVE,
+                           reason="W1 and W2 do not share an eigenbasis",
+                           commutator_norm=err.commutator_norm)
 
 
-def zf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
+def _covariances(basis: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The stack of ``V diag(p) V^H`` over the rows p of ``powers``."""
+    return sym((basis * powers[:, None, :]) @ basis.conj().T)
+
+
+@over_powers
+def zf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     """Certify zero-forcing: transmit only where the eavesdropper is blind.
 
     Sufficient conditions: shared eigenbasis, water-filling over the
     zero-leakage modes, and every leaky mode weak enough that activating it
     would not pay (lam1_i <= lam2_i + lambda).  A certified solution needs
-    no wiretap code: the eavesdropper receives exactly nothing.
+    no wiretap code: the eavesdropper receives exactly nothing.  ``p_total``
+    is a float (one report) or a 1-D grid (one report per power).
     """
-    check_positive("p_total", p_total)
+    n = p_total.size
     if pair.w2.rank() == pair.m:
-        return CertificateReport(Verdict.NECESSARY_FAILS, details={
-            "reason": "W2 is positive definite: no zero-leakage direction exists",
-            "w2_rank": pair.m,
-        })
-    channel, report = _common_basis(pair)
+        return _each(n, Verdict.NECESSARY_FAILS, w2_rank=pair.m, reason=(
+            "W2 is positive definite: no zero-leakage direction exists"))
+    channel, reports = _common_basis(pair, n)
     if channel is None:
-        return report
+        return reports
     l1, l2 = channel.lam1, channel.lam2
     zf_mode = l2 == 0
     usable = zf_mode & (l1 > 0)
     if not np.any(usable):
-        return CertificateReport(Verdict.NECESSARY_FAILS, details={
-            "reason": "no zero-leakage mode carries positive legitimate gain",
-        })
+        return _each(n, Verdict.NECESSARY_FAILS, reason=(
+            "no zero-leakage mode carries positive legitimate gain"))
 
-    powers = np.zeros_like(l1)
-    alloc, lam = standard_waterfill(l1[usable], p_total)
-    powers[np.flatnonzero(usable)] = alloc
-
+    powers = np.zeros((n, pair.m))
+    powers[:, usable], lams = standard_waterfill(l1[usable], p_total)
+    covs = _covariances(channel.basis, powers)
     leaky = ~zf_mode
-    margin = float(np.min(l2[leaky] + lam - l1[leaky])) if np.any(leaky) else math.inf
-    # relative to the terms compared, so the verdict keeps the scaling symmetry
-    cond_c = margin >= -1e-12 * max(lam, float(np.max(l1[leaky], initial=0.0)))
-    details = {
-        "zf_modes": int(np.count_nonzero(usable)),
-        "water_lambda": lam,
-        "leaky_mode_margin": margin,
-        "leaky_modes_inactive_ok": bool(cond_c),
-    }
-    if not cond_c:
-        details["reason"] = ("a leaky mode is strong enough to be worth activating; "
-                             "sufficiency fails")
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    cov = (channel.basis * powers) @ channel.basis.conj().T
-    cov_h = HermitianMatrix(sym(cov))
-    leak_norm = frob(pair.w2.entries @ cov_h.entries)
-    scale = max(frob(pair.w2.entries) * frob(cov_h.entries), 1e-300)
-    details["w2_r_product_norm"] = leak_norm
-    if leak_norm > _ZF_PRODUCT_TOL * scale:
-        details["reason"] = "numerical zero-forcing check W2 R = 0 failed"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    active = powers > 0
-    capacity = float(np.sum(np.log(l1[active] / lam)))
-    details["no_wiretap_code_needed"] = True
-    return CertificateReport(Verdict.SUFFICIENT_HOLDS, details=details,
-                             certified_covariance=cov_h,
-                             certified_capacity=capacity)
+    margins = np.min(l2[leaky] + lams[:, None] - l1[leaky], axis=1, initial=math.inf)
+    # both relative to the terms compared, so verdicts keep the scaling symmetry
+    inactive_ok = margins >= -1e-12 * np.maximum(lams, np.max(l1[leaky], initial=0.0))
+    leaks = np.linalg.norm(pair.w2.entries @ covs, axis=(1, 2))
+    scales = np.maximum(frob(pair.w2.entries) * np.linalg.norm(covs, axis=(1, 2)), 1e-300)
+    details = [{"zf_modes": int(np.count_nonzero(usable)), "water_lambda": lam,
+                "leaky_mode_margin": float(margin), "leaky_modes_inactive_ok": bool(ok),
+                "w2_r_product_norm": float(leak)}
+               for lam, margin, ok, leak in zip(lams, margins, inactive_ok, leaks)]
+    return _reports(pair, details, [
+        (inactive_ok, "a leaky mode is strong enough to be worth activating; "
+                      "sufficiency fails"),
+        (leaks <= _ZF_PRODUCT_TOL * scales, "numerical zero-forcing check W2 R = 0 failed"),
+    ], covs, lambda k: float(np.sum(np.log(l1[powers[k] > 0] / lams[k]))),
+        no_wiretap_code_needed=True)
 
 
 def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateReport:
@@ -186,92 +216,77 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateRepor
     return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
 
-def wf_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
+@over_powers
+def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     """Certify that the standard water-filling covariance is wiretap-optimal.
 
     Requires a shared eigenbasis, one inverse-gain offset alpha with
     1/lam2_i = 1/lam1_i + alpha across all active modes, and inactive modes
-    that either satisfy the same relation or are dominated (lam1_i <= lam2_i).
+    whose rate slope lam1_i - lam2_i stays within the secrecy multiplier
+    lambda' = alpha lambda^2 / (1 + alpha lambda), lambda the water level.
+    ``p_total`` is a float (one report) or a 1-D grid (one report per power).
     """
-    check_positive("p_total", p_total)
-    channel, report = _common_basis(pair)
+    n = p_total.size
+    channel, reports = _common_basis(pair, n)
     if channel is None:
-        return report
+        return reports
     l1, l2 = channel.lam1, channel.lam2
-    powers, lam = standard_waterfill(l1, p_total)
+    if not np.any(l1 > 0):
+        return _each(n, Verdict.INCONCLUSIVE, active_modes=0, water_lambda=math.inf,
+                     reason="W1 carries no positive gain")
+    powers, lams = standard_waterfill(l1, p_total)
     active = powers > 0
-    details: dict = {"active_modes": int(np.count_nonzero(active)),
-                     "water_lambda": lam}
-    if not np.any(active):
-        details["reason"] = "W1 carries no positive gain"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    if np.any(active & (l2 == 0)):
-        details["reason"] = ("an active mode has zero eavesdropper gain; the "
-                             "inverse-gain relation is undefined (use the ZF check)")
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    alphas = 1.0 / l2[active] - 1.0 / l1[active]
-    spread = float(np.max(alphas) - np.min(alphas))
-    alpha = float(np.mean(alphas))
-    details["alpha"] = alpha
-    details["alpha_spread"] = spread
-    if alpha <= 0 or spread > _CONSISTENCY_TOL * abs(alpha):
-        details["reason"] = "no single positive inverse-gain offset fits the active modes"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    for i in np.flatnonzero(~active):
-        if l1[i] <= l2[i] * (1 + 1e-12) + 1e-300:
-            continue
-        if l2[i] > 0:
-            implied = 1.0 / l2[i] - 1.0 / l1[i]
-            if abs(implied - alpha) <= _CONSISTENCY_TOL * abs(alpha):
-                continue
-        details["reason"] = f"inactive mode {i} satisfies neither the alpha relation " \
-                            f"nor lam1 <= lam2"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    cov = (channel.basis * powers) @ channel.basis.conj().T
-    cov_h = HermitianMatrix(sym(cov))
-    capacity = max(secrecy_rate(pair, cov_h), 0.0)
-    details["lambda_prime"] = alpha * lam * lam / (1.0 + alpha * lam)
-    return CertificateReport(Verdict.SUFFICIENT_HOLDS, details=details,
-                             certified_covariance=cov_h,
-                             certified_capacity=capacity)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked to active modes
+        offsets = np.where(active & (l2 > 0), 1.0 / l2 - 1.0 / l1, 0.0)
+    counts = np.count_nonzero(active, axis=1)
+    alphas = np.sum(offsets, axis=1) / counts
+    spreads = (np.max(np.where(active, offsets, -math.inf), axis=1)
+               - np.min(np.where(active, offsets, math.inf), axis=1))
+    # lambda' (read only where alpha > 0)
+    lam_ps = alphas * lams * lams / (1.0 + np.maximum(alphas, 0.0) * lams)
+    details = [{"active_modes": int(c), "water_lambda": lam, "alpha": float(alpha),
+                "alpha_spread": float(spread), "lambda_prime": lam_p}
+               for c, lam, alpha, spread, lam_p in zip(counts, lams, alphas, spreads, lam_ps)]
+    return _reports(pair, details, [
+        (~np.any(active & (l2 == 0), axis=1), "an active mode has zero eavesdropper "
+         "gain: no inverse-gain offset (use the ZF check)"),
+        ((alphas > 0) & (spreads <= _CONSISTENCY_TOL * np.abs(alphas)),
+         "no single positive inverse-gain offset fits the active modes"),
+        # the KKT rule of an idle mode: its rate slope at zero power, l1 - l2,
+        # stays within the multiplier lambda' of the active ones
+        (~np.any(~active & (l1 - l2 > lam_ps[:, None] + _CONSISTENCY_TOL * l1), axis=1),
+         "an inactive mode would raise the secrecy rate: lam1 - lam2 > lambda'"),
+    ], _covariances(channel.basis, powers))
 
 
-def is_certify(pair: ChannelPair, p_total: float) -> CertificateReport:
+@over_powers
+def is_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     """Certify that the isotropic covariance R = (P_T / m) I is optimal.
 
     Requires a shared eigenbasis, W1 > W2 > 0, and one multiplier value
     lambda = 1/(a_i + a) - 1/(b_i + a) consistent across all modes, where
-    a_i and b_i are the inverse eigenvalues and a = P_T / m.
+    a_i and b_i are the inverse eigenvalues and a = P_T / m.  ``p_total`` is
+    a float (one report) or a 1-D grid (one report per power).
     """
-    check_positive("p_total", p_total)
-    channel, report = _common_basis(pair)
+    n = p_total.size
+    channel, reports = _common_basis(pair, n)
     if channel is None:
-        return report
+        return reports
     l1, l2 = channel.lam1, channel.lam2
-    details: dict = {}
     if np.any(l2 <= 0) or np.any(l1 <= l2):
-        details["reason"] = "requires W1 > W2 > 0 on every shared eigenmode"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
+        return _each(n, Verdict.INCONCLUSIVE,
+                     reason="requires W1 > W2 > 0 on every shared eigenmode")
 
     a = p_total / pair.m
-    lambdas = l1 / (1.0 + a * l1) - l2 / (1.0 + a * l2)
-    spread = float(np.max(lambdas) - np.min(lambdas))
-    lam = float(np.mean(lambdas))
-    details["common_lambda"] = lam
-    details["lambda_spread"] = spread
-    if spread > _CONSISTENCY_TOL * abs(lam):
-        details["reason"] = "mode multipliers disagree; isotropic signaling is not certified"
-        return CertificateReport(Verdict.INCONCLUSIVE, details=details)
-
-    cov_h = HermitianMatrix(a * np.eye(pair.m))
-    capacity = max(secrecy_rate(pair, cov_h), 0.0)
-    return CertificateReport(Verdict.SUFFICIENT_HOLDS, details=details,
-                             certified_covariance=cov_h,
-                             certified_capacity=capacity)
+    lambdas = l1 / (1.0 + a[:, None] * l1) - l2 / (1.0 + a[:, None] * l2)
+    lams = np.mean(lambdas, axis=1)
+    spreads = np.max(lambdas, axis=1) - np.min(lambdas, axis=1)
+    details = [{"common_lambda": float(lam), "lambda_spread": float(spread)}
+               for lam, spread in zip(lams, spreads)]
+    return _reports(pair, details, [
+        (spreads <= _CONSISTENCY_TOL * np.abs(lams),
+         "mode multipliers disagree; isotropic signaling is not certified"),
+    ], a[:, None, None] * np.eye(pair.m))
 
 
 def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -209,36 +210,38 @@ def _oracle_row(pair, snr_db, p_t, cfg) -> Row:
                "Solved", best_r.entries)
 
 
-def _certify_rows(pair, snr_db, p_t) -> list[Row]:
-    rows = []
-    for name, fn in (("certify:zf", certificates.zf_certify),
-                     ("certify:wf", certificates.wf_certify),
-                     ("certify:is", certificates.is_certify)):
-        report = fn(pair, p_t)
-        cov = (report.certified_covariance.entries
-               if report.certified_covariance is not None else None)
-        rows.append(Row(snr_db, p_t, name, report.certified_capacity,
-                        None, None, report.details.get("water_lambda"),
-                        None, report.verdict.value, cov))
-    return rows
+def _certify_rows(pair, grid) -> list[list[Row]]:
+    """The ZF, WF and IS rows at every point of the grid, per point: one
+    call per certificate over the whole grid."""
+    powers = np.array([p_t for _, p_t in grid])
+    columns = [[(name, report) for report in fn(pair, powers)]
+               for name, fn in (("certify:zf", certificates.zf_certify),
+                                ("certify:wf", certificates.wf_certify),
+                                ("certify:is", certificates.is_certify))]
+    return [[Row(snr_db, p_t, name, report.certified_capacity, None, None,
+                 report.details.get("water_lambda"), None, report.verdict.value,
+                 getattr(report.certified_covariance, "entries", None))
+             for name, report in point]
+            for (snr_db, p_t), point in zip(grid, zip(*columns))]
 
 
 def _solver_rows(spec: ScenarioSpec, name: str) -> list[list[Row]]:
     """Rows of one named solver at every point of the grid, per point: one
-    grid solve, or one solve per point for the oracle and the certificates.
-    An error lands in the status column of every point it stopped."""
+    grid call, or one solve per point for the oracle.  An error lands in the
+    status column of every point it stopped."""
     pair, grid = spec.pair, spec.grid
-    if name in ("oracle", "certify"):
+    if name == "oracle":
         out = []
         for snr_db, p_t in grid:
             try:
-                out.append([_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)]
-                           if name == "oracle" else _certify_rows(pair, snr_db, p_t))
+                out.append([_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)])
             except ValueError as err:
                 out.append([Row(snr_db, p_t, name, status=f"error: {err}")])
         return out
     powers = np.array([p_t for _, p_t in grid])
     try:
+        if name == "certify":
+            return _certify_rows(pair, grid)
         if name == "auto":
             outs = auto.solve_auto(pair, powers)
         elif name == "rsv":
@@ -337,7 +340,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared."""
     parser = _Parser(prog="wiretap-mimo",
                      description="Secrecy capacities and optimal signaling for "
                                  "Gaussian MIMO wiretap channels.")
@@ -394,8 +399,8 @@ def main(argv=None) -> int:
                 _reject_oracle_flags(overrides, f"{args.command} with no 'oracle' solver")
             rows = run_sweep(spec)
         elif args.command == "certify":
-            rows = [row for snr_db, p_t in spec.grid
-                    for row in _certify_rows(spec.pair, snr_db, p_t)]
+            rows = [row for point in _certify_rows(spec.pair, spec.grid)
+                    for row in point]
         else:  # oracle
             rows = [_oracle_row(spec.pair, snr_db, p_t, spec.oracle_cfg)
                     for snr_db, p_t in spec.grid]

@@ -108,9 +108,9 @@ TABLE = {
     "solve_common_rsv": [
         ("p_total", lambda v: wm.solve_common_rsv(
             wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], [0.5, 0.1]), v), POWERS)],
-    "zf_certify": [p_total_of(wm.zf_certify)],
-    "wf_certify": [p_total_of(wm.wf_certify)],
-    "is_certify": [p_total_of(wm.is_certify)],
+    "zf_certify": [p_total_of(wm.zf_certify, bad=POWERS)],
+    "wf_certify": [p_total_of(wm.wf_certify, bad=POWERS)],
+    "is_certify": [p_total_of(wm.is_certify, bad=POWERS)],
     "zf_necessity_check": [
         ("r", lambda v: wm.zf_necessity_check(PAIR, v, 1.0), MATRIX),
         ("p_total", lambda v: wm.zf_necessity_check(PAIR, R, v), POSITIVE)],

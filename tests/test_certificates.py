@@ -7,7 +7,9 @@ from wiretap_mimo import (ChannelPair, KktForm, Objective, OracleConfig,
                           Verdict, construct_is_optimal_channel,
                           construct_wf_optimal_channel, is_certify,
                           kkt_residual_general, mc_capacity, secrecy_rate,
-                          wf_certify, zf_certify, zf_necessity_check)
+                          solve_common_rsv, wf_certify, zf_certify,
+                          zf_necessity_check)
+from wiretap_mimo._waterfill import standard_waterfill
 from util import fig1_pair, random_psd, random_unitary
 
 
@@ -111,6 +113,25 @@ class TestWfCertify:
                                      np.diag([2.0 / 3.0, 0.5, 0.2]))
         report = wf_certify(pair, 1.0)
         assert report.verdict is Verdict.SUFFICIENT_HOLDS
+
+    @pytest.mark.parametrize("lam2, verdict", [(0.1, Verdict.SUFFICIENT_HOLDS),
+                                               (0.01, Verdict.INCONCLUSIVE)])
+    def test_idle_mode_off_the_relation(self, lam2, verdict):
+        # the third mode is idle under water-filling (lam1 = 0.3 < lambda =
+        # 2/3) and off the alpha relation; WF stays optimal exactly while its
+        # rate slope lam1 - lam2 is within lambda' = 4/15
+        pair = ChannelPair.from_gram(np.diag([2.0, 1.0, 0.3]),
+                                     np.diag([2.0 / 3.0, 0.5, lam2]))
+        report = wf_certify(pair, 1.5)
+        assert report.verdict is verdict
+        assert report.details["lambda_prime"] == pytest.approx(4.0 / 15.0)
+        channel = pair.common_basis()
+        exact = solve_common_rsv(channel, 1.5)
+        idle = exact.mode_powers[np.argmin(channel.lam1)]
+        assert (idle == 0) == (verdict is Verdict.SUFFICIENT_HOLDS)
+        if report.certified_capacity is not None:
+            assert report.certified_capacity == pytest.approx(exact.capacity_nats,
+                                                              rel=1e-12)
 
     def test_constructed_channels_certify(self):
         rng = np.random.default_rng(11)
@@ -240,3 +261,132 @@ def test_certified_capacity_equals_secrecy_rate():
     report = is_certify(pair, 2.0)
     assert report.certified_capacity == pytest.approx(
         secrecy_rate(pair, report.certified_covariance), abs=1e-12)
+
+
+# --------------------------------------------------------------- power grids
+
+GRID = 10.0 ** (np.arange(-10.0, 31.0, 4.0) / 10.0)
+
+
+def _is_built(rng, m):
+    # isotropic signaling optimal at one power of GRID
+    p_t = float(rng.choice(GRID))
+    b1 = rng.uniform(1.0, 3.0)
+    a1 = rng.uniform(0.25, 0.9) * b1
+    a = p_t / m
+    lam = 1.0 / (a1 + a) - 1.0 / (b1 + a)
+    b_rest = lam * a * a / (1.0 - lam * a) + rng.uniform(0.1, 3.0, m - 1)
+    return construct_is_optimal_channel(m, p_t, b1, a1, b_rest,
+                                        random_unitary(rng, m))
+
+
+def _wf_built(rng, m):
+    return construct_wf_optimal_channel(np.sort(rng.uniform(0.4, 4.0, m))[::-1],
+                                        rng.uniform(0.3, 2.0), random_unitary(rng, m))
+
+
+def _in_basis(rng, lam1, lam2):
+    v = random_unitary(rng, len(lam1))
+    return ChannelPair.from_gram((v * lam1) @ v.conj().T, (v * lam2) @ v.conj().T)
+
+
+def _zf_commuting(rng, m):
+    # W2 blind on 1 to m - 1 modes
+    lam2 = rng.uniform(0.1, 3.0, m)
+    lam2[:rng.integers(1, m)] = 0.0
+    return _in_basis(rng, rng.uniform(0.1, 3.0, m), lam2)
+
+
+def _random_commuting(rng, m):
+    lam1 = rng.uniform(0.1, 3.0, m)
+    return _in_basis(rng, lam1, rng.uniform(0.0, 1.0, m) * lam1)
+
+
+def _off_relation_idle(rng, m):
+    # m - 1 modes on the WF relation lam2 = lam1 / (1 + alpha lam1), and one
+    # weak mode off it with lam1 > lam2: idle at most powers of GRID
+    lam1 = rng.uniform(1.0, 4.0, m - 1)
+    alpha = rng.uniform(0.3, 2.0)
+    weak = rng.uniform(0.01, 0.5)
+    return _in_basis(rng, np.append(lam1, weak),
+                     np.append(lam1 / (1.0 + alpha * lam1),
+                               rng.uniform(0.05, 0.95) * weak))
+
+
+def _noncommuting(rng, m):
+    return ChannelPair.from_gram(random_psd(rng, m), random_psd(rng, m, 0.5))
+
+
+PAIRS = {"is_built": _is_built, "wf_built": _wf_built, "zf": _zf_commuting,
+         "random_commuting": _random_commuting,
+         "off_relation_idle": _off_relation_idle, "noncommuting": _noncommuting}
+CERTIFICATES = {"zf": zf_certify, "wf": wf_certify, "is": is_certify}
+
+
+def _fingerprint(report):
+    cov = report.certified_covariance
+    return (report.verdict, repr(report.certified_capacity),
+            repr(report.details.get("water_lambda")),
+            None if cov is None else cov.entries.tobytes())
+
+
+def test_a_point_certified_alone_equals_the_same_point_in_a_grid():
+    # the channel-level checks are shared and the rest is elementwise over
+    # the grid, so no verdict, capacity, multiplier or covariance bit
+    # depends on the powers around it
+    rng = np.random.default_rng(71)
+    verdicts = set()
+    for kind, make in PAIRS.items():
+        for m in (2, 3, 4):
+            pair = make(rng, m)
+            for name, certify in CERTIFICATES.items():
+                together = certify(pair, GRID)
+                assert len(together) == GRID.size
+                for p_total, report in zip(GRID, together):
+                    alone = certify(pair, float(p_total))
+                    assert _fingerprint(alone) == _fingerprint(report)
+                    verdicts.add((name, report.verdict))
+    assert len(verdicts) == 7  # every verdict that each certificate gives
+
+
+def _shape(exact, lam1, lam2, p_total):
+    """The techniques (zf, wf, is) whose covariance the exact optimum has,
+    mode powers within 1e-9 P_T (a WF optimum leaking nothing is ZF's)."""
+    tol = 1e-9 * p_total
+    wf_powers, _ = standard_waterfill(lam1, p_total)
+    shapes = set()
+    if lam2.all() and np.max(np.abs(exact - p_total / lam1.size)) <= tol:
+        shapes.add("is")
+    if not lam2.all() and not exact[lam2 > 0].any():
+        shapes.add("zf")
+    if (np.max(np.abs(exact - wf_powers)) <= tol
+            and not (lam2[wf_powers > 0] == 0).any()):
+        shapes.add("wf")
+    return shapes
+
+
+def test_certificates_agree_with_the_exact_shared_basis_optimum():
+    # on commuting pairs solve_common_rsv is exact, so each certificate is
+    # checked both ways: SufficientHolds certifies the exact capacity, and
+    # an exact optimum of the technique's shape is certified
+    rng = np.random.default_rng(73)
+    seen = set()
+    for kind, make in PAIRS.items():
+        if kind == "noncommuting":
+            continue
+        for i in range(8):
+            pair = make(rng, 2 + i % 4)
+            channel = pair.common_basis()
+            exact = solve_common_rsv(channel, GRID)
+            reports = {name: certify(pair, GRID)
+                       for name, certify in CERTIFICATES.items()}
+            for k, (p_total, best) in enumerate(zip(GRID, exact)):
+                shapes = _shape(best.mode_powers, channel.lam1, channel.lam2, p_total)
+                for name, report in ((n, r[k]) for n, r in reports.items()):
+                    holds = report.verdict is Verdict.SUFFICIENT_HOLDS
+                    if holds:
+                        assert report.certified_capacity == pytest.approx(
+                            best.capacity_nats, rel=1e-10)
+                    assert holds or name not in shapes, (kind, name, p_total)
+                    seen.add((name, holds))
+    assert len(seen) == 6  # each certificate both holds and does not

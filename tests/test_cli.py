@@ -219,6 +219,24 @@ class TestSweep:
         assert by_name["certify:zf"].capacity == pytest.approx(math.log(4))
         assert by_name["certify:is"].status != "SufficientHolds"
 
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_certify_calls_each_certificate_once_per_grid(self, tmp_path,
+                                                          monkeypatch, command):
+        from wiretap_mimo import certificates
+        calls = []
+        for name in ("zf_certify", "wf_certify", "is_certify"):
+            def wrapper(*args, _fn=getattr(certificates, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(certificates, name, wrapper)
+        doc = fig1_doc(channel={"matrix_kind": "W",
+                                "w1": [[3, 0], [0, 2]],
+                                "w2": [[0, 0], [0, 5]]},
+                       solver="certify",
+                       power_grid={"p_t": [0.5, 1.0, 2.0, 4.0, 8.0]})
+        assert main([command, "--input", write_scenario(tmp_path, doc)]) == 0
+        assert sorted(calls) == ["is_certify", "wf_certify", "zf_certify"]
+
 
 class TestMainCommandLine:
     def test_sweep_csv_output(self, tmp_path, capsys):
@@ -265,6 +283,25 @@ class TestMainCommandLine:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--help"])
         assert exc.value.code == 0
+
+    def test_main_twice_in_one_process(self, tmp_path, capsys):
+        # the parser is built once and shared: a second call prints the same
+        # bytes, and a usage error after a good call still exits 1
+        doc = fig1_doc(channel={"matrix_kind": "W",
+                                "w1": [[3, 0], [0, 2]],
+                                "w2": [[0, 0], [0, 5]]},
+                       power_grid={"p_t": [0.5, 1.0, 2.0]})
+        path = write_scenario(tmp_path, doc)
+        outs = []
+        for _ in range(2):
+            assert main(["certify", "--input", path, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert '"covariance"' in outs[0]  # zero-forcing is certified
+        assert main(["certify"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["certify", "--input", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == outs[0]
 
     def test_certify_rejects_oracle_flags(self, tmp_path, capsys):
         path = write_scenario(tmp_path, fig1_doc())
