@@ -204,10 +204,12 @@ def _row(snr_db, p_t, solver, out) -> Row:
                out.covariance.entries)
 
 
-def _oracle_row(pair, snr_db, p_t, cfg) -> Row:
-    best, best_r = mc_capacity(pair, p_t, Objective.EXACT, cfg)
-    return Row(snr_db, p_t, "oracle", best, None, None, None, None,
-               "Solved", best_r.entries)
+def _oracle_rows(pair, grid, cfg) -> list[Row]:
+    """The oracle's row at every point of the grid: one call over the grid."""
+    outs = mc_capacity(pair, np.array([p_t for _, p_t in grid]), Objective.EXACT, cfg)
+    return [Row(snr_db, p_t, "oracle", best, None, None, None, None,
+                "Solved", best_r.entries)
+            for (snr_db, p_t), (best, best_r) in zip(grid, outs)]
 
 
 def _certify_rows(pair, grid) -> list[list[Row]]:
@@ -227,21 +229,14 @@ def _certify_rows(pair, grid) -> list[list[Row]]:
 
 def _solver_rows(spec: ScenarioSpec, name: str) -> list[list[Row]]:
     """Rows of one named solver at every point of the grid, per point: one
-    grid call, or one solve per point for the oracle.  An error lands in the
-    status column of every point it stopped."""
+    grid call.  An error lands in the status column of every point."""
     pair, grid = spec.pair, spec.grid
-    if name == "oracle":
-        out = []
-        for snr_db, p_t in grid:
-            try:
-                out.append([_oracle_row(pair, snr_db, p_t, spec.oracle_cfg)])
-            except ValueError as err:
-                out.append([Row(snr_db, p_t, name, status=f"error: {err}")])
-        return out
     powers = np.array([p_t for _, p_t in grid])
     try:
         if name == "certify":
             return _certify_rows(pair, grid)
+        if name == "oracle":
+            return [[row] for row in _oracle_rows(pair, grid, spec.oracle_cfg)]
         if name == "auto":
             outs = auto.solve_auto(pair, powers)
         elif name == "rsv":
@@ -402,8 +397,7 @@ def main(argv=None) -> int:
             rows = [row for point in _certify_rows(spec.pair, spec.grid)
                     for row in point]
         else:  # oracle
-            rows = [_oracle_row(spec.pair, snr_db, p_t, spec.oracle_cfg)
-                    for snr_db, p_t in spec.grid]
+            rows = _oracle_rows(spec.pair, spec.grid, spec.oracle_cfg)
         _emit(rows, out_format, units, args.out,
               with_covariance=args.command in ("solve", "certify"))
         return 0

@@ -67,12 +67,12 @@ def check_powers(name: str, value) -> np.ndarray:
 
 
 def over_powers(solve):
-    """``solve(obj, powers)``, one outcome per power of a 1-D grid, as a
-    solver of ``(obj, p_total)`` by :func:`check_powers`: one power gives
-    one outcome, a grid the list of outcomes in order."""
+    """``solve(obj, powers, ...)``, one outcome per power of a 1-D grid, as a
+    solver of ``(obj, p_total, ...)`` by :func:`check_powers`: one power
+    gives one outcome, a grid the list of outcomes in order."""
     @functools.wraps(solve)
-    def solver(obj, p_total):
-        outs = solve(obj, check_powers("p_total", p_total))
+    def solver(obj, p_total, *args, **kwargs):
+        outs = solve(obj, check_powers("p_total", p_total), *args, **kwargs)
         return outs if np.ndim(p_total) else outs[0]
     return solver
 

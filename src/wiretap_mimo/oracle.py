@@ -14,10 +14,16 @@ ln|I_r + s B B^H| for B = L^H F (Sylvester), from one real matrix product
 per batch and an elementwise LDL^H, the same path for every m.  Only the
 winner of a batch is formed as a matrix; the samples do not depend on this.
 
+Over a power grid, one pass over the sample stream serves every power: each
+batch is drawn, multiplied into B and reduced to B B^H once; only the scale
+s, the LDL^H and the incumbent update run per power.  Each power keeps its
+own candidates, incumbent, tie rule and refinement.
+
 Determinism: every sample is derived from fixed positions of Philox streams
 keyed by (seed, stream id), so results are bit-identical for a given
-(seed, config) and the first N samples of a longer run are exactly the
-samples of a shorter run (nested streams).
+(seed, config), a power gives the same bytes alone as inside a grid, and
+the first N samples of a longer run are exactly the samples of a shorter
+run (nested streams).
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   check_gains, check_positive, sym)
+from .core import (ChannelPair, ConvergenceError, HermitianMatrix, check_gains,
+                   check_positive, over_powers, sym)
 
 _CHUNK = 1 << 15
 # points of the separable oracle's level-0 per-mode grid
@@ -77,60 +83,76 @@ def _factor_map(w: HermitianMatrix) -> np.ndarray:
     return np.block([[lh.real, -lh.imag], [lh.imag, lh.real]])
 
 
-def _logdet_i_plus(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """ln|I_r + s_n B_n B_n^H| for every sample n, from the real and
-    imaginary parts of B stored n-last, shape (2, r, k, n).
+def _gram(b: np.ndarray) -> np.ndarray:
+    """B B^H for every sample n, from the real and imaginary parts of B
+    stored n-last, shape (2, r, k, n), packed as one real (r, r, n) array:
+    the real part on and below the diagonal, the imaginary part above it.
+    It does not depend on the power scale s."""
+    bre, bim = b
+    r = b.shape[1]
+    g = np.empty((r, r, b.shape[-1]))
+    for i in range(r):
+        for k in range(i + 1):
+            np.einsum("pjn,pjn->n", b[:, i], b[:, k], out=g[i, k])
+            if k < i:
+                np.subtract(np.einsum("jn,jn->n", bim[i], bre[k]),
+                            np.einsum("jn,jn->n", bre[i], bim[k]), out=g[k, i])
+    return g
 
-    An elementwise LDL^H factorization runs on the r(r+1)/2 lower entries
-    of s B B^H, each a length-n real array (a pair of them off the
+
+def _logdet_i_plus(gram: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln|I_r + s_n B_n B_n^H| for every sample n, from B B^H packed as by
+    :func:`_gram`.
+
+    An elementwise LDL^H factorization runs in place on the r(r+1)/2 lower
+    entries of s B B^H, each a length-n real array (a pair of them off the
     diagonal).  Every pivot is 1 + e with e >= 0, a Schur complement of the
     identity plus a PSD matrix, so no pivot is small and the log-determinant
     is the sum of log1p(e).
     """
-    r = b.shape[1]
-    bre, bim = b
-    # g[i, k], k < i: (real, imaginary) part of s (B B^H)_ik; g[i, i]: e_i
-    g = {}
-    for i in range(r):
-        g[i, i] = s * np.einsum("pjn,pjn->n", b[:, i], b[:, i])
-        for k in range(i):
-            g[i, k] = (s * np.einsum("pjn,pjn->n", b[:, i], b[:, k]),
-                       s * (np.einsum("jn,jn->n", bim[i], bre[k])
-                            - np.einsum("jn,jn->n", bre[i], bim[k])))
-    total = np.zeros(b.shape[-1])
-    for j in range(r):
+    # g[i, k] and g[k, i], k < i: real and imaginary part of s (B B^H)_ik
+    g = s * gram
+    total = np.zeros(s.shape)
+    for j in range(g.shape[0]):
         total += np.log1p(g[j, j])
         inv = 1.0 / (1.0 + g[j, j])
-        for i in range(j + 1, r):
-            xr, xi = g[i, j]
+        for i in range(j + 1, g.shape[0]):
+            xr, xi = g[i, j], g[j, i]
             cr, ci = xr * inv, xi * inv
-            g[i, i] = g[i, i] - (xr * cr + xi * ci)
+            g[i, i] -= xr * cr + xi * ci
             for k in range(j + 1, i):
                 # g_ik -= g_ij conj(g_kj) / pivot_j
-                yr, yi = g[k, j]
-                zr, zi = g[i, k]
-                g[i, k] = (zr - (cr * yr + ci * yi), zi - (ci * yr - cr * yi))
+                yr, yi = g[k, j], g[j, k]
+                g[i, k] -= cr * yr + ci * yi
+                g[k, i] -= ci * yr - cr * yi
     return total
 
 
-def _terms(maps: list[np.ndarray], roots: np.ndarray, s: np.ndarray,
+def _grams(maps: list[np.ndarray], roots: np.ndarray,
            objective: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """ln|I + W1 R_n| and the eavesdropper's term, ln|I + W2 R_n| (EXACT) or
-    tr(W2 R_n) (WEAK), for R_n = s_n F_n F_n^H.
-
-    ``roots[n]`` holds the real and imaginary parts of F_n, shape (2, m, k);
-    ``maps`` are the two :func:`_factor_map` of (W1, W2).
-    """
+    """What the objective needs of samples F_n before the power scale: the
+    :func:`_gram` of B = L1^H F, and that of L2^H F (EXACT) or ||L2^H F||_F^2
+    (WEAK).  ``roots[n]`` holds the real and imaginary parts of F_n, shape
+    (2, m, k); ``maps`` are the two :func:`_factor_map` of (W1, W2)."""
     n, _, _, k = roots.shape
     r1, r2 = (mp.shape[0] // 2 for mp in maps)
     # one real product forms B = L^H F of both channels for the whole
     # batch, n-last, without transposing the sample-major roots
     b = np.kron(np.vstack(maps), np.eye(k)) @ roots.reshape(n, -1).T
-    c1 = _logdet_i_plus(b[:2 * r1 * k].reshape(2, r1, k, n), s)
+    gram1 = _gram(b[:2 * r1 * k].reshape(2, r1, k, n))
     b2 = b[2 * r1 * k:]
     if objective is Objective.EXACT:
-        return c1, _logdet_i_plus(b2.reshape(2, r2, k, n), s)
-    return c1, s * np.einsum("jn,jn->n", b2, b2)  # s ||L2^H F||_F^2
+        return gram1, _gram(b2.reshape(2, r2, k, n))
+    return gram1, np.einsum("jn,jn->n", b2, b2)  # ||L2^H F||_F^2
+
+
+def _terms(grams: tuple, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln|I + W1 R_n| and the eavesdropper's term, ln|I + W2 R_n| (EXACT) or
+    tr(W2 R_n) (WEAK), for R_n = s_n F_n F_n^H, from the :func:`_grams` of
+    the F_n."""
+    gram1, gram2 = grams
+    leak = s * gram2 if gram2.ndim == 1 else _logdet_i_plus(gram2, s)
+    return _logdet_i_plus(gram1, s), leak
 
 
 def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
@@ -141,7 +163,7 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
     def attempt(fn):
         try:
             cands.append(np.asarray(fn()))
-        except (ValueError, NotApplicableError, common_rsv.NotCommutingError):
+        except (ValueError, ConvergenceError):  # a failure drops only its own
             pass
 
     attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
@@ -162,11 +184,13 @@ def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
     return cands
 
 
-def mc_capacity(pair: ChannelPair, p_total: float,
+@over_powers
+def mc_capacity(pair: ChannelPair, powers: np.ndarray,
                 objective: Objective = Objective.EXACT,
                 cfg: OracleConfig | None = None,
-                include_candidates: bool = True) -> tuple[float, HermitianMatrix]:
-    """Best clamped rate over random feasible covariances (plus candidates).
+                include_candidates: bool = True) -> list[tuple[float, HermitianMatrix]]:
+    """Best clamped rate over random feasible covariances (plus candidates),
+    at one power P_T or at each of a 1-D grid (a list, in grid order).
 
     Samples R = t * A A^H / tr(A A^H) with A a complex standard Gaussian
     matrix and t drawn from a 50/50 mixture of the full power and
@@ -175,37 +199,37 @@ def mc_capacity(pair: ChannelPair, p_total: float,
     result an at-least-as-good check against any closed form in the pool.
     Refinement rounds perturb the incumbent locally with a scale shrinking
     tenfold per round.  Deterministic for a fixed (seed, config); ties go to
-    the earliest sample.
+    the earliest sample.  One pass over the sample stream serves a grid, and
+    each power's result is the bytes of that power solved alone.
     """
     cfg = cfg or OracleConfig()
-    check_positive("p_total", p_total)
     m = pair.m
     maps = [_factor_map(pair.w1), _factor_map(pair.w2)]
+    # per power: the incumbent value and covariance; the zero covariance is
+    # the clamp floor and is always achievable
+    best = [(0.0, np.zeros((m, m), dtype=complex)) for _ in powers]
 
-    # the zero covariance is the clamp floor and is always achievable
-    best_val = 0.0
-    best_r = np.zeros((m, m), dtype=complex)
-
-    def consider(roots: np.ndarray, s: np.ndarray):
-        """Samples s_n F_n F_n^H, F_n given as real and imaginary parts
-        ``roots[n]`` of shape (2, m, m); only the winner is formed."""
-        nonlocal best_val, best_r
-        c1, c2 = _terms(maps, roots, s, objective)
+    def consider(i: int, roots: np.ndarray, grams: tuple, s: np.ndarray):
+        """Samples s_n F_n F_n^H at power i, F_n given as real and imaginary
+        parts ``roots[n]`` of shape (2, m, m) and by their :func:`_grams`;
+        only the winner is formed."""
+        c1, c2 = _terms(grams, s)
         vals = np.maximum(c1 - c2, 0.0)
         j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
+        if vals[j] > best[i][0]:
             f = roots[j, 0] + 1j * roots[j, 1]
-            best_r = s[j] * (f @ f.conj().T)
+            best[i] = (float(vals[j]), s[j] * (f @ f.conj().T))
 
-    def consider_psd(ev: np.ndarray, vec: np.ndarray):
+    def consider_psd(i: int, ev: np.ndarray, vec: np.ndarray):
         """Covariances vec diag(ev) vec^H, ev >= 0, through their roots."""
         f = vec * np.sqrt(ev)[:, None, :]
-        consider(np.stack([f.real, f.imag], axis=1), np.ones(ev.shape[0]))
+        roots = np.stack([f.real, f.imag], axis=1)
+        consider(i, roots, _grams(maps, roots, objective), np.ones(ev.shape[0]))
 
     if include_candidates:
-        ev, vec = np.linalg.eigh(np.stack(_candidate_pool(pair, p_total)))
-        consider_psd(np.clip(ev, 0.0, None), vec)
+        for i, p_total in enumerate(powers):
+            ev, vec = np.linalg.eigh(np.stack(_candidate_pool(pair, float(p_total))))
+            consider_psd(i, np.clip(ev, 0.0, None), vec)
 
     rng_a = _stream(cfg.seed, 1)
     rng_t = _stream(cfg.seed, 2)
@@ -219,24 +243,29 @@ def mc_capacity(pair: ChannelPair, p_total: float,
         z = rng_a.standard_normal((n, 2, m, m))
         tr = np.einsum("nk,nk->n", z.reshape(n, -1), z.reshape(n, -1))
         u = rng_t.random((n, 2))
-        t = np.where(u[:, 0] < 0.5, p_total, p_total * (1.0 - u[:, 1]))
-        consider(z, t / np.maximum(tr, 1e-300))
+        grams = _grams(maps, z, objective)
+        for i, p_total in enumerate(powers):
+            t = np.where(u[:, 0] < 0.5, p_total, p_total * (1.0 - u[:, 1]))
+            consider(i, z, grams, t / np.maximum(tr, 1e-300))
+        del grams  # so that they never coexist with the next chunk's B
 
-    if cfg.refine_rounds > 0 and best_val > 0.0:
+    n_ref = min(20_000, max(500, cfg.samples // 100))
+    for i, p_total in enumerate(powers):
+        if cfg.refine_rounds == 0 or best[i][0] == 0.0:
+            continue
         rng_r = _stream(cfg.seed, 3)
-        n_ref = min(20_000, max(500, cfg.samples // 100))
         for round_idx in range(cfg.refine_rounds):
             scale = 0.1 * p_total / 10.0 ** round_idx
             x = rng_r.standard_normal((n_ref, m, m))
             y = rng_r.standard_normal((n_ref, m, m))
             e = x + 1j * y
             e = 0.5 * (e + np.conj(np.transpose(e, (0, 2, 1))))
-            ev, vec = np.linalg.eigh(best_r[None, :, :] + scale * e)
+            ev, vec = np.linalg.eigh(best[i][1][None, :, :] + scale * e)
             ev = np.clip(ev, 0.0, None)
             shrink = np.minimum(1.0, p_total / np.maximum(ev.sum(axis=1), 1e-300))
-            consider_psd(ev * shrink[:, None], vec)
+            consider_psd(i, ev * shrink[:, None], vec)
 
-    return best_val, HermitianMatrix(sym(best_r))
+    return [(val, HermitianMatrix(sym(r))) for val, r in best]
 
 
 _REFINE_GRID = np.linspace(0.0, 1.0, 201)

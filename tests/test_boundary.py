@@ -139,7 +139,7 @@ TABLE = {
         ("samples", lambda v: wm.OracleConfig(samples=v), INTEGER + [0, -1]),
         ("seed", lambda v: wm.OracleConfig(seed=v), INTEGER),
         ("refine_rounds", lambda v: wm.OracleConfig(refine_rounds=v), INTEGER + [-1])],
-    "mc_capacity": [p_total_of(wm.mc_capacity)],
+    "mc_capacity": [p_total_of(wm.mc_capacity, bad=POWERS)],
     "separable_oracle": [
         ("lam1", lambda v: wm.separable_oracle(v, [0.5, 0.1], 1.0), VECTOR),
         ("lam2", lambda v: wm.separable_oracle([2.0, 1.0], v, 1.0), VECTOR),

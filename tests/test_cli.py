@@ -237,6 +237,37 @@ class TestSweep:
         assert main([command, "--input", write_scenario(tmp_path, doc)]) == 0
         assert sorted(calls) == ["is_certify", "wf_certify", "zf_certify"]
 
+    @pytest.mark.parametrize("command, solver", [("oracle", "weak"),
+                                                 ("sweep", ["weak", "oracle"])])
+    def test_oracle_runs_once_per_grid(self, tmp_path, monkeypatch, command,
+                                       solver):
+        from wiretap_mimo import cli
+        calls, mc_capacity = [], cli.mc_capacity
+
+        def counted(pair, p_total, *args):
+            calls.append(np.size(p_total))
+            return mc_capacity(pair, p_total, *args)
+
+        monkeypatch.setattr(cli, "mc_capacity", counted)
+        doc = fig1_doc(solver=solver, power_grid={"p_t": [0.5, 1.0, 2.0]},
+                       oracle={"samples": 500, "seed": 1})
+        assert main([command, "--input", write_scenario(tmp_path, doc)]) == 0
+        assert calls == [3]
+
+    def test_oracle_error_fills_every_point(self, tmp_path, monkeypatch):
+        from wiretap_mimo import cli
+
+        def refuse(*args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli, "mc_capacity", refuse)
+        doc = fig1_doc(solver=["weak", "oracle"],
+                       power_grid={"p_t": [0.5, 1.0, 2.0]})
+        rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
+        assert [r.status for r in rows if r.solver == "oracle"] == \
+            ["error: refused"] * 3
+        assert all(r.status == "Solved" for r in rows if r.solver == "weak")
+
 
 class TestMainCommandLine:
     def test_sweep_csv_output(self, tmp_path, capsys):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wiretap_mimo import (ChannelPair, HermitianMatrix, Objective, OracleConfig,
-                          mc_capacity, secrecy_rate, separable_oracle,
-                          solve_common_rsv, detect_common_rsv)
+from wiretap_mimo import (ChannelPair, ConvergenceError, HermitianMatrix,
+                          Objective, OracleConfig, mc_capacity, secrecy_rate,
+                          separable_oracle, solve_common_rsv, solve_weak,
+                          detect_common_rsv, weak_eavesdropper)
 from wiretap_mimo._waterfill import standard_waterfill
-from wiretap_mimo.oracle import _factor_map, _terms
+from wiretap_mimo.oracle import _factor_map, _grams, _terms
 from util import fig1_pair, random_commuting_pair, random_psd
 
 
@@ -100,6 +101,32 @@ class TestMcCapacity:
                                    cfg=OracleConfig(samples=3_000, seed=29))
         assert best == pytest.approx(secrecy_rate(pair, best_r), abs=1e-9)
 
+    def test_a_failing_closed_form_only_drops_its_candidate(self, monkeypatch):
+        # a low-gain pair (both H scaled by 1e-3) at -10 dB, where the weak
+        # search stops short of its power tolerance
+        rng = np.random.default_rng(0)
+        h1, h2 = (1e-3 * (rng.standard_normal((2, 2))
+                          + 1j * rng.standard_normal((2, 2))) for _ in range(2))
+        low_gain = ChannelPair.from_channels(h1, h2)
+        with pytest.raises(ConvergenceError):
+            solve_weak(low_gain, 0.1)
+
+        def check(pair, p_total):
+            best, best_r = mc_capacity(pair, p_total,
+                                       cfg=OracleConfig(samples=1000, seed=1))
+            assert math.isfinite(best) and best >= 0.0
+            assert best_r.trace() <= p_total * (1 + 1e-12)
+
+        check(low_gain, 0.1)
+
+        # the same path on the fig1 pair, should the weak search ever
+        # answer the low-gain pair
+        def stalled(pair, p_total):
+            raise ConvergenceError("forced", residual=1.0)
+
+        monkeypatch.setattr(weak_eavesdropper, "solve_weak", stalled)
+        check(fig1_pair(), 1.0)
+
 
 def _integer_h(rng, rows, m):
     return rng.integers(-3, 4, (rows, m)) + 1j * rng.integers(-3, 4, (rows, m))
@@ -136,8 +163,8 @@ def test_factor_form_matches_slogdet():
                 ref = np.linalg.slogdet(np.eye(h.shape[0])
                                         + h @ r @ h.conj().T)[1]
             maps = [_factor_map(w)] * 2
-            logdet, _ = _terms(maps, roots, s, Objective.EXACT)
-            _, leak = _terms(maps, roots, s, Objective.WEAK)
+            logdet, _ = _terms(_grams(maps, roots, Objective.EXACT), s)
+            _, leak = _terms(_grams(maps, roots, Objective.WEAK), s)
             trace = np.einsum("ij,nji->n", w.entries, r).real
             assert np.all(np.abs(logdet - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
             assert np.all(np.abs(leak - trace) <= 1e-12 * np.maximum(1.0, trace))
@@ -237,3 +264,39 @@ def test_config_validation():
                 {"samples": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             OracleConfig(**bad)
+
+
+def _grid_cases():
+    rng = np.random.default_rng(71)
+
+    def h(m):
+        return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+    general = {m: ChannelPair.from_channels(h(m), 0.5 * h(m)) for m in (2, 3, 4)}
+    w1 = random_psd(rng, 2)
+    # W2 >= W1: every value is 0 and refinement is skipped
+    dominated = ChannelPair.from_gram(w1, w1 + random_psd(rng, 2, scale=0.1))
+    return [(general[2], Objective.EXACT, True, 3),
+            (general[3], Objective.WEAK, False, 0),
+            (general[4], Objective.WEAK, True, 3),
+            (general[2], Objective.EXACT, False, 0),
+            (dominated, Objective.EXACT, True, 3)]
+
+
+def test_an_oracle_point_alone_equals_the_same_point_in_a_grid():
+    """One pass over the sample stream serves every power of a grid, and
+    each power's value and covariance are the bytes of that power solved
+    alone: EXACT and WEAK, candidates on and off, 0 and 3 refinement rounds,
+    m = 2 to 4, and a partial last chunk (40,000 samples)."""
+    grid = 10.0 ** (np.linspace(-10.0, 30.0, 5) / 10.0)
+    zeros = 0
+    for pair, objective, cand, rounds in _grid_cases():
+        cfg = OracleConfig(samples=40_000, seed=3, refine_rounds=rounds)
+        outs = mc_capacity(pair, grid, objective, cfg, cand)
+        assert len(outs) == grid.size
+        for p_total, (best, best_r) in zip(grid, outs):
+            alone, alone_r = mc_capacity(pair, float(p_total), objective, cfg, cand)
+            assert best == alone
+            assert best_r.entries.tobytes() == alone_r.entries.tobytes()
+            zeros += best == 0.0
+    assert zeros == grid.size  # the dominated pair, and only it
