@@ -2,11 +2,12 @@
 
 Subcommands: ``solve`` (single power point), ``sweep`` (power grid),
 ``certify`` (ZF/WF/IS verdicts), ``oracle`` (Monte-Carlo estimate) and
-``figure`` (built-in demo sweeps).  Each takes ``--out``, ``--format`` and
-``--units``; all but ``certify`` also take the oracle's ``--samples`` and
-``--seed``.  Scenario files are JSON; matrices are row-major nested arrays
-with complex entries written as [re, im] pairs and a "matrix_kind" field
-choosing between Gram matrices (W) and raw channels (H).
+``figure`` (built-in demo sweeps).  Each runs a solver list through
+:func:`run_sweep`, except ``figure fig3``, and takes ``--out``, ``--format``
+and ``--units``; the oracle's ``--samples`` and ``--seed`` exactly when that
+list names ``"oracle"``.  Scenario files are JSON; matrices are row-major
+nested arrays with complex entries written as [re, im] pairs and a
+"matrix_kind" field choosing between Gram matrices (W) and raw channels (H).
 
 Output is CSV (stable header: snr_db,p_t,solver,capacity,lower,upper,lambda,
 active_modes,status) or JSON.  Capacities are in nats unless --units bits.
@@ -57,7 +58,7 @@ class Row:
     lam: Optional[float] = None
     active_modes: Optional[int] = None
     status: str = ""
-    covariance: Optional[np.ndarray] = None  # emitted by `solve` in JSON mode
+    covariance: Optional[np.ndarray] = None  # emitted by `solve` and `certify` in JSON
 
 
 def _number(value, where: str) -> float:
@@ -124,23 +125,25 @@ def _parse_grid(obj) -> list[tuple[float, float]]:
         values = obj["p_t"]
         if not isinstance(values, list) or not values:
             raise ValueError("field 'power_grid.p_t': expected a nonempty list")
-        grid = []
-        for v in values:
-            v = _number(v, "field 'power_grid.p_t'")
-            if v <= 0:
-                raise ValueError(f"field 'power_grid.p_t': invalid power {v!r}")
-            grid.append((10.0 * math.log10(v), v))
-        return grid
+        powers = [_number(v, "field 'power_grid.p_t'") for v in values]
+        if min(powers) <= 0:
+            raise ValueError(f"field 'power_grid.p_t': invalid power {min(powers)!r}")
+        return [(10.0 * math.log10(v), v) for v in powers]
     needed = ("db_start", "db_stop", "db_step")
     if all(k in obj for k in needed):
         start, stop, step = (_number(obj[k], f"field 'power_grid.{k}'") for k in needed)
-        if step <= 0:
-            raise ValueError("field 'power_grid': dB range must have step > 0")
-        if stop < start:
-            raise ValueError("field 'power_grid': db_stop must be >= db_start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [(start + i * step, 10.0 ** ((start + i * step) / 10.0))
-                for i in range(n)]
+        grid = []
+        if step > 0 and stop >= start:
+            try:  # OverflowError: infinitely many points or a power past float range
+                grid = [(start + i * step, 10.0 ** ((start + i * step) / 10.0))
+                        for i in range(math.floor((stop - start) / step + 1e-9) + 1)]
+            except OverflowError:
+                pass
+        if not grid or grid[0][1] == 0.0:  # the powers grow along the grid
+            raise ValueError("field 'power_grid': a dB range needs db_step > 0, "
+                             "db_stop >= db_start, finitely many points and "
+                             "finite positive powers")
+        return grid
     raise ValueError("field 'power_grid': provide either 'p_t' or "
                      "'db_start'/'db_stop'/'db_step'")
 
@@ -192,72 +195,63 @@ def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSp
 
 
 def _row(snr_db, p_t, solver, out) -> Row:
-    """One table row of a SolveResult (with its bounds, if any) or of bounds."""
+    """One table row of a SolveResult (with its bounds, if any), bounds, a
+    certificate report, the oracle's (value, covariance) or a ValueError."""
+    if isinstance(out, ValueError):
+        return Row(snr_db, p_t, solver, status=f"error: {out}")
     if isinstance(out, CapacityBounds):
         return Row(snr_db, p_t, solver, out.mid_nats, out.lower_nats,
-                   out.upper_nats, None, None, SolveStatus.BOUNDS_ONLY.value)
-    lower = upper = None
-    if out.bounds is not None:
-        lower, upper = out.bounds.lower_nats, out.bounds.upper_nats
-    return Row(snr_db, p_t, solver, out.capacity_nats, lower, upper,
-               out.lagrange_lambda, out.active_modes, out.status.value,
-               out.covariance.entries)
+                   out.upper_nats, status=SolveStatus.BOUNDS_ONLY.value)
+    if isinstance(out, certificates.CertificateReport):
+        return Row(snr_db, p_t, solver, out.certified_capacity,
+                   lam=out.details.get("water_lambda"), status=out.verdict.value,
+                   covariance=getattr(out.certified_covariance, "entries", None))
+    if isinstance(out, tuple):  # the oracle's best value and covariance
+        return Row(snr_db, p_t, solver, out[0], status="Solved",
+                   covariance=out[1].entries)
+    return Row(snr_db, p_t, solver, out.capacity_nats,
+               getattr(out.bounds, "lower_nats", None),
+               getattr(out.bounds, "upper_nats", None), out.lagrange_lambda,
+               out.active_modes, out.status.value, out.covariance.entries)
 
 
-def _oracle_rows(pair, grid, cfg) -> list[Row]:
-    """The oracle's row at every point of the grid: one call over the grid."""
-    outs = mc_capacity(pair, np.array([p_t for _, p_t in grid]), Objective.EXACT, cfg)
-    return [Row(snr_db, p_t, "oracle", best, None, None, None, None,
-                "Solved", best_r.entries)
-            for (snr_db, p_t), (best, best_r) in zip(grid, outs)]
-
-
-def _certify_rows(pair, grid) -> list[list[Row]]:
-    """The ZF, WF and IS rows at every point of the grid, per point: one
-    call per certificate over the whole grid."""
-    powers = np.array([p_t for _, p_t in grid])
-    columns = [[(name, report) for report in fn(pair, powers)]
-               for name, fn in (("certify:zf", certificates.zf_certify),
-                                ("certify:wf", certificates.wf_certify),
-                                ("certify:is", certificates.is_certify))]
-    return [[Row(snr_db, p_t, name, report.certified_capacity, None, None,
-                 report.details.get("water_lambda"), None, report.verdict.value,
-                 getattr(report.certified_covariance, "entries", None))
-             for name, report in point]
-            for (snr_db, p_t), point in zip(grid, zip(*columns))]
-
-
-def _solver_rows(spec: ScenarioSpec, name: str) -> list[list[Row]]:
-    """Rows of one named solver at every point of the grid, per point: one
-    grid call.  An error lands in the status column of every point."""
-    pair, grid = spec.pair, spec.grid
-    powers = np.array([p_t for _, p_t in grid])
+def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:
+    """Each grid point's ``(label, outcome)`` pairs of one named solver, from
+    one library call per grid (three for ``certify``); an error fills all."""
     try:
-        if name == "certify":
-            return _certify_rows(pair, grid)
-        if name == "oracle":
-            return [[row] for row in _oracle_rows(pair, grid, spec.oracle_cfg)]
         if name == "auto":
-            outs = auto.solve_auto(pair, powers)
+            return auto.solve_auto(spec.pair, powers)
+        if name == "certify":
+            columns = [[(label, report) for report in fn(spec.pair, powers)]
+                       for label, fn in (("certify:zf", certificates.zf_certify),
+                                         ("certify:wf", certificates.wf_certify),
+                                         ("certify:is", certificates.is_certify))]
+            return list(zip(*columns))
+        if name == "oracle":
+            outs = mc_capacity(spec.pair, powers, Objective.EXACT, spec.oracle_cfg)
         elif name == "rsv":
-            outs = common_rsv.solve_common_rsv(pair.common_basis(), powers)
+            outs = common_rsv.solve_common_rsv(spec.pair.common_basis(), powers)
         else:
             outs = {"weak": weak_eavesdropper.solve_weak_with_bounds,
                     "isotropic": capacity_bounds_isotropic,
-                    "omni": omnidirectional.solve_omni}[name](pair, powers)
+                    "omni": omnidirectional.solve_omni}[name](spec.pair, powers)
     except ValueError as err:  # NotCommutingError included
-        return [[Row(snr_db, p_t, name, status=f"error: {err}")]
-                for snr_db, p_t in grid]
-    return [[_row(snr_db, p_t, solver, out)
-             for solver, out in (point if name == "auto" else [(name, point)])]
-            for (snr_db, p_t), point in zip(grid, outs)]
+        return [[(name, err)]] * len(powers)
+    return [[(name, out)] for out in outs]
+
+
+def _table(grid, columns) -> list[Row]:
+    """Rows per point in column order, from each column's per-point outcomes."""
+    return [_row(snr_db, p_t, label, out)
+            for (snr_db, p_t), point in zip(grid, zip(*columns))
+            for pairs in point for label, out in pairs]
 
 
 def run_sweep(spec: ScenarioSpec) -> list[Row]:
     """Rows per power point in solver-list order; solver errors land in the
     status column without aborting the rest of the sweep."""
-    columns = [_solver_rows(spec, name) for name in spec.solvers]
-    return [row for point in zip(*columns) for rows in point for row in rows]
+    powers = np.array([p_t for _, p_t in spec.grid])
+    return _table(spec.grid, [_outcomes(spec, name, powers) for name in spec.solvers])
 
 
 def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
@@ -271,11 +265,9 @@ def _fig3_rows() -> list[Row]:
     gains, epsilons = np.array([2.0, 1.0]), (0.0, 0.1, 0.5)
     grid = [(float(db), 10.0 ** (db / 10.0)) for db in range(-10, 31)]
     powers = np.array([p_t for _, p_t in grid])
-    columns = [solve_isotropic(IsotropicProblem(gains, eps, powers))
-               for eps in epsilons]
-    return [_row(snr_db, p_t, f"isotropic(eps={eps:g})", res)
-            for (snr_db, p_t), point in zip(grid, zip(*columns))
-            for eps, res in zip(epsilons, point)]
+    return _table(grid, [[[(f"isotropic(eps={eps:g})", res)] for res in
+                          solve_isotropic(IsotropicProblem(gains, eps, powers))]
+                         for eps in epsilons])
 
 
 def _convert(value, units):
@@ -355,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--units", choices=("nats", "bits"), default=None)
-        if name != "certify":  # the one subcommand that runs no oracle
-            p.add_argument("--seed", type=int, help="oracle RNG seed")
-            p.add_argument("--samples", type=int, help="oracle sample count")
+        p.add_argument("--seed", type=int, help="oracle RNG seed")
+        p.add_argument("--samples", type=int, help="oracle sample count")
     return parser
 
 
@@ -371,34 +362,25 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         overrides = {k: getattr(args, k) for k in ("seed", "samples")
-                     if getattr(args, k, None) is not None}
+                     if getattr(args, k) is not None}
 
-        if args.command == "figure":
-            if args.which == "fig1":
-                rows = run_sweep(_fig1_spec(OracleConfig(**overrides)))
-            else:
-                _reject_oracle_flags(overrides, "figure fig3")
-                rows = _fig3_rows()
-            _emit(rows, args.format or "csv", args.units or "nats", args.out)
+        if args.command == "figure" and args.which == "fig3":
+            _reject_oracle_flags(overrides, "figure fig3")
+            _emit(_fig3_rows(), args.format or "csv", args.units or "nats", args.out)
             return 0
-
-        spec = load_scenario(args.input, oracle_overrides=overrides)
-        out_format = args.format or spec.out_format
-        units = args.units or spec.units
-
+        if args.command == "figure":
+            spec = _fig1_spec(OracleConfig(**overrides))
+        else:
+            spec = load_scenario(args.input, oracle_overrides=overrides)
+        if args.command in ("certify", "oracle"):
+            spec.solvers = [args.command]
         if args.command == "solve" and len(spec.grid) != 1:
             raise ValueError("'solve' requires exactly one power point; "
                              "use 'sweep' for grids")
-        if args.command in ("solve", "sweep"):
-            if "oracle" not in spec.solvers:
-                _reject_oracle_flags(overrides, f"{args.command} with no 'oracle' solver")
-            rows = run_sweep(spec)
-        elif args.command == "certify":
-            rows = [row for point in _certify_rows(spec.pair, spec.grid)
-                    for row in point]
-        else:  # oracle
-            rows = _oracle_rows(spec.pair, spec.grid, spec.oracle_cfg)
-        _emit(rows, out_format, units, args.out,
+        if "oracle" not in spec.solvers:
+            _reject_oracle_flags(overrides, f"{args.command} with no 'oracle' solver")
+        _emit(run_sweep(spec), args.format or spec.out_format,
+              args.units or spec.units, args.out,
               with_covariance=args.command in ("solve", "certify"))
         return 0
     except ConvergenceError as err:

@@ -79,6 +79,18 @@ class TestScenarioParsing:
         (lambda d: d.update(power_grid={"db_start": True, "db_stop": 2, "db_step": 1}),
          "db_start'.*got True"),
         (lambda d: d.update(power_grid={"p_t": [True]}), "p_t'.*got True"),
+        # one dB-range rule: a finite number of points, each power finite
+        # and positive (an OverflowError or a power of 0.0 before)
+        (lambda d: d.update(power_grid={"db_start": 3000, "db_stop": 3100,
+                                        "db_step": 100}), "power_grid': a dB range"),
+        (lambda d: d.update(power_grid={"db_start": 0, "db_stop": 1e300,
+                                        "db_step": 1e-300}), "power_grid': a dB range"),
+        (lambda d: d.update(power_grid={"db_start": -4000, "db_stop": -4000,
+                                        "db_step": 1}), "power_grid': a dB range"),
+        (lambda d: d.update(power_grid={"db_start": 2, "db_stop": 1, "db_step": 1}),
+         "power_grid': a dB range needs db_step > 0, db_stop >= db_start"),
+        (lambda d: d.update(power_grid={"db_start": 1, "db_stop": 2, "db_step": 0}),
+         "power_grid': a dB range needs db_step > 0"),
         (lambda d: d["channel"].update(w1=[[True, 0], [0, 1]]),
          r"w1\[0\]\[0\].*got True"),
     ])
@@ -254,7 +266,7 @@ class TestSweep:
         assert main([command, "--input", write_scenario(tmp_path, doc)]) == 0
         assert calls == [3]
 
-    def test_oracle_error_fills_every_point(self, tmp_path, monkeypatch):
+    def test_oracle_error_fills_every_point(self, tmp_path, monkeypatch, capsys):
         from wiretap_mimo import cli
 
         def refuse(*args):
@@ -267,6 +279,10 @@ class TestSweep:
         assert [r.status for r in rows if r.solver == "oracle"] == \
             ["error: refused"] * 3
         assert all(r.status == "Solved" for r in rows if r.solver == "weak")
+        # the oracle subcommand runs the same rows: exit 0, an error per point
+        assert main(["oracle", "--input", write_scenario(tmp_path, doc)]) == 0
+        assert [line.split(",")[-1] for line in
+                capsys.readouterr().out.splitlines()[1:]] == ["error: refused"] * 3
 
 
 class TestMainCommandLine:
@@ -339,6 +355,8 @@ class TestMainCommandLine:
         assert main(["certify", "--input", path, "--samples", "5", "--seed", "9"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the one oracle-flag rule refuses them, not argparse
+        assert "no 'oracle' solver" in captured.err
         assert "--samples" in captured.err
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
