@@ -12,11 +12,11 @@ All capacities are in nats; the command line (``wiretap-mimo``) can convert
 to bits.
 """
 
-from .core import (CapacityBounds, ChannelPair, ConvergenceError,
-                   HermitianMatrix, KktResidual, NotApplicableError,
-                   SolveResult, SolveStatus, SpectralDecomposition,
-                   epsilon_from_pathloss, nats_to_bits, positive_part,
-                   secrecy_rate, weak_rate)
+from .core import (CapacityBounds, CapacityBoundsGrid, ChannelPair,
+                   ConvergenceError, HermitianMatrix, KktResidual,
+                   NotApplicableError, SolveResult, SolveResultGrid,
+                   SolveStatus, SpectralDecomposition, epsilon_from_pathloss,
+                   nats_to_bits, positive_part, secrecy_rate, weak_rate)
 from .weak_eavesdropper import (capacity_bounds_weak, kkt_residual_weak,
                                 saturation_capacities, solve_weak,
                                 solve_weak_with_bounds, threshold_power)
@@ -40,8 +40,9 @@ from .auto import solve_auto
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityBounds", "ChannelPair", "ConvergenceError", "HermitianMatrix",
-    "KktResidual", "NotApplicableError", "SolveResult", "SolveStatus",
+    "CapacityBounds", "CapacityBoundsGrid", "ChannelPair", "ConvergenceError",
+    "HermitianMatrix", "KktResidual", "NotApplicableError", "SolveResult",
+    "SolveResultGrid", "SolveStatus",
     "SpectralDecomposition", "epsilon_from_pathloss", "nats_to_bits",
     "positive_part", "secrecy_rate", "weak_rate",
     "capacity_bounds_weak", "kkt_residual_weak", "saturation_capacities",

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, SolveResult, check_powers
+from .core import ConvergenceError, SolveResultGrid, SolveStatus, check_powers
 
 # a search stops once the power residual is within _POWER_TOL * P_T, and
 # gives up after _MAX_EVALS evaluations of the total power
@@ -98,22 +98,26 @@ def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier"):
     next point is the guess when it lies strictly inside and moves less than
     half the step before last (Brent's safeguard), else the midpoint
     (geometric when lo > 0).  A point stops, and leaves the batch, once
-    ``|total - p_total| <= _POWER_TOL * p_total``.  Returns ``lam`` and each
-    point's payload; raises :class:`ConvergenceError` with a point's residual
-    when its bracket is exhausted or ``_MAX_EVALS`` evaluations are spent.
+    ``|total - p_total| <= _POWER_TOL * p_total``.  Returns ``lam`` and the
+    payload arrays at it, stacked over the points; raises
+    :class:`ConvergenceError` with a point's residual when its bracket is
+    exhausted or ``_MAX_EVALS`` evaluations are spent.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     lam, p, live = hi.copy(), p_total, np.arange(hi.size)
     step = older = np.full(hi.size, math.inf)  # the last two step lengths
-    found, payloads = np.empty(hi.size), [None] * hi.size
+    found, payloads = np.empty(hi.size), None
     for _ in range(_MAX_EVALS):
         total, payload, guess = power_at(lam, live)
         resid = total - p
         done = np.abs(resid) <= _POWER_TOL * p
         if done.any():
-            for j in np.flatnonzero(done):
-                found[live[j]] = lam[j]
-                payloads[live[j]] = tuple(a[j] for a in payload)
+            if payloads is None:
+                payloads = tuple(np.empty((found.size,) + a.shape[1:], a.dtype)
+                                 for a in payload)
+            found[live[done]] = lam[done]
+            for out, a in zip(payloads, payload):
+                out[live[done]] = a[done]
             if done.all():
                 return found, payloads
             lo, hi, lam, p, live, resid, guess, step, older = (
@@ -212,21 +216,21 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
             return total, (pw,), _model_root(lam, total, np.sum(d1, axis=1),
                                              np.sum(d2, axis=1), pm[live])
 
-        lam[many], found = _find_multiplier(power_at, lo, np.maximum(hi, lo), pm)
-        powers[many[:, None], order] = [pw for pw, in found]
+        lam[many], (pw,) = _find_multiplier(power_at, lo, np.maximum(hi, lo), pm)
+        powers[many[:, None], order] = pw
     return powers.reshape(shape + g.shape), lam.reshape(shape)[()]
 
 
 def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,
                 p_total: np.ndarray,
-                basis: np.ndarray | None = None) -> list[SolveResult]:
+                basis: np.ndarray | None = None) -> SolveResultGrid:
     """The secrecy optimum over independent modes with gains ``gains`` and
     leaks ``leaks`` (a scalar leaks equally into every mode), at each power
     of the 1-D array ``p_total``.
 
     Exact water-filling when no mode leaks, else the secrecy allocation;
-    zero rate when no mode beats its leak.  The covariance is diag(powers),
-    or ``V diag(powers) V^H`` on the unitary ``basis`` V.
+    zero rate, multiplier 0, when no mode beats its leak.  The covariance is
+    diag(powers), or ``V diag(powers) V^H`` on the unitary ``basis`` V.
     """
     if np.asarray(leaks).any():
         powers, lams = secrecy_waterfill(gains, leaks, p_total)
@@ -234,7 +238,13 @@ def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,
         powers, lams = standard_waterfill(gains, p_total)
     capacities = np.sum(np.log1p(gains * powers) - np.log1p(leaks * powers),
                         axis=-1)
-    return [SolveResult.solved(
-        np.diag(pw) if basis is None else (basis * pw) @ basis.conj().T,
-        pw, float(capacity), float(lam))
-        for pw, capacity, lam in zip(powers, capacities, lams)]
+    zero = ~powers.any(axis=1)
+    # the identity gives diag(powers) to the last bit, whose spectrum is powers
+    v = np.eye(powers.shape[1]) if basis is None else basis
+    return SolveResultGrid(
+        (v * powers[:, None, :]) @ v.conj().T,
+        np.where(zero | (capacities < 0.0), 0.0, capacities),
+        np.where(zero, 0.0, lams), np.count_nonzero(powers > 0, axis=1),
+        np.sum(powers, axis=1),
+        np.where(zero, SolveStatus.ZERO_RATE, SolveStatus.SOLVED), powers,
+        spectra=powers if basis is None else None)

@@ -3,17 +3,32 @@ form where the channel has one, else the weak solution and both sandwiches."""
 
 from __future__ import annotations
 
-from typing import Union
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import CapacityBounds, ChannelPair, SolveResult, over_powers
+from .core import ChannelPair, over_powers
+
+
+@dataclass(frozen=True)
+class AutoGrid(Sequence):
+    """:func:`solve_auto` over a power grid: ``columns`` holds each solver's
+    name and its grid of outcomes; item i is point i's ``(solver, outcome)``
+    pairs, built on demand."""
+
+    columns: list[tuple[str, Sequence]]
+
+    def __len__(self) -> int:
+        return len(self.columns[0][1])
+
+    def __getitem__(self, i) -> list[tuple]:
+        return [(name, outs[i]) for name, outs in self.columns]
 
 
 @over_powers
-def solve_auto(pair: ChannelPair, p_total: np.ndarray
-               ) -> list[list[tuple[str, Union[SolveResult, CapacityBounds]]]]:
+def solve_auto(pair: ChannelPair, p_total: np.ndarray) -> AutoGrid:
     """``(solver, outcome)`` pairs at each power, by preference:
 
     * ``rsv`` when W1 and W2 share an eigenbasis (exact);
@@ -28,11 +43,8 @@ def solve_auto(pair: ChannelPair, p_total: np.ndarray
     except common_rsv.NotCommutingError:
         pass
     else:
-        return [[("rsv", res)]
-                for res in common_rsv.solve_common_rsv(channel, p_total)]
+        return AutoGrid([("rsv", common_rsv.solve_common_rsv(channel, p_total))])
     if pair.omni().is_omni and pair.range_contained():
-        return [[("omni", res)]
-                for res in omnidirectional.solve_omni(pair, p_total)]
-    return [[("weak", res), ("isotropic", bounds)] for res, bounds in zip(
-        weak_eavesdropper.solve_weak_with_bounds(pair, p_total),
-        isotropic.capacity_bounds_isotropic(pair, p_total))]
+        return AutoGrid([("omni", omnidirectional.solve_omni(pair, p_total))])
+    return AutoGrid([("weak", weak_eavesdropper.solve_weak_with_bounds(pair, p_total)),
+                     ("isotropic", isotropic.capacity_bounds_isotropic(pair, p_total))])

@@ -82,21 +82,24 @@ def _reports(pair: ChannelPair, details: list[dict], checks, covs: np.ndarray,
     ``checks`` lists ``(passes, reason)``, ``passes`` a boolean array over
     the points.  Point k is INCONCLUSIVE with the reason of the first check
     it fails, else SUFFICIENT_HOLDS with covariance ``covs[k]``, capacity
-    ``capacity(k)`` (its secrecy rate when None) and ``certified`` added to
-    its details.
+    ``capacity(k)`` (else its secrecy rate, one stacked call for the grid)
+    and ``certified`` added to its details.
     """
+    reasons = [next((why for passes, why in checks if not passes[k]), None)
+               for k in range(len(details))]
+    held = [k for k, reason in enumerate(reasons) if reason is None]
+    if capacity is None:  # the secrecy rates of the points that hold, in one call
+        rates = dict(zip(held, secrecy_rate(pair, covs[held]) if held else ()))
     reports = CertificateReports()
-    for k, info in enumerate(details):
-        reason = next((why for passes, why in checks if not passes[k]), None)
+    for k, (info, reason) in enumerate(zip(details, reasons)):
         if reason is not None:
             reports.append(CertificateReport(Verdict.INCONCLUSIVE,
                                              details={**info, "reason": reason}))
             continue
-        cov_h = HermitianMatrix(covs[k])
         reports.append(CertificateReport(
             Verdict.SUFFICIENT_HOLDS, details={**info, **certified},
-            certified_covariance=cov_h, certified_capacity=(
-                max(secrecy_rate(pair, cov_h), 0.0) if capacity is None else capacity(k))))
+            certified_covariance=HermitianMatrix(covs[k]), certified_capacity=(
+                max(float(rates[k]), 0.0) if capacity is None else capacity(k))))
     return reports
 
 

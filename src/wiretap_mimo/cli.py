@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import auto, certificates, common_rsv, omnidirectional, weak_eavesdropper
-from .core import (CapacityBounds, ChannelPair, ConvergenceError, NATS_PER_BIT,
-                   SolveStatus)
+from .core import (CapacityBoundsGrid, ChannelPair, ConvergenceError,
+                   NATS_PER_BIT, SolveResultGrid, SolveStatus)
 from .isotropic import IsotropicProblem, capacity_bounds_isotropic, solve_isotropic
 from .oracle import Objective, OracleConfig, mc_capacity
 
@@ -194,39 +194,44 @@ def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSp
     )
 
 
-def _row(snr_db, p_t, solver, out) -> Row:
-    """One table row of a SolveResult (with its bounds, if any), bounds, a
-    certificate report, the oracle's (value, covariance) or a ValueError."""
-    if isinstance(out, ValueError):
-        return Row(snr_db, p_t, solver, status=f"error: {out}")
-    if isinstance(out, CapacityBounds):
-        return Row(snr_db, p_t, solver, out.mid_nats, out.lower_nats,
-                   out.upper_nats, status=SolveStatus.BOUNDS_ONLY.value)
+def _row(snr_db, p_t, solver, outs, i: int) -> Row:
+    """Point i's table row of one solver's grid outcome: a SolveResultGrid
+    (with its bounds, if any) or a CapacityBoundsGrid, read from their
+    arrays; certificate reports; the oracle's (value, covariance) pairs; or
+    a ValueError, which fills every point."""
+    if isinstance(outs, ValueError):
+        return Row(snr_db, p_t, solver, status=f"error: {outs}")
+    if isinstance(outs, CapacityBoundsGrid):
+        return Row(snr_db, p_t, solver, float(outs.mid_nats[i]),
+                   float(outs.lower_nats[i]), float(outs.upper_nats[i]),
+                   status=SolveStatus.BOUNDS_ONLY.value)
+    if isinstance(outs, SolveResultGrid):
+        b = outs.bounds
+        return Row(snr_db, p_t, solver, float(outs.capacities[i]),
+                   None if b is None else float(b.lower_nats[i]),
+                   None if b is None else float(b.upper_nats[i]),
+                   float(outs.lambdas[i]), int(outs.active_modes[i]),
+                   outs.statuses[i].value, outs.covariance_at(i))
+    out = outs[i]
     if isinstance(out, certificates.CertificateReport):
         return Row(snr_db, p_t, solver, out.certified_capacity,
                    lam=out.details.get("water_lambda"), status=out.verdict.value,
                    covariance=getattr(out.certified_covariance, "entries", None))
-    if isinstance(out, tuple):  # the oracle's best value and covariance
-        return Row(snr_db, p_t, solver, out[0], status="Solved",
-                   covariance=out[1].entries)
-    return Row(snr_db, p_t, solver, out.capacity_nats,
-               getattr(out.bounds, "lower_nats", None),
-               getattr(out.bounds, "upper_nats", None), out.lagrange_lambda,
-               out.active_modes, out.status.value, out.covariance.entries)
+    # the oracle's best value and covariance
+    return Row(snr_db, p_t, solver, out[0], status="Solved", covariance=out[1].entries)
 
 
 def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:
-    """Each grid point's ``(label, outcome)`` pairs of one named solver, from
-    one library call per grid (three for ``certify``); an error fills all."""
+    """``(label, outcomes)`` columns of one named solver over the grid, each
+    from one library call (three for ``certify``); an error fills all."""
     try:
         if name == "auto":
-            return auto.solve_auto(spec.pair, powers)
+            return auto.solve_auto(spec.pair, powers).columns
         if name == "certify":
-            columns = [[(label, report) for report in fn(spec.pair, powers)]
-                       for label, fn in (("certify:zf", certificates.zf_certify),
-                                         ("certify:wf", certificates.wf_certify),
-                                         ("certify:is", certificates.is_certify))]
-            return list(zip(*columns))
+            return [(label, fn(spec.pair, powers))
+                    for label, fn in (("certify:zf", certificates.zf_certify),
+                                      ("certify:wf", certificates.wf_certify),
+                                      ("certify:is", certificates.is_certify))]
         if name == "oracle":
             outs = mc_capacity(spec.pair, powers, Objective.EXACT, spec.oracle_cfg)
         elif name == "rsv":
@@ -236,22 +241,22 @@ def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:
                     "isotropic": capacity_bounds_isotropic,
                     "omni": omnidirectional.solve_omni}[name](spec.pair, powers)
     except ValueError as err:  # NotCommutingError included
-        return [[(name, err)]] * len(powers)
-    return [[(name, out)] for out in outs]
+        return [(name, err)]
+    return [(name, outs)]
 
 
 def _table(grid, columns) -> list[Row]:
-    """Rows per point in column order, from each column's per-point outcomes."""
-    return [_row(snr_db, p_t, label, out)
-            for (snr_db, p_t), point in zip(grid, zip(*columns))
-            for pairs in point for label, out in pairs]
+    """Rows per point in column order, from each ``(label, outcomes)`` column."""
+    return [_row(snr_db, p_t, label, outs, i)
+            for i, (snr_db, p_t) in enumerate(grid) for label, outs in columns]
 
 
 def run_sweep(spec: ScenarioSpec) -> list[Row]:
     """Rows per power point in solver-list order; solver errors land in the
     status column without aborting the rest of the sweep."""
     powers = np.array([p_t for _, p_t in spec.grid])
-    return _table(spec.grid, [_outcomes(spec, name, powers) for name in spec.solvers])
+    return _table(spec.grid, [column for name in spec.solvers
+                              for column in _outcomes(spec, name, powers)])
 
 
 def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
@@ -265,8 +270,8 @@ def _fig3_rows() -> list[Row]:
     gains, epsilons = np.array([2.0, 1.0]), (0.0, 0.1, 0.5)
     grid = [(float(db), 10.0 ** (db / 10.0)) for db in range(-10, 31)]
     powers = np.array([p_t for _, p_t in grid])
-    return _table(grid, [[[(f"isotropic(eps={eps:g})", res)] for res in
-                          solve_isotropic(IsotropicProblem(gains, eps, powers))]
+    return _table(grid, [(f"isotropic(eps={eps:g})",
+                          solve_isotropic(IsotropicProblem(gains, eps, powers)))
                          for eps in epsilons])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _waterfill
-from .core import (ChannelPair, SolveResult, check_gains, clean_spectrum,
+from .core import (ChannelPair, SolveResultGrid, check_gains, clean_spectrum,
                    frob, over_powers)
 
 # seed of the random pencil weight used to split degenerate eigenspaces;
@@ -105,7 +105,7 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
 
 @over_powers
 def solve_common_rsv(channel: CommonBasisChannel,
-                     p_total: np.ndarray) -> list[SolveResult]:
+                     p_total: np.ndarray) -> SolveResultGrid:
     """Exact optimal covariance for a shared-eigenbasis channel.
 
     Per-mode powers follow the quadratic-root allocation with the paired

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -49,9 +50,10 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
-def check_nonnegative(name: str, value: float) -> None:
-    """Reject a ``value`` that is not a finite number at or above zero."""
-    if not 0.0 <= value < math.inf:
+def check_nonnegative(name: str, value) -> None:
+    """Reject a ``value`` (a number, or any entry of an array) that is not a
+    finite number at or above zero."""
+    if not np.all((0.0 <= value) & (value < math.inf)):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
@@ -67,9 +69,9 @@ def check_powers(name: str, value) -> np.ndarray:
 
 
 def over_powers(solve):
-    """``solve(obj, powers, ...)``, one outcome per power of a 1-D grid, as a
-    solver of ``(obj, p_total, ...)`` by :func:`check_powers`: one power
-    gives one outcome, a grid the list of outcomes in order."""
+    """``solve(obj, powers, ...)``, a sequence of one outcome per power of a
+    1-D grid, as a solver of ``(obj, p_total, ...)`` by :func:`check_powers`:
+    one power gives its one outcome, a grid the whole sequence."""
     @functools.wraps(solve)
     def solver(obj, p_total, *args, **kwargs):
         outs = solve(obj, check_powers("p_total", p_total), *args, **kwargs)
@@ -90,16 +92,24 @@ def check_gains(name: str, values, decreasing: bool = False) -> np.ndarray:
     return g
 
 
-def _zero_cut(w: np.ndarray) -> float:
-    """The magnitude at or below which an entry of the spectrum ``w`` is zero."""
-    return RANK_TOL * (float(np.max(np.abs(w))) if w.size else 0.0)
+def _zero_cut(w: np.ndarray) -> np.ndarray:
+    """The magnitude at or below which an entry of the spectrum ``w`` (or
+    of each in a stack along the last axis) is zero."""
+    return RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
 
 
 def clean_spectrum(w: np.ndarray) -> np.ndarray:
-    """``w`` with every entry at or below ``RANK_TOL * max |w|`` set to
-    exactly zero, negative round-off included: the one rank rule."""
+    """``w`` (or each in a stack) with every entry at or below ``RANK_TOL *
+    max |w|`` set to exactly zero, negative round-off included: the one rank rule."""
     w = np.asarray(w, dtype=float)
     return np.where(w > _zero_cut(w), w, 0.0)
+
+
+def _psd(w: np.ndarray) -> bool:
+    """Whether no spectrum in ``w`` (one, or a stack along the last axis)
+    has an eigenvalue below ``-RANK_TOL * max |w|``: the one PSD rule."""
+    return bool(np.all(np.min(w, axis=-1, keepdims=True, initial=math.inf)
+                       >= -_zero_cut(w)))
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -109,6 +119,25 @@ def sym(a: np.ndarray) -> np.ndarray:
 
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def _hermitian(a, ndim: int) -> np.ndarray:
+    """The one Hermitian rule: ``a`` as one square matrix (``ndim`` 2) or a
+    stack (``ndim`` 3) of them, finite and each within asymmetry ``1e-8 *
+    ||A||``; returned symmetrized, as float64 or complex128."""
+    a = np.asarray(a)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix{' stack' * (ndim > 2)}, "
+                         f"got shape {a.shape}")
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    asym = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    if np.any(asym > _ASYMMETRY_TOL * np.linalg.norm(a, axis=(-2, -1))):
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e} "
+            f"exceeds {_ASYMMETRY_TOL:g} * ||A||")
+    return sym(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +180,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        a = a.astype(dtype)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-        if asym > _ASYMMETRY_TOL * frob(a):
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-                f"{_ASYMMETRY_TOL:g} * ||A||"
-            )
-        a = sym(a)
+        a = _hermitian(self.entries, 2)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -214,7 +230,7 @@ class HermitianMatrix:
         if "_eig" in self.__dict__ or np.count_nonzero(a) > np.count_nonzero(w):
             # not diagonal (a diagonal matrix needs no decomposition)
             w = self.eigenvalues()
-        return bool(w.size == 0 or np.min(w) >= -_zero_cut(w))
+        return _psd(w)
 
     def root(self) -> np.ndarray:
         """L with W = L L^H over the r eigenvalues the rank rule keeps (their
@@ -336,16 +352,34 @@ class CapacityBounds:
     gap_bound_nats: float
 
     def __post_init__(self):
-        tol = 1e-9 * max(1.0, abs(self.upper_nats), abs(self.gap_bound_nats))
-        chain = (self.lower_nats <= self.mid_nats + tol
-                 and self.mid_nats <= self.upper_nats + tol
-                 and self.upper_nats <= self.lower_nats + self.gap_bound_nats + tol)
-        if not chain:
-            raise ValueError(
-                "bound chain violated: "
-                f"lower={self.lower_nats!r} mid={self.mid_nats!r} "
-                f"upper={self.upper_nats!r} gap={self.gap_bound_nats!r}"
-            )
+        lower, mid, upper, gap = (self.lower_nats, self.mid_nats,
+                                  self.upper_nats, self.gap_bound_nats)
+        # numpy operations, so that a grid's arrays take one test
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(upper), np.abs(gap)))
+        if not np.all((lower <= mid + tol) & (mid <= upper + tol)
+                      & (upper <= lower + gap + tol)):
+            raise ValueError(f"bound chain violated: lower={lower!r} mid={mid!r} "
+                             f"upper={upper!r} gap={gap!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class CapacityBoundsGrid(Sequence):
+    """:class:`CapacityBounds` over the points of a power grid, each field an
+    array over the points, the chain checked once for the whole grid.  Item
+    i (indexing, iteration) is point i's CapacityBounds, built on demand."""
+
+    lower_nats: np.ndarray
+    mid_nats: np.ndarray
+    upper_nats: np.ndarray
+    gap_bound_nats: np.ndarray
+
+    __post_init__ = CapacityBounds.__post_init__  # one chain test over the arrays
+
+    def __len__(self) -> int:
+        return len(self.lower_nats)
+
+    def __getitem__(self, i) -> CapacityBounds:
+        return CapacityBounds(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,18 +406,47 @@ class SolveResult:
         if not self.covariance.is_psd():
             raise ValueError("covariance must be positive semidefinite")
 
-    @classmethod
-    def solved(cls, covariance: np.ndarray, powers: np.ndarray,
-               capacity: float, lam: float) -> "SolveResult":
-        """The result of the per-mode allocation ``powers``; with no power in
-        any mode, no mode beats the eavesdropper: zero rate, multiplier 0."""
-        if not powers.any():
-            m = powers.size
-            return cls(HermitianMatrix(np.zeros((m, m))), 0.0, 0.0, 0, 0.0,
-                       SolveStatus.ZERO_RATE, np.zeros(m))
-        return cls(HermitianMatrix(covariance), max(capacity, 0.0), lam,
-                   int(np.count_nonzero(powers > 0)), float(np.sum(powers)),
-                   SolveStatus.SOLVED, powers)
+
+@dataclass(frozen=True, eq=False)
+class SolveResultGrid(Sequence):
+    """:class:`SolveResult` over the points of a power grid, each field an
+    array over the points (first axis), checked once for the whole grid by
+    the rules of one result (``spectra``: the covariances' eigenvalues, when
+    the solver has them).  Item i (indexing, iteration) is point i's
+    SolveResult, built on demand."""
+
+    covariances: np.ndarray
+    capacities: np.ndarray
+    lambdas: np.ndarray
+    active_modes: np.ndarray
+    power_used: np.ndarray
+    statuses: np.ndarray
+    mode_powers: np.ndarray
+    bounds: Optional[CapacityBoundsGrid] = None
+    spectra: InitVar[Optional[np.ndarray]] = None
+
+    def __post_init__(self, spectra):
+        check_nonnegative("capacities", self.capacities)
+        check_nonnegative("lambdas", self.lambdas)
+        covs = _hermitian(self.covariances, 3)
+        if not _psd(np.linalg.eigvalsh(covs) if spectra is None else spectra):
+            raise ValueError("covariance must be positive semidefinite")
+        object.__setattr__(self, "covariances", covs)
+
+    def __len__(self) -> int:
+        return len(self.capacities)
+
+    def covariance_at(self, i) -> np.ndarray:
+        """Point i's covariance; the real zero matrix where it carries no power."""
+        cov = self.covariances[i]
+        return cov if cov.any() else np.zeros(cov.shape)
+
+    def __getitem__(self, i) -> SolveResult:
+        return SolveResult(
+            HermitianMatrix(self.covariance_at(i)), float(self.capacities[i]),
+            float(self.lambdas[i]), int(self.active_modes[i]),
+            float(self.power_used[i]), self.statuses[i], self.mode_powers[i],
+            None if self.bounds is None else self.bounds[i])
 
 
 @dataclass(frozen=True)
@@ -420,38 +483,46 @@ def inv_winv_plus_r(w: HermitianMatrix, r: np.ndarray) -> np.ndarray:
     return sym(wh @ np.linalg.solve(inner, wh))
 
 
-def _coerce_psd(r: MatrixLike, m: int) -> HermitianMatrix:
-    """``r`` as a checked covariance: square, finite, PSD, of dimension m."""
-    h = as_hermitian(r)
-    if h.dim != m:
-        raise ValueError(f"covariance dimension {h.dim} does not match channel dimension {m}")
-    if not h.is_psd():
+def _coerce_psd(r, m: int, stacked: bool = False):
+    """``r`` as a checked covariance: square, finite, PSD, of dimension m (a
+    HermitianMatrix); when ``stacked``, a 3-D ``r`` is a stack of them along
+    a first axis, each checked by the same rules (a symmetrized array)."""
+    stack = stacked and not isinstance(r, HermitianMatrix) and np.ndim(r) == 3
+    h = _hermitian(r, 3) if stack else as_hermitian(r)
+    dim = h.shape[-1] if stack else h.dim
+    if dim != m:
+        raise ValueError(f"covariance dimension {dim} does not match channel dimension {m}")
+    if not (_psd(np.linalg.eigvalsh(h)) if stack else h.is_psd()):
         raise ValueError("covariance is not positive semidefinite within RANK_TOL")
     return h
 
 
-def logdet_i_plus(w: HermitianMatrix, r: MatrixLike) -> float:
-    """ln|I + W R| for PSD W and R, as ln|I_r + L^H R L| with W = L L^H
-    (:meth:`HermitianMatrix.root`): W's null directions add exactly 0."""
+def logdet_i_plus(w: HermitianMatrix, r: np.ndarray):
+    """ln|I + W R| for PSD W and R, or for each R of a stack (an array), as
+    ln|I_r + L^H R L| with W = L L^H (:meth:`HermitianMatrix.root`): W's
+    null directions add exactly 0."""
     lr = w.root()
-    ev = np.linalg.eigvalsh(sym(lr.conj().T @ as_hermitian(r).entries @ lr))
-    return float(np.sum(np.log1p(np.clip(ev, 0.0, None))))
+    ev = np.linalg.eigvalsh(sym(lr.conj().T @ r @ lr))
+    out = np.sum(np.log1p(np.clip(ev, 0.0, None)), axis=-1)
+    return out if out.ndim else float(out)
 
 
-def secrecy_rate(pair: ChannelPair, r: MatrixLike) -> float:
-    """Signed secrecy rate ln|I + W1 R| - ln|I + W2 R| in nats.
+def secrecy_rate(pair: ChannelPair, r):
+    """Signed secrecy rate ln|I + W1 R| - ln|I + W2 R| in nats, of one
+    covariance R, or an array over a stack (n, m, m) of them.
 
     Negative values are returned as-is; callers interpret them as zero rate.
     """
-    rh = _coerce_psd(r, pair.m)
-    return logdet_i_plus(pair.w1, rh) - logdet_i_plus(pair.w2, rh)
+    rh = _coerce_psd(r, pair.m, stacked=True)
+    a = getattr(rh, "entries", rh)
+    return logdet_i_plus(pair.w1, a) - logdet_i_plus(pair.w2, a)
 
 
 def weak_rate(pair: ChannelPair, r: MatrixLike) -> float:
     """Weak-eavesdropper rate ln|I + W1 R| - tr(W2 R) in nats (signed)."""
     rh = _coerce_psd(r, pair.m)
     leak = float(np.trace(pair.w2.entries @ rh.entries).real)
-    return logdet_i_plus(pair.w1, rh) - leak
+    return logdet_i_plus(pair.w1, rh.entries) - leak
 
 
 def positive_part(a: HermitianMatrix) -> HermitianMatrix:

@@ -18,8 +18,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _waterfill
-from .core import (CapacityBounds, ChannelPair, SolveResult, check_gains,
-                   check_nonnegative, check_powers, over_powers)
+from .core import (CapacityBoundsGrid, ChannelPair, SolveResult, SolveResultGrid,
+                   check_gains, check_nonnegative, check_powers, over_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +52,9 @@ class IsotropicProblem:
 
 
 def solve_isotropic(problem: IsotropicProblem
-                    ) -> Union[SolveResult, list[SolveResult]]:
+                    ) -> Union[SolveResult, SolveResultGrid]:
     """Capacity and per-mode powers against an isotropic eavesdropper; a
-    list, one per power, when the problem holds a power grid.
+    :class:`core.SolveResultGrid` when the problem holds a power grid.
 
     The covariance is returned in the eigenbasis of the gains (diagonal);
     rotate by the eigenvectors of W1 to express it in the antenna basis.
@@ -68,7 +68,7 @@ def solve_isotropic(problem: IsotropicProblem
 
 
 def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float,
-                                p_total: np.ndarray) -> list[SolveResult]:
+                                p_total: np.ndarray) -> SolveResultGrid:
     """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
     ``epsilon`` and each power of the 1-D array ``p_total``, with the
     covariance on W1's eigenvectors (antenna basis)."""
@@ -98,7 +98,7 @@ def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:
 
 @over_powers
 def capacity_bounds_isotropic(pair: ChannelPair,
-                              p_total: np.ndarray) -> list[CapacityBounds]:
+                              p_total: np.ndarray) -> CapacityBoundsGrid:
     """Sandwich the secrecy capacity between isotropic solves at the extreme
     eigenvalues of W2: C*(eps_max) <= C_s <= C*(eps_min)."""
     gains = pair.w1.spectrum()
@@ -113,12 +113,9 @@ def capacity_bounds_isotropic(pair: ChannelPair,
         m_plus * np.log((1.0 + eps1 * p_total / m_plus)
                         / (1.0 + epsm * p_total / m_plus)),
         m_plus * math.log(eps1 / epsm) if epsm > 0 else math.inf)
-    return [CapacityBounds(
-        lower_nats=low.capacity_nats,
-        mid_nats=0.5 * (low.capacity_nats + high.capacity_nats),
-        upper_nats=high.capacity_nats,
-        gap_bound_nats=float(gap),
-    ) for low, high, gap in zip(lower, upper, gaps)]
+    return CapacityBoundsGrid(lower.capacities,
+                              0.5 * (lower.capacities + upper.capacities),
+                              upper.capacities, gaps)
 
 
 class AsymptoticRegime(Enum):

@@ -10,12 +10,12 @@ containment only the isotropic sandwich bounds are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
-                   SolveResult, SolveStatus, frob, over_powers)
+                   SolveResultGrid, SolveStatus, frob, over_powers)
 from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
 
 # relative spread up to which W2's positive eigenvalues count as one gain
@@ -66,7 +66,7 @@ def range_containment_residual(w1: HermitianMatrix,
 
 
 @over_powers
-def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> list[SolveResult]:
+def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     """Secrecy capacity against an omnidirectional eavesdropper.
 
     With range containment the capacity equals the isotropic one on the
@@ -82,9 +82,9 @@ def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> list[SolveResult]:
         return solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
     # the lower bound is achievable: signaling designed against the worst
     # isotropic eavesdropper cannot do worse on the true channel
-    return [replace(res, capacity_nats=bounds.lower_nats,
-                    status=SolveStatus.BOUNDS_ONLY, bounds=bounds)
-            for res, bounds in zip(
-                solve_isotropic_in_w1_basis(
-                    pair, float(pair.w2.spectrum()[0]), p_total),
-                capacity_bounds_isotropic(pair, p_total))]
+    res = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
+    bounds = capacity_bounds_isotropic(pair, p_total)
+    return SolveResultGrid(
+        res.covariances, bounds.lower_nats, res.lambdas, res.active_modes,
+        res.power_used, np.full(len(res), SolveStatus.BOUNDS_ONLY), res.mode_powers,
+        bounds)

@@ -35,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import (ChannelPair, ConvergenceError, HermitianMatrix, check_gains,
-                   check_positive, over_powers, sym)
+from .core import (ChannelPair, ConvergenceError, HermitianMatrix, SolveResultGrid,
+                   check_gains, check_positive, over_powers, sym)
 
 _CHUNK = 1 << 15
 # points of the separable oracle's level-0 per-mode grid
@@ -155,33 +155,37 @@ def _terms(grams: tuple, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _logdet_i_plus(gram1, s), leak
 
 
-def _candidate_pool(pair: ChannelPair, p_total: float) -> list[np.ndarray]:
-    """Covariances of every applicable closed-form solver (all feasible)."""
+def _candidate_pool(pair: ChannelPair, powers: np.ndarray) -> list[list[np.ndarray]]:
+    """Per power, the covariances of every applicable closed-form solver
+    (all feasible), each solver called once over the whole grid."""
     m = pair.m
-    cands = [(p_total / m) * np.eye(m)]
+    pool = [[(p / m) * np.eye(m)] for p in powers]
 
-    def attempt(fn):
+    def attempt(solve, at=slice(None)):
         try:
-            cands.append(np.asarray(fn()))
-        except (ValueError, ConvergenceError):  # a failure drops only its own
-            pass
+            grid = solve(powers[at])
+        except ConvergenceError:  # a point that fails drops only its own
+            if powers[at].size > 1:
+                for i in range(powers.size):
+                    attempt(solve, slice(i, i + 1))
+            return
+        except ValueError:
+            return
+        for i, cands in enumerate(pool[at]):
+            if isinstance(grid, SolveResultGrid):
+                cands.append(grid.covariance_at(i))
+            elif grid[i].certified_covariance is not None:  # the certificate holds
+                cands.append(grid[i].certified_covariance.entries)
 
-    attempt(lambda: weak_eavesdropper.solve_weak(pair, p_total).covariance.entries)
-    attempt(lambda: isotropic.solve_isotropic_in_w1_basis(
-        pair, float(pair.w2.spectrum()[0]), [p_total])[0].covariance.entries)
-    attempt(lambda: common_rsv.solve_common_rsv(
-        pair.common_basis(), p_total).covariance.entries)
-    attempt(lambda: omnidirectional.solve_omni(pair, p_total).covariance.entries)
+    attempt(lambda p: weak_eavesdropper.solve_weak(pair, p))
+    attempt(lambda p: isotropic.solve_isotropic_in_w1_basis(
+        pair, float(pair.w2.spectrum()[0]), p))
+    attempt(lambda p: common_rsv.solve_common_rsv(pair.common_basis(), p))
+    attempt(lambda p: omnidirectional.solve_omni(pair, p))
     for certify in (certificates.zf_certify, certificates.wf_certify,
                     certificates.is_certify):
-        def certified(fn=certify):
-            report = fn(pair, p_total)
-            if report.certified_covariance is None:
-                raise ValueError("certificate did not hold")
-            return report.certified_covariance.entries
-
-        attempt(certified)
-    return cands
+        attempt(lambda p, fn=certify: fn(pair, p))
+    return pool
 
 
 @over_powers
@@ -227,8 +231,8 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
         consider(i, roots, _grams(maps, roots, objective), np.ones(ev.shape[0]))
 
     if include_candidates:
-        for i, p_total in enumerate(powers):
-            ev, vec = np.linalg.eigh(np.stack(_candidate_pool(pair, float(p_total))))
+        for i, cands in enumerate(_candidate_pool(pair, powers)):
+            ev, vec = np.linalg.eigh(np.stack(cands))
             consider_psd(i, np.clip(ev, 0.0, None), vec)
 
     rng_a = _stream(cfg.seed, 1)

@@ -16,16 +16,15 @@ which is what :func:`capacity_bounds_weak` reports.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from . import _waterfill
-from .core import (CapacityBounds, ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, RANK_TOL, SolveResult, SolveStatus,
-                   _coerce_psd, check_nonnegative, inv_winv_plus_r,
-                   over_powers, secrecy_rate, sym)
+from .core import (CapacityBoundsGrid, ChannelPair, HermitianMatrix, KktResidual,
+                   NotApplicableError, RANK_TOL, SolveResultGrid, SolveStatus,
+                   _coerce_psd, check_nonnegative, clean_spectrum,
+                   inv_winv_plus_r, over_powers, secrecy_rate, sym)
 
 
 def _weak_core(pair: ChannelPair):
@@ -109,92 +108,87 @@ def threshold_power(pair: ChannelPair) -> float:
     return pair.fact("weak_saturation", _saturation)[0]
 
 
-def _general_result(pair: ChannelPair, cov: np.ndarray, cw: float,
-                    lam: float) -> SolveResult:
-    """The result of a covariance from the general closed form; its mode
-    powers are the eigenvalues of the covariance's kept decomposition."""
-    cov_h = HermitianMatrix(sym(cov))
-    powers = cov_h.spectrum()
-    capacity = max(cw, 0.0)
-    used = float(np.sum(powers))
-    zero = capacity == 0.0 and used <= RANK_TOL
-    # not SolveResult.solved: a zero-rate weak result keeps its
-    # multiplier and active-mode count
-    return SolveResult(
-        covariance=HermitianMatrix(np.zeros((pair.m, pair.m))) if zero else cov_h,
-        capacity_nats=capacity,
-        lagrange_lambda=lam,
-        active_modes=int(np.count_nonzero(powers > 0)),
-        power_used=0.0 if zero else used,
-        status=SolveStatus.ZERO_RATE if zero else SolveStatus.SOLVED,
-        mode_powers=np.zeros_like(powers) if zero else powers,
-    )
-
-
-def _saturation(pair: ChannelPair) -> tuple[float, SolveResult]:
-    """Power and result of the closed form at lam = 0: the threshold power
-    when it is finite, and the optimum at every power from there on."""
+def _saturation(pair: ChannelPair) -> tuple[float, np.ndarray, np.ndarray]:
+    """Power, covariance and weak capacity of the closed form at lam = 0:
+    the threshold power when it is finite, and the optimum at every power
+    from there on."""
     s2, v2 = pair.fact("weak_core", _weak_core)
     cov, trace, cw, _ = _weak_cov_at(pair, s2, v2, np.zeros(1))
-    return float(trace[0]), _general_result(pair, cov[0], float(cw[0]), 0.0)
+    return float(trace[0]), cov, cw
 
 
 @over_powers
-def solve_weak(pair: ChannelPair, p_total: np.ndarray) -> list[SolveResult]:
+def solve_weak(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
 
     The multiplier is searched until the trace meets min(P_T, P_T*); above
     the threshold power only partial power is used.  One search serves every
-    power below the threshold, and one cached result every power from it on.
+    power below the threshold, and one cached evaluation every power from
+    it on.
     """
     # W1 = 0 has threshold power 0, so the search below has a positive gain
     saturated = p_total >= pair.fact("threshold_power", threshold_power)
-    out = [pair.fact("weak_saturation", _saturation)[1] if sat else None
-           for sat in saturated]
     below = np.flatnonzero(~saturated)
-    if not below.size:
-        return out
-    p = p_total[below]
     s2, v2 = pair.fact("weak_core", _weak_core)
-    # Loewner bounds: the trace at lam lies between the water-filling totals
-    # over the eigenvalues of W1 at levels 1/(lam + max s2) and
-    # 1/(lam + min s2), which brackets the root around the water-filling
-    # multiplier
-    _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p)
-    lo = np.maximum(lam_wf - s2[-1], 0.0)
-    hi = np.maximum(lam_wf - s2[0], lo)
+    n = p_total.size
+    covs = np.empty((n, pair.m, pair.m), np.result_type(v2, pair.w1.entries))
+    cws, lams = np.empty(n), np.zeros(n)
+    if below.size < n:
+        _, covs[saturated], cws[saturated] = pair.fact("weak_saturation", _saturation)
+    if below.size:
+        p = p_total[below]
+        # Loewner bounds: the trace at lam lies between the water-filling
+        # totals over the eigenvalues of W1 at levels 1/(lam + max s2) and
+        # 1/(lam + min s2), which brackets the root around the water-filling
+        # multiplier
+        _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p)
+        lo = np.maximum(lam_wf - s2[-1], 0.0)
+        hi = np.maximum(lam_wf - s2[0], lo)
 
-    def power_at(lam, live):
-        cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
-        # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
-        return trace, (cov, cw), _waterfill._model_root(
-            lam, trace, -lam * lam * slope, 0.0, p[live])
+        def power_at(lam, live):
+            cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
+            # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
+            return trace, (cov, cw), _waterfill._model_root(
+                lam, trace, -lam * lam * slope, 0.0, p[live])
 
-    lams, found = _waterfill._find_multiplier(power_at, lo, hi, p, "weak-solver")
-    for i, lam, (cov, cw) in zip(below, lams, found):
-        out[i] = _general_result(pair, cov, float(cw), float(lam))
-    return out
+        lams[below], (covs[below], cws[below]) = _waterfill._find_multiplier(
+            power_at, lo, hi, p, "weak-solver")
+    # the mode powers are each covariance's eigenvalues, as a kept
+    # decomposition gives them; a zero-rate result keeps its multiplier and
+    # active-mode count
+    covs = sym(covs)
+    ev = np.linalg.eigh(covs)[0][:, ::-1]
+    powers = clean_spectrum(ev)
+    capacities = np.where(cws < 0.0, 0.0, cws)
+    used = np.sum(powers, axis=1)
+    zero = (capacities == 0.0) & (used <= RANK_TOL)
+    return SolveResultGrid(
+        np.where(zero[:, None, None], 0.0, covs), capacities, lams,
+        np.count_nonzero(powers > 0, axis=1), np.where(zero, 0.0, used),
+        np.where(zero, SolveStatus.ZERO_RATE, SolveStatus.SOLVED),
+        np.where(zero[:, None], 0.0, powers), spectra=np.where(zero[:, None], 0.0, ev))
 
 
 @over_powers
 def solve_weak_with_bounds(pair: ChannelPair,
-                           p_total: np.ndarray) -> list[SolveResult]:
+                           p_total: np.ndarray) -> SolveResultGrid:
     """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
-    C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
+    C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2, with C(R*_w)
+    from one :func:`core.secrecy_rate` call over the whole grid."""
+    res = solve_weak(pair, p_total)
     gaps = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
-    return [dataclasses.replace(res, bounds=CapacityBounds(
-        lower_nats=res.capacity_nats,
-        mid_nats=max(secrecy_rate(pair, res.covariance), 0.0),
-        upper_nats=res.capacity_nats + float(gap),
-        gap_bound_nats=float(gap),
-    )) for res, gap in zip(solve_weak(pair, p_total), gaps)]
+    mid = secrecy_rate(pair, res.covariances)
+    return SolveResultGrid(
+        res.covariances, res.capacities, res.lambdas, res.active_modes,
+        res.power_used, res.statuses, res.mode_powers, CapacityBoundsGrid(
+            res.capacities, np.where(mid < 0.0, 0.0, mid), res.capacities + gaps, gaps))
 
 
 @over_powers
 def capacity_bounds_weak(pair: ChannelPair,
-                         p_total: np.ndarray) -> list[CapacityBounds]:
+                         p_total: np.ndarray) -> CapacityBoundsGrid:
     """Capacity sandwich C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2."""
-    return [res.bounds for res in solve_weak_with_bounds(pair, p_total)]
+    return solve_weak_with_bounds(pair, p_total).bounds
 
 
 def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:

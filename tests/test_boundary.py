@@ -52,6 +52,19 @@ def p_total_of(fn, pair=PAIR, bad=POSITIVE):
     return ("p_total", lambda v: fn(pair, v), bad)
 
 
+def solve_grid(covariances=np.eye(2)[None], capacities=(0.5,), lambdas=(0.5,)):
+    """A one-point SolveResultGrid with one field replaced."""
+    return wm.SolveResultGrid(np.asarray(covariances), np.asarray(capacities),
+                              np.asarray(lambdas), np.array([2]), np.array([2.0]),
+                              np.array([wm.SolveStatus.SOLVED]), np.ones((1, 2)))
+
+
+def bounds_grid(lower=(1.0,), mid=(1.5,)):
+    """A one-point CapacityBoundsGrid with one field replaced."""
+    return wm.CapacityBoundsGrid(np.asarray(lower), np.asarray(mid),
+                                 np.array([2.0]), np.array([1.0]))
+
+
 # public name -> (argument, call with the bad value, bad values)
 TABLE = {
     "HermitianMatrix": [("entries", wm.HermitianMatrix, array(np.eye(2), (2, 3), (2,)))],
@@ -67,6 +80,15 @@ TABLE = {
             wm.HermitianMatrix(R), *[v if j == i else 0.5 for j in (0, 1)],
             2, 1.0, wm.SolveStatus.SOLVED), NONNEGATIVE)
         for i, name in enumerate(("capacity_nats", "lagrange_lambda"))],
+    "SolveResultGrid": [
+        ("covariances", lambda v: solve_grid(covariances=v),
+         array(np.eye(2)[None], (2, 2), (1, 2, 3))),
+        ("capacities", lambda v: solve_grid(capacities=v),
+         [np.array([v]) for v in NONNEGATIVE]),
+        ("lambdas", lambda v: solve_grid(lambdas=v), [np.array([v]) for v in NONNEGATIVE])],
+    "CapacityBoundsGrid": [
+        (name, lambda v, name=name: bounds_grid(**{name: np.array([v])}), [NAN, INF, -INF])
+        for name in ("lower", "mid")],
     "SpectralDecomposition": [
         ("eigenvalues", lambda v: wm.SpectralDecomposition(v, np.eye(2)),
          array([2.0, 1.0], (3,), (1, 2))),

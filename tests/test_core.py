@@ -1,13 +1,19 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wiretap_mimo import (CapacityBounds, ChannelPair, HermitianMatrix,
-                          SolveResult, SolveStatus, epsilon_from_pathloss,
-                          positive_part, secrecy_rate, weak_rate)
-from util import fig1_pair, random_psd, random_unitary
+
+from wiretap_mimo import (CapacityBounds, CapacityBoundsGrid, ChannelPair,
+                          HermitianMatrix, IsotropicProblem, SolveResult,
+                          SolveResultGrid, SolveStatus, capacity_bounds_isotropic,
+                          capacity_bounds_weak, epsilon_from_pathloss,
+                          positive_part, secrecy_rate, solve_auto,
+                          solve_common_rsv, solve_isotropic, solve_omni,
+                          solve_weak, solve_weak_with_bounds, weak_rate)
+from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
 
 class TestHermitianMatrix:
@@ -140,6 +146,12 @@ class TestSecrecyRate:
             secrecy_rate(pair, np.eye(3))
         with pytest.raises(ValueError):
             secrecy_rate(pair, np.diag([1.0, -0.5]))
+        # a stack is refused for one bad entry, by the rule of one matrix
+        with pytest.raises(ValueError):
+            secrecy_rate(pair, np.stack([np.eye(3)] * 2))
+        for bad, message in _bad_entries(np.stack([np.eye(2), np.diag([1.0, 0.5])])):
+            with pytest.raises(ValueError, match=message):
+                secrecy_rate(pair, bad)
 
     def test_rank_one_channel_is_exact_at_high_power(self):
         # W1 = h^H h with a small integer row h: ln|I + W1 R| = log1p(h R h^H),
@@ -158,6 +170,15 @@ class TestSecrecyRate:
                 pair = ChannelPair.from_gram(np.outer(h, h), np.zeros((m, m)))
                 assert secrecy_rate(pair, r) == pytest.approx(
                     math.log1p(float(quad)), rel=1e-14)
+
+    def test_a_stack_gives_each_covariance_its_rate(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 6):
+            pair = ChannelPair.from_gram(random_psd(rng, m), random_psd(rng, m))
+            stack = np.stack([random_psd(rng, m) for _ in range(4)] + [np.zeros((m, m))])
+            rates = secrecy_rate(pair, stack)
+            assert rates.shape == (5,)
+            assert rates.tolist() == [secrecy_rate(pair, r) for r in stack]
 
     def test_unitary_congruence_invariance(self):
         rng = np.random.default_rng(7)
@@ -281,3 +302,65 @@ def test_capacity_bounds_validation():
         CapacityBounds(1.0, 0.5, 2.0, 1.0)
     with pytest.raises(ValueError, match="bound chain"):
         CapacityBounds(1.0, 1.5, 2.5, 1.0)
+
+
+def _bad_entries(covs):
+    """``(copy, message)``: copies of the stack ``covs`` whose last entry is
+    made non-PSD, non-Hermitian or non-finite, and the refusal's message."""
+    for spoil, message in (
+            (lambda c: c - 2.0 * np.trace(c).real * np.eye(len(c)), "semidefinite"),
+            (lambda c: c + np.triu(np.ones(c.shape), 1) * np.linalg.norm(c),
+             "not Hermitian"),
+            (lambda c: np.where(np.eye(len(c)) > 0, np.nan, c), "finite"),
+            (lambda c: np.where(np.eye(len(c)) > 0, np.inf, c), "finite")):
+        bad = np.array(covs)
+        bad[-1] = spoil(bad[-1] + np.eye(len(bad[-1])))
+        yield bad, message
+
+
+def _grid_outcomes():
+    """The grid of every grid solver, on channels where it applies."""
+    rng = np.random.default_rng(73)
+    grid = 10.0 ** (np.arange(-10.0, 41.0, 10.0) / 10.0)
+    general = ChannelPair.from_gram(random_psd(rng, 3), random_psd(rng, 3))
+    commuting = random_commuting_pair(rng, 3)[0]
+    u = random_unitary(rng, 3)[:, :2]
+    leaky_omni = ChannelPair.from_gram(random_psd(rng, 3), 0.7 * (u @ u.conj().T))
+    contained_omni = ChannelPair.from_gram(np.diag([2.0, 1.0, 0.0]),
+                                           np.diag([0.5, 0.5, 0.0]))
+    yield "solve_weak", solve_weak(general, grid)
+    yield "solve_weak_with_bounds", solve_weak_with_bounds(general, grid)
+    yield "capacity_bounds_weak", capacity_bounds_weak(general, grid)
+    yield "capacity_bounds_isotropic", capacity_bounds_isotropic(general, grid)
+    yield "solve_isotropic", solve_isotropic(IsotropicProblem([2.0, 1.0], 0.3, grid))
+    yield "solve_omni", solve_omni(contained_omni, grid)
+    yield "solve_omni bounds only", solve_omni(leaky_omni, grid)
+    yield "solve_common_rsv", solve_common_rsv(commuting.common_basis(), grid)
+    for pair in (general, commuting, contained_omni):
+        for name, outs in solve_auto(pair, grid).columns:
+            yield f"solve_auto {name}", outs
+
+
+def test_every_grid_solver_refuses_a_bad_stack_entry():
+    # each grid is checked once as a whole when it is built: rebuilt with
+    # one spoiled entry, every solver's grid raises
+    for name, outs in _grid_outcomes():
+        dataclasses.replace(outs)  # the grid as solved passes
+        if isinstance(outs, CapacityBoundsGrid):
+            for field, value in (("lower_nats", np.inf), ("mid_nats", np.nan),
+                                 ("mid_nats", -np.inf)):
+                bad = getattr(outs, field).copy()
+                bad[-1] = value
+                with pytest.raises(ValueError, match="bound chain"):
+                    dataclasses.replace(outs, **{field: bad})
+            continue
+        assert isinstance(outs, SolveResultGrid), name
+        for bad, message in _bad_entries(outs.covariances):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(outs, covariances=bad)
+        for field in ("capacities", "lambdas"):
+            for value in (np.nan, np.inf, -1.0):
+                bad = getattr(outs, field).copy()
+                bad[-1] = value
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    dataclasses.replace(outs, **{field: bad})

@@ -1,14 +1,18 @@
 """The multiplier root-finder: every SNR answered, scale-free, few evaluations."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from wiretap_mimo import (ChannelPair, IsotropicProblem, construct_is_optimal_channel,
-                          is_certify, mc_capacity, separable_oracle, solve_auto,
-                          solve_common_rsv, solve_weak, threshold_powers,
-                          wf_certify, zf_certify)
+from wiretap_mimo import (CapacityBounds, ChannelPair, IsotropicProblem,
+                          NotCommutingError, SolveResult,
+                          capacity_bounds_isotropic, capacity_bounds_weak,
+                          construct_is_optimal_channel, is_certify, mc_capacity,
+                          separable_oracle, solve_auto, solve_common_rsv,
+                          solve_omni, solve_weak, solve_weak_with_bounds,
+                          threshold_powers, wf_certify, zf_certify)
 from wiretap_mimo import _waterfill, weak_eavesdropper
 from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
@@ -85,18 +89,40 @@ def _zero_gain_general(rng, m):
 
 def _fingerprint(outcome):
     """Everything ``solve_auto`` says at one power, floats and arrays as bits."""
+    return [part for name, res in outcome for part in [name] + _fields(res)]
+
+
+def _fields(res):
+    """A SolveResult's fields (with its bounds) or a CapacityBounds' values,
+    floats and arrays as bits."""
+    bounds = getattr(res, "bounds", res)  # the isotropic row is bounds only
     out = []
-    for name, res in outcome:
-        out.append(name)
-        bounds = getattr(res, "bounds", res)  # the isotropic row is bounds only
-        if bounds is not res:
-            out += [res.status, res.active_modes, res.capacity_nats,
-                    res.lagrange_lambda, res.power_used,
-                    res.covariance.entries.tobytes(), res.mode_powers.tobytes()]
-        if bounds is not None:
-            out += [bounds.lower_nats, bounds.mid_nats, bounds.upper_nats,
-                    bounds.gap_bound_nats]
+    if bounds is not res:
+        out += [res.status, res.active_modes, res.capacity_nats,
+                res.lagrange_lambda, res.power_used, res.covariance.entries.dtype,
+                res.covariance.entries.tobytes(), res.mode_powers.tobytes()]
+    if bounds is not None:
+        out += [bounds.lower_nats, bounds.mid_nats, bounds.upper_nats,
+                bounds.gap_bound_nats]
     return out
+
+
+def _grid_solvers(pair):
+    """Every grid solver that applies to ``pair``, by name."""
+    solvers = {"weak": solve_weak, "weak_with_bounds": solve_weak_with_bounds,
+               "bounds_weak": capacity_bounds_weak,
+               "bounds_isotropic": capacity_bounds_isotropic}
+    if pair.w2.spectrum()[0] == 0:  # the isotropic sandwich needs W2 nonzero
+        del solvers["bounds_isotropic"]
+    if pair.omni().is_omni:
+        solvers["omni"] = solve_omni
+    try:
+        channel = pair.common_basis()
+    except NotCommutingError:
+        pass
+    else:
+        solvers["rsv"] = lambda _, p: solve_common_rsv(channel, p)
+    return solvers
 
 
 def test_a_point_solved_alone_equals_the_same_point_in_a_grid():
@@ -116,6 +142,21 @@ def test_a_point_solved_alone_equals_the_same_point_in_a_grid():
             for p_total, outcome in zip(grid, together):
                 alone = solve_auto(pair, float(p_total))
                 assert _fingerprint(alone) == _fingerprint(outcome)
+            # a grid's len, indexing and iteration give per-point views,
+            # each the bits of the one-power call, which is no sequence
+            for name, solve in _grid_solvers(pair).items():
+                outs = solve(pair, grid)
+                assert len(outs) == grid.size, name
+                viewed = [_fields(outs[i]) for i in range(-grid.size, grid.size)]
+                assert viewed[grid.size:] == viewed[:grid.size] == [
+                    _fields(res) for res in outs], name
+                for p_total, view in zip(grid, viewed):
+                    alone = solve(pair, float(p_total))
+                    assert isinstance(alone, (SolveResult, CapacityBounds))
+                    assert not isinstance(alone, Sequence)
+                    assert _fields(alone) == view, name
+                with pytest.raises(IndexError):
+                    outs[grid.size]
 
 
 def _scaled(pair, s):
