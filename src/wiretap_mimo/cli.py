@@ -262,61 +262,42 @@ def run_sweep(spec: ScenarioSpec) -> list[Row]:
 def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
     pair = ChannelPair.from_gram(np.diag([2.0, 1.0]),
                                  0.1 * np.array([[2.0, 1.0], [1.0, 1.0]]))
-    grid = [(float(db), 10.0 ** (db / 10.0)) for db in range(-10, 21)]
+    grid = _parse_grid({"db_start": -10, "db_stop": 20, "db_step": 1})
     return ScenarioSpec(pair, grid, ["weak", "oracle"], cfg)
 
 
 def _fig3_rows() -> list[Row]:
     gains, epsilons = np.array([2.0, 1.0]), (0.0, 0.1, 0.5)
-    grid = [(float(db), 10.0 ** (db / 10.0)) for db in range(-10, 31)]
+    grid = _parse_grid({"db_start": -10, "db_stop": 30, "db_step": 1})
     powers = np.array([p_t for _, p_t in grid])
     return _table(grid, [(f"isotropic(eps={eps:g})",
                           solve_isotropic(IsotropicProblem(gains, eps, powers)))
                          for eps in epsilons])
 
 
-def _convert(value, units):
-    if value is None or units == "nats":
-        return value
-    return value / NATS_PER_BIT
-
-
-def _matrix_to_json(mat: np.ndarray):
-    if np.iscomplexobj(mat):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-    return [[float(v) for v in row] for row in mat]
-
-
 def _emit(rows: list[Row], out_format: str, units: str,
           out_path: str | None, with_covariance: bool = False) -> None:
-    rate_fields = ("capacity", "lower", "upper")
+    """One record per row, keyed by the CSV columns in order, its rates
+    divided by NATS_PER_BIT for bits: CSV joins its values (a number to 10
+    significant digits, None empty), JSON dumps it, with the row's
+    covariance when asked."""
+    records, columns = [], CSV_HEADER.split(",")
+    for r in rows:
+        rec = dict(zip(columns, vars(r).values()))  # a Row's fields are in CSV order
+        for column in ("capacity", "lower", "upper") if units == "bits" else ():
+            if rec[column] is not None:
+                rec[column] /= NATS_PER_BIT
+        if with_covariance and out_format == "json" and r.covariance is not None:
+            cov = r.covariance  # a complex entry as an [re, im] pair
+            rec["covariance"] = (np.stack([cov.real, cov.imag], -1)
+                                 if np.iscomplexobj(cov) else cov).tolist()
+        records.append(rec)
     if out_format == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            vals = [f"{r.snr_db:.10g}", f"{r.p_t:.10g}", r.solver]
-            for name in rate_fields:
-                v = _convert(getattr(r, name), units)
-                vals.append("" if v is None else f"{v:.10g}")
-            vals.append("" if r.lam is None else f"{r.lam:.10g}")
-            vals.append("" if r.active_modes is None else str(r.active_modes))
-            vals.append(r.status)
-            lines.append(",".join(vals))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([CSV_HEADER] + [",".join([
+            "" if v is None else v if isinstance(v, str) else f"{v:.10g}"
+            for v in rec.values()]) for rec in records]) + "\n"
     else:
-        payload = []
-        for r in rows:
-            item = {
-                "snr_db": r.snr_db, "p_t": r.p_t, "solver": r.solver,
-                "capacity": _convert(r.capacity, units),
-                "lower": _convert(r.lower, units),
-                "upper": _convert(r.upper, units),
-                "lambda": r.lam, "active_modes": r.active_modes,
-                "status": r.status,
-            }
-            if with_covariance and r.covariance is not None:
-                item["covariance"] = _matrix_to_json(r.covariance)
-            payload.append(item)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(records, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -436,6 +436,13 @@ class SolveResultGrid(Sequence):
     def __len__(self) -> int:
         return len(self.capacities)
 
+    def _with(self, **changes) -> "SolveResultGrid":
+        """A copy with ``changes`` (``bounds``, ``statuses``) set, sharing the
+        arrays already checked: they are not checked again."""
+        out = object.__new__(SolveResultGrid)
+        vars(out).update(vars(self), **changes)
+        return out
+
     def covariance_at(self, i) -> np.ndarray:
         """Point i's covariance; the real zero matrix where it carries no power."""
         cov = self.covariances[i]

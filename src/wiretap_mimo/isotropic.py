@@ -72,9 +72,8 @@ def solve_isotropic_in_w1_basis(pair: ChannelPair, epsilon: float,
     """:func:`solve_isotropic` on the eigenvalues of W1 at eavesdropper gain
     ``epsilon`` and each power of the 1-D array ``p_total``, with the
     covariance on W1's eigenvectors (antenna basis)."""
-    problem = IsotropicProblem(pair.w1.spectrum(), epsilon, p_total)
-    return _waterfill.solve_modes(problem.gains, problem.epsilon,
-                                  problem.p_total, pair.w1.eig().eigenvectors)
+    return _waterfill.solve_modes(pair.w1.spectrum(), epsilon, p_total,
+                                  pair.w1.eig().eigenvectors)
 
 
 def threshold_powers(gains: np.ndarray, epsilon: float) -> np.ndarray:

@@ -81,10 +81,8 @@ def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     if pair.range_contained():
         return solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
     # the lower bound is achievable: signaling designed against the worst
-    # isotropic eavesdropper cannot do worse on the true channel
+    # isotropic eavesdropper cannot do worse on the true channel; its
+    # capacities are the lower bound's to the bit (same modes, leak, powers)
     res = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
-    bounds = capacity_bounds_isotropic(pair, p_total)
-    return SolveResultGrid(
-        res.covariances, bounds.lower_nats, res.lambdas, res.active_modes,
-        res.power_used, np.full(len(res), SolveStatus.BOUNDS_ONLY), res.mode_powers,
-        bounds)
+    return res._with(bounds=capacity_bounds_isotropic(pair, p_total),
+                     statuses=np.full(len(res), SolveStatus.BOUNDS_ONLY))

@@ -176,12 +176,11 @@ def solve_weak_with_bounds(pair: ChannelPair,
     C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2, with C(R*_w)
     from one :func:`core.secrecy_rate` call over the whole grid."""
     res = solve_weak(pair, p_total)
-    gaps = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
+    with np.errstate(over="ignore"):  # past float range the gap is inf, still a bound
+        gaps = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
     mid = secrecy_rate(pair, res.covariances)
-    return SolveResultGrid(
-        res.covariances, res.capacities, res.lambdas, res.active_modes,
-        res.power_used, res.statuses, res.mode_powers, CapacityBoundsGrid(
-            res.capacities, np.where(mid < 0.0, 0.0, mid), res.capacities + gaps, gaps))
+    return res._with(bounds=CapacityBoundsGrid(
+        res.capacities, np.where(mid < 0.0, 0.0, mid), res.capacities + gaps, gaps))
 
 
 @over_powers

@@ -303,6 +303,13 @@ class TestMainCommandLine:
         bits = json.loads(capsys.readouterr().out)[0]["capacity"]
         assert bits == nats / math.log(2)
 
+    def test_weak_upper_bound_past_float_range_prints_inf(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, fig1_doc(power_grid={"p_t": [1e160]}))
+        assert main(["sweep", "--input", path]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split(",")[5] == "inf"
+        assert err == ""
+
     def test_solve_emits_covariance_in_json(self, tmp_path, capsys):
         path = write_scenario(tmp_path, fig1_doc())
         assert main(["solve", "--input", path, "--format", "json"]) == 0

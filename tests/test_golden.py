@@ -34,12 +34,18 @@ CASES = {
     "certify_commuting.out.json": ["certify", "--input",
                                    str(GOLDEN / "certify_commuting.json"),
                                    "--format", "json"],
+    "certify_commuting_bits.out.json": ["certify", "--input",
+                                        str(GOLDEN / "certify_commuting.json"),
+                                        "--format", "json", "--units", "bits"],
     "solve_fig1_one_point.out.json": ["solve", "--input",
                                       str(GOLDEN / "fig1_one_point.json"),
                                       "--format", "json"],
     # every solver name, rsv's error row on the non-commuting pair included
     "sweep_fig1_all_solvers.csv": ["sweep", "--input",
                                    str(GOLDEN / "fig1_all_solvers.json")],
+    "sweep_fig1_all_solvers_bits.csv": ["sweep", "--input",
+                                        str(GOLDEN / "fig1_all_solvers.json"),
+                                        "--units", "bits"],
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -10,7 +10,7 @@ from wiretap_mimo import (CapacityBounds, ChannelPair, IsotropicProblem,
                           NotCommutingError, SolveResult,
                           capacity_bounds_isotropic, capacity_bounds_weak,
                           construct_is_optimal_channel, is_certify, mc_capacity,
-                          separable_oracle, solve_auto, solve_common_rsv,
+                          secrecy_rate, separable_oracle, solve_auto, solve_common_rsv,
                           solve_omni, solve_weak, solve_weak_with_bounds,
                           threshold_powers, wf_certify, zf_certify)
 from wiretap_mimo import _waterfill, weak_eavesdropper
@@ -279,6 +279,28 @@ def test_general_weak_result_decomposes_its_covariance_once(monkeypatch):
     assert not calls
     assert np.array_equal(res.mode_powers,
                           np.clip(res.covariance.eigenvalues(), 0.0, None))
+
+
+def test_a_sandwich_is_attached_to_the_checked_grid(monkeypatch):
+    # after a warm-up call has kept the pairs' facts: the weak sandwich costs
+    # the eigvalsh calls of its one secrecy_rate and no more, and the omni
+    # bounds-only grid checks its covariances once
+    weak, omni = fig1_pair(), ChannelPair.from_gram(
+        np.array([[2.0, 0.5], [0.5, 1.0]]), 0.5 * np.diag([1.0, 0.0]))
+    powers = np.array([0.5, 2.0, 8.0])
+    covs = solve_weak_with_bounds(weak, powers).covariances
+    solve_omni(omni, powers)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    solve_weak_with_bounds(weak, powers)
+    with_bounds = len(calls)
+    secrecy_rate(weak, covs)
+    assert with_bounds == len(calls) - with_bounds
+    calls.clear()
+    solve_omni(omni, powers)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p_total", [math.inf, -math.inf, math.nan, 0.0, -1.0])

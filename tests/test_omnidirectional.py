@@ -73,7 +73,12 @@ class TestSolveOmni:
         assert res.status is SolveStatus.BOUNDS_ONLY
         assert res.bounds is not None
         assert res.bounds.lower_nats <= res.bounds.upper_nats
-        assert res.capacity_nats == pytest.approx(res.bounds.lower_nats)
+        # the covariance designed against the worst isotropic eavesdropper
+        # reports that solve's capacity, the lower bound to the bit
+        assert res.capacity_nats == res.bounds.lower_nats
+        grid = solve_omni(pair, np.geomspace(1e-2, 1e6, 9))
+        assert np.array_equal(grid.capacities, grid.bounds.lower_nats)
+        assert all(s is SolveStatus.BOUNDS_ONLY for s in grid.statuses)
 
     def test_rejects_non_omni(self):
         pair = ChannelPair.from_gram(np.eye(2), np.diag([0.5, 0.3]))

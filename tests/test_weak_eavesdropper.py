@@ -194,6 +194,15 @@ class TestCapacityBoundsWeak:
         assert b.upper_nats < 1e-3
         assert b.mid_nats / b.lower_nats == pytest.approx(1.0, abs=1e-3)
 
+    def test_gap_past_float_range_is_inf(self):
+        # P_T^2 lam_max(W2)^2 / 2 overflows once P_T lam_max(W2) passes
+        # ~1.3e154; inf is then the true upper bound, and no RuntimeWarning
+        # (an error in this suite) is raised
+        b = capacity_bounds_weak(fig1_pair(), np.array([1e100, 1e160]))
+        assert math.isfinite(b.gap_bound_nats[0])
+        assert b.gap_bound_nats[1] == math.inf and b.upper_nats[1] == math.inf
+        assert b.lower_nats[1] == b.lower_nats[0] and math.isfinite(b.mid_nats[1])
+
 
 class TestSaturationCapacities:
     def test_fig1_values(self):
