@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, fields
 from enum import Enum
@@ -140,6 +141,14 @@ def _hermitian(a, ndim: int) -> np.ndarray:
     return sym(a)
 
 
+def _unchecked(cls, *values, **named):
+    """``cls(*values, **named)`` for values already checked (a grid's point or
+    copy): the fields are set, and no rule of ``cls.__post_init__`` runs again."""
+    out = object.__new__(cls)
+    vars(out).update(zip((f.name for f in fields(cls)), values), **named)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues in decreasing order paired with orthonormal eigenvector columns."""
@@ -225,12 +234,7 @@ class HermitianMatrix:
         return dec.eigenvectors[:, keep]
 
     def is_psd(self) -> bool:
-        a = self.entries
-        w = np.diagonal(a).real
-        if "_eig" in self.__dict__ or np.count_nonzero(a) > np.count_nonzero(w):
-            # not diagonal (a diagonal matrix needs no decomposition)
-            w = self.eigenvalues()
-        return _psd(w)
+        return _psd(self.eigenvalues())
 
     def root(self) -> np.ndarray:
         """L with W = L L^H over the r eigenvalues the rank rule keeps (their
@@ -366,7 +370,7 @@ class CapacityBounds:
 class CapacityBoundsGrid(Sequence):
     """:class:`CapacityBounds` over the points of a power grid, each field an
     array over the points, the chain checked once for the whole grid.  Item
-    i (indexing, iteration) is point i's CapacityBounds, built on demand."""
+    i (indexing, iteration) is point i's CapacityBounds, a view built on demand."""
 
     lower_nats: np.ndarray
     mid_nats: np.ndarray
@@ -379,7 +383,8 @@ class CapacityBoundsGrid(Sequence):
         return len(self.lower_nats)
 
     def __getitem__(self, i) -> CapacityBounds:
-        return CapacityBounds(*(float(getattr(self, f.name)[i]) for f in fields(self)))
+        i = operator.index(i)  # one point: a slice or a float is a TypeError
+        return _unchecked(CapacityBounds, *(float(a[i]) for a in vars(self).values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +418,7 @@ class SolveResultGrid(Sequence):
     array over the points (first axis), checked once for the whole grid by
     the rules of one result (``spectra``: the covariances' eigenvalues, when
     the solver has them).  Item i (indexing, iteration) is point i's
-    SolveResult, built on demand."""
+    SolveResult, a view built on demand that takes the grid's checks."""
 
     covariances: np.ndarray
     capacities: np.ndarray
@@ -431,6 +436,7 @@ class SolveResultGrid(Sequence):
         covs = _hermitian(self.covariances, 3)
         if not _psd(np.linalg.eigvalsh(covs) if spectra is None else spectra):
             raise ValueError("covariance must be positive semidefinite")
+        covs.setflags(write=False)  # _hermitian's own copy, which views share
         object.__setattr__(self, "covariances", covs)
 
     def __len__(self) -> int:
@@ -439,19 +445,21 @@ class SolveResultGrid(Sequence):
     def _with(self, **changes) -> "SolveResultGrid":
         """A copy with ``changes`` (``bounds``, ``statuses``) set, sharing the
         arrays already checked: they are not checked again."""
-        out = object.__new__(SolveResultGrid)
-        vars(out).update(vars(self), **changes)
-        return out
+        return _unchecked(SolveResultGrid, **(vars(self) | changes))
 
     def covariance_at(self, i) -> np.ndarray:
         """Point i's covariance; the real zero matrix where it carries no power."""
         cov = self.covariances[i]
-        return cov if cov.any() else np.zeros(cov.shape)
+        if not cov.any():
+            cov = np.zeros(cov.shape)
+            cov.setflags(write=False)  # read-only, as every covariance is
+        return cov
 
     def __getitem__(self, i) -> SolveResult:
-        return SolveResult(
-            HermitianMatrix(self.covariance_at(i)), float(self.capacities[i]),
-            float(self.lambdas[i]), int(self.active_modes[i]),
+        i = operator.index(i)  # one point: a slice or a float is a TypeError
+        return _unchecked(
+            SolveResult, _unchecked(HermitianMatrix, self.covariance_at(i)),
+            float(self.capacities[i]), float(self.lambdas[i]), int(self.active_modes[i]),
             float(self.power_used[i]), self.statuses[i], self.mode_powers[i],
             None if self.bounds is None else self.bounds[i])
 

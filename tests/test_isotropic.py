@@ -179,8 +179,8 @@ class TestCapacityBounds:
                 assert gap1 <= gap2 + 1e-12
 
     def test_solves_without_further_decompositions(self, monkeypatch):
-        # the two isotropic results have diagonal covariances, whose PSD
-        # check reads the diagonal; W1 and W2 are decomposed once, up front
+        # the isotropic grids take their PSD check from their mode powers;
+        # W1 and W2 are decomposed once, up front
         pair = fig1_pair()
         pair.w1.eig(), pair.w2.eig()
         calls = []

@@ -1,5 +1,6 @@
 """The multiplier root-finder: every SNR answered, scale-free, few evaluations."""
 
+import dataclasses
 import math
 from collections.abc import Sequence
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from wiretap_mimo import (CapacityBounds, ChannelPair, IsotropicProblem,
-                          NotCommutingError, SolveResult,
+                          NotCommutingError, SolveResult, SolveStatus,
                           capacity_bounds_isotropic, capacity_bounds_weak,
                           construct_is_optimal_channel, is_certify, mc_capacity,
                           secrecy_rate, separable_oracle, solve_auto, solve_common_rsv,
@@ -301,6 +302,52 @@ def test_a_sandwich_is_attached_to_the_checked_grid(monkeypatch):
     calls.clear()
     solve_omni(omni, powers)
     assert len(calls) == 1
+
+
+def test_a_view_takes_its_grids_verdict(monkeypatch):
+    # every point of a checked grid is a view that shares the grid's arrays
+    # and checks: once the grids are solved (which keeps the pairs' facts),
+    # building all of their views decomposes no covariance again
+    rng = np.random.default_rng(89)
+    general = _rank_deficient(rng, 3)
+    rotated = random_commuting_pair(rng, 4)[0]
+    powers = 10.0 ** (SWEEP_DB / 10.0)
+    grids = [solve_weak_with_bounds(general, powers),
+             solve_common_rsv(rotated.common_basis(), powers),
+             capacity_bounds_isotropic(general, powers)]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real, **k:
+                            calls.append(1) or real(*a, **k))
+    views = [list(grid) for grid in grids]
+    assert not calls
+    assert [len(v) for v in views] == [SWEEP_DB.size] * 3
+    for grid, points in zip(grids[:2], views):
+        for i, point in enumerate(points):
+            assert point.covariance.entries.base is grid.covariances
+            assert np.array_equal(point.covariance.entries, grid.covariances[i])
+    assert not np.allclose(views[1][-1].covariance.entries,
+                           np.diag(np.diagonal(views[1][-1].covariance.entries)))
+
+
+def test_a_grids_covariances_are_read_only():
+    # a view's matrix aliases its grid's stack, so neither may be written;
+    # the stack a caller passed in is copied, never frozen
+    rng = np.random.default_rng(97)
+    v = random_unitary(rng, 3)
+    w1 = (v * [1.5, 0.7, 0.2]) @ v.conj().T
+    grid = solve_weak(_rank_deficient(rng, 3), np.array([0.5, 2.0, 8.0]))
+    zero = solve_common_rsv(ChannelPair.from_gram(w1, 2.0 * w1).common_basis(), 1.0)
+    assert zero.status is SolveStatus.ZERO_RATE
+    assert not zero.covariance.entries.any()
+    for entries in (grid.covariances, grid[1].covariance.entries,
+                    zero.covariance.entries):
+        with pytest.raises(ValueError, match="read-only"):
+            entries[..., 0, 0] = 1.0
+    mine = np.array(grid.covariances)
+    dataclasses.replace(grid, covariances=mine)
+    mine[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("p_total", [math.inf, -math.inf, math.nan, 0.0, -1.0])
