@@ -20,9 +20,10 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, RANK_TOL, _coerce_psd, check_gains,
-                   check_nonnegative, check_positive, clean_spectrum, frob,
-                   inv_winv_plus_r, over_powers, secrecy_rate, sym)
+                   NotApplicableError, RANK_TOL, _coerce_psd, _hermitian,
+                   _unchecked, check_gains, check_nonnegative, check_positive,
+                   clean_spectrum, frob, inv_winv_plus_r, over_powers,
+                   secrecy_rate, sym)
 
 # relative tolerance for "a single multiplier fits every mode" checks
 _CONSISTENCY_TOL = 1e-8
@@ -88,8 +89,12 @@ def _reports(pair: ChannelPair, details: list[dict], checks, covs: np.ndarray,
     reasons = [next((why for passes, why in checks if not passes[k]), None)
                for k in range(len(details))]
     held = [k for k, reason in enumerate(reasons) if reason is None]
+    if held:  # checked once for the grid; each report views the read-only stack
+        stack = _hermitian(covs[held], 3)
+        stack.setflags(write=False)
+        views = dict(zip(held, (_unchecked(HermitianMatrix, cov) for cov in stack)))
     if capacity is None:  # the secrecy rates of the points that hold, in one call
-        rates = dict(zip(held, secrecy_rate(pair, covs[held]) if held else ()))
+        rates = dict(zip(held, secrecy_rate(pair, stack) if held else ()))
     reports = CertificateReports()
     for k, (info, reason) in enumerate(zip(details, reasons)):
         if reason is not None:
@@ -98,7 +103,7 @@ def _reports(pair: ChannelPair, details: list[dict], checks, covs: np.ndarray,
             continue
         reports.append(CertificateReport(
             Verdict.SUFFICIENT_HOLDS, details={**info, **certified},
-            certified_covariance=HermitianMatrix(covs[k]), certified_capacity=(
+            certified_covariance=views[k], certified_capacity=(
                 max(float(rates[k]), 0.0) if capacity is None else capacity(k))))
     return reports
 

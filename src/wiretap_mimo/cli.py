@@ -275,12 +275,51 @@ def _fig3_rows() -> list[Row]:
                          for eps in epsilons])
 
 
+# json.dumps(..., indent=2) runs Python's own encoder, this one the C encoder.
+# Its item separator, a raw tab, is never inside an encoded string, and no
+# number holds a bracket or brace: plain text replacement lays out the joints.
+_encode = json.JSONEncoder(separators=(",\t", ": ")).encode
+_COVARIANCE = ',\t"covariance": '
+
+
+@functools.cache
+def _covariance_layout(depth: int) -> list[tuple[str, str]]:
+    """(old, new) text that lays out a record's covariance, numbers nested
+    ``depth`` lists deep, as indent=2 does: its list joints (the widest first),
+    its ends, its number joints.  No new text holds a tab or two brackets in a
+    row, so no replacement makes text that a later one would match."""
+    pad = [f"\n{' ' * (4 + 2 * k)}" for k in range(depth + 1)]  # list depth k's items
+
+    def joint(j):  # j lists closed, then j opened
+        return ("".join(pad[k] + "]" for k in range(depth - 1, depth - 1 - j, -1)) + ","
+                + "".join(pad[k] + "[" for k in range(depth - j, depth)) + pad[depth])
+    closing, opening = joint(depth).split(",")
+    return [("]" * j + ",\t" + "[" * j, joint(j)) for j in range(depth - 1, 0, -1)] + [
+        ("[" * depth, opening[len(pad[0]):]), ("]" * depth, closing),
+        (",\t", "," + pad[depth])]
+
+
+def _json(records: list[dict]) -> str:
+    """``json.dumps(records, indent=2)`` byte for byte, from one C-encoder
+    call; a record's "covariance", if any, is its last field."""
+    if not records:
+        return "[]"
+    head, *tails = _encode(records).split(_COVARIANCE)
+    for i, tail in enumerate(tails):
+        cov, _, rest = tail.partition("}")
+        for old, new in _covariance_layout(len(cov) - len(cov.lstrip("["))):
+            cov = cov.replace(old, new)
+        tails[i] = cov + "}" + rest
+    return "[\n  {\n    " + _COVARIANCE.join([head, *tails])[2:-2].replace(
+        "},\t{", "\n  },\n  {\n    ").replace(",\t", ",\n    ") + "\n  }\n]"
+
+
 def _emit(rows: list[Row], out_format: str, units: str,
           out_path: str | None, with_covariance: bool = False) -> None:
     """One record per row, keyed by the CSV columns in order, its rates
     divided by NATS_PER_BIT for bits: CSV joins its values (a number to 10
-    significant digits, None empty), JSON dumps it, with the row's
-    covariance when asked."""
+    significant digits, None empty), JSON as ``json.dumps(records, indent=2)``
+    would, with the row's covariance when asked."""
     records, columns = [], CSV_HEADER.split(",")
     for r in rows:
         rec = dict(zip(columns, vars(r).values()))  # a Row's fields are in CSV order
@@ -297,7 +336,7 @@ def _emit(rows: list[Row], out_format: str, units: str,
             "" if v is None else v if isinstance(v, str) else f"{v:.10g}"
             for v in rec.values()]) for rec in records]) + "\n"
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        text = _json(records) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

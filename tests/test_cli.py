@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from wiretap_mimo import cli, construct_wf_optimal_channel
 from wiretap_mimo.cli import (CSV_HEADER, load_scenario, main, run_sweep)
+from util import random_unitary
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -436,3 +438,82 @@ class TestMainCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert all(flag in captured.err for flag in flags[::2])
+
+
+def _pairs(a: np.ndarray) -> list:
+    """A complex matrix as a scenario's nested [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+class TestJsonWriter:
+    """The JSON writer's text is ``json.dumps(records, indent=2)`` byte for
+    byte; the golden comparison tolerates number formatting (1 against 1.0),
+    so only this catches such a change."""
+
+    NUMBERS = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+               2.2250738585072014e-308 / 3, 0, 1, -7, 2**70, 1e300, -1e-300,
+               0.1, 1.0, True, False]
+    STRINGS = ['"quoted"', "back\\slash", "new\nline", "[brackets]", "]],[[",
+               "},\n    {", ',\n    "covariance": [', "Verdi\u00e9 \u2713 \U0001f600"]
+
+    def test_random_records(self):
+        rng = np.random.default_rng(20)
+        values = self.NUMBERS + self.STRINGS
+        for _ in range(400):
+            records = []
+            for _ in range(int(rng.integers(0, 4))):
+                rec = {column: values[int(rng.integers(len(values)))]
+                       for column in CSV_HEADER.split(",")}
+                m = int(rng.integers(0, 6))  # 0: no covariance
+                if m:
+                    cov = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-300, 300)
+                    if rng.random() < 0.5:
+                        cov = np.stack([cov, rng.standard_normal((m, m))], -1)
+                    rec["covariance"] = cov.tolist()
+                records.append(rec)
+            assert cli._json(records) == json.dumps(records, indent=2)
+
+    def test_non_finite_covariance_entries(self):
+        # every special number at every place of real and complex covariances
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 1]
+        for m in range(1, 6):
+            for shape in ((m, m), (m, m, 2)):
+                cov = np.resize(np.array(special, dtype=object), shape).tolist()
+                records = [{"status": s, "covariance": cov} for s in self.STRINGS]
+                assert cli._json(records) == json.dumps(records, indent=2)
+
+    def test_empty_list(self):
+        assert cli._json([]) == json.dumps([], indent=2) == "[]"
+
+    @pytest.mark.parametrize("argv, p_t, channel", [
+        (["solve"], [1.0], "shared"),
+        (["certify"], [0.1, 1.0, 10.0], "shared"),
+        (["certify", "--units", "bits"], [0.1, 1.0, 10.0], "shared"),
+        (["certify"], [0.1, 1.0, 10.0], "complex"),  # [re, im] pairs
+        (["sweep"], [0.1, 1.0, 10.0], "shared"),
+        (["sweep"], [1.0, 1e160], "fig1"),  # a weak upper bound of Infinity
+        (["figure", "fig3"], None, None),
+    ])
+    def test_cli_output_is_json_dumps(self, argv, p_t, channel, tmp_path, capsys,
+                                      monkeypatch):
+        if channel is not None:
+            doc = fig1_doc(power_grid={"p_t": p_t})
+            if channel == "shared":
+                doc.update(solver=["auto", "weak", "isotropic", "rsv"], channel={
+                    "matrix_kind": "W", "w1": [[2.0, 0.0], [0.0, 1.0]],
+                    "w2": [[0.5, 0.0], [0.0, 0.0]]})
+            elif channel == "complex":
+                pair = construct_wf_optimal_channel(
+                    [2.0, 1.0, 0.5], 0.7, random_unitary(np.random.default_rng(3), 3))
+                doc["channel"] = {"matrix_kind": "W", "w1": _pairs(pair.w1.entries),
+                                  "w2": _pairs(pair.w2.entries)}
+            argv = [*argv, "--input", write_scenario(tmp_path, doc)]
+        written = []
+        monkeypatch.setattr(cli, "_json", lambda records, real=cli._json:
+                            written.append((records, real(records))) or written[-1][1])
+        assert main([*argv, "--format", "json"]) == 0
+        [(records, text)] = written
+        assert text == json.dumps(records, indent=2)
+        assert capsys.readouterr().out == text + "\n"
+        if argv[0] in ("solve", "certify"):
+            assert any("covariance" in rec for rec in records)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from wiretap_mimo import (CapacityBounds, ChannelPair, IsotropicProblem,
-                          NotCommutingError, SolveResult, SolveStatus,
+                          NotCommutingError, SolveResult, SolveStatus, Verdict,
                           capacity_bounds_isotropic, capacity_bounds_weak,
-                          construct_is_optimal_channel, is_certify, mc_capacity,
+                          construct_is_optimal_channel,
+                          construct_wf_optimal_channel, is_certify, mc_capacity,
                           secrecy_rate, separable_oracle, solve_auto, solve_common_rsv,
                           solve_omni, solve_weak, solve_weak_with_bounds,
                           threshold_powers, wf_certify, zf_certify)
-from wiretap_mimo import _waterfill, weak_eavesdropper
+from wiretap_mimo import _waterfill, certificates, core, weak_eavesdropper
 from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
 SWEEP_DB = np.arange(-10.0, 81.0, 2.0)
@@ -329,6 +330,39 @@ def test_a_view_takes_its_grids_verdict(monkeypatch):
             assert np.array_equal(point.covariance.entries, grid.covariances[i])
     assert not np.allclose(views[1][-1].covariance.entries,
                            np.diag(np.diagonal(views[1][-1].covariance.entries)))
+
+
+def test_a_certificate_view_takes_its_grids_verdict(monkeypatch):
+    # the covariances of a certificate grid's points that hold are checked as
+    # one stack, not point by point, and every report's matrix views it
+    rng = np.random.default_rng(101)
+    v = random_unitary(rng, 3)
+    powers = 10.0 ** (np.arange(-10.0, 31.0, 2.0) / 10.0)
+    grids = [(zf_certify, ChannelPair.from_gram((v * [2.0, 1.0, 0.5]) @ v.conj().T,
+                                                (v * [0.0, 3.0, 4.0]) @ v.conj().T)),
+             (wf_certify, construct_wf_optimal_channel([2.0, 1.0, 0.5], 0.7, v)),
+             (is_certify, ChannelPair.from_gram(3.0 * np.eye(3), np.eye(3)))]
+    for certify, pair in grids:
+        certify(pair, powers)  # the pairs' facts are kept from here on
+    calls, real = [], core._hermitian
+    for module in (core, certificates):
+        monkeypatch.setattr(module, "_hermitian",
+                            lambda *a: calls.append(1) or real(*a), raising=False)
+    for certify, pair in grids:
+        calls.clear()
+        reports = certify(pair, powers)
+        # the held stack's check, and secrecy_rate's own where the capacity
+        # is a secrecy rate (WF and IS): none per point
+        assert len(calls) == (1 if certify is zf_certify else 2), certify.__name__
+        assert len(reports) == powers.size
+        assert all(r.verdict is Verdict.SUFFICIENT_HOLDS for r in reports)
+        stack = reports[0].certified_covariance.entries.base
+        assert stack.shape == (powers.size, 3, 3)
+        for k, report in enumerate(reports):
+            assert report.certified_covariance.entries.base is stack
+            assert np.shares_memory(report.certified_covariance.entries, stack[k])
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
 
 
 def test_a_grids_covariances_are_read_only():
