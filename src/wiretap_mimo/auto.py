@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import ChannelPair, over_powers
+from .core import ChannelPair, _Grid, over_powers
 
 
 @dataclass(frozen=True)
-class AutoGrid(Sequence):
+class AutoGrid(_Grid):
     """:func:`solve_auto` over a power grid: ``columns`` holds each solver's
     name and its grid of outcomes; item i is point i's ``(solver, outcome)``
     pairs, built on demand."""
@@ -23,7 +23,7 @@ class AutoGrid(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0][1])
 
-    def __getitem__(self, i) -> list[tuple]:
+    def _point(self, i: int) -> list[tuple]:
         return [(name, outs[i]) for name, outs in self.columns]
 
 

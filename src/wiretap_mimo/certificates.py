@@ -10,6 +10,7 @@ slackness and power slackness of any candidate (R, lambda).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +21,7 @@ import numpy as np
 from . import common_rsv
 from ._waterfill import standard_waterfill
 from .core import (ChannelPair, HermitianMatrix, KktResidual,
-                   NotApplicableError, RANK_TOL, _coerce_psd, _hermitian,
+                   NotApplicableError, RANK_TOL, _Grid, _coerce_psd, _hermitian,
                    _unchecked, check_gains, check_nonnegative, check_positive,
                    clean_spectrum, frob, inv_winv_plus_r, over_powers,
                    secrecy_rate, sym)
@@ -59,64 +60,81 @@ class CertificateReport:
                              "SufficientHolds verdicts")
 
 
-class CertificateReports(list):
-    """One certificate's reports over a power grid, in grid order, with the
-    ``verdict`` every point shares (None when they differ), which the bench
-    tracer reads off every certificate call."""
+@dataclass(frozen=True, eq=False)
+class CertificateGrid(_Grid):
+    """One certificate over the points of a power grid, each field an array
+    (a list for ``details``) over the points: a point that does not hold has
+    NaN for its capacity and covariance.  The certificates build it and check
+    the covariances that hold once, as one stack; the stack is read-only.
+    Item i is point i's CertificateReport, a view built on demand."""
+
+    verdicts: np.ndarray
+    details: list[dict]
+    capacities: np.ndarray
+    covariances: np.ndarray
 
     @property
     def verdict(self) -> Optional[Verdict]:
-        verdicts = {report.verdict for report in self}
+        """The verdict every point shares, else None (the bench tracer reads it)."""
+        verdicts = set(self.verdicts)
         return verdicts.pop() if len(verdicts) == 1 else None
 
+    def covariance_at(self, i: int) -> Optional[np.ndarray]:
+        """Point i's certified covariance; None where the certificate does not hold."""
+        return self.covariances[i] if self.verdicts[i] is Verdict.SUFFICIENT_HOLDS else None
 
-def _each(n: int, verdict: Verdict, **details) -> CertificateReports:
-    """The channel-level ``verdict`` with ``details`` at each of n points."""
-    return CertificateReports(CertificateReport(verdict, details=dict(details))
-                              for _ in range(n))
+    def _point(self, i: int) -> CertificateReport:
+        cov = self.covariance_at(i)
+        held = cov is not None
+        return _unchecked(CertificateReport, self.verdicts[i], self.details[i],
+                          _unchecked(HermitianMatrix, cov) if held else None,
+                          float(self.capacities[i]) if held else None)
 
 
-def _reports(pair: ChannelPair, details: list[dict], checks, covs: np.ndarray,
-             capacity=None, **certified) -> CertificateReports:
-    """One report per point from checks decided over the whole grid.
+def _each(pair: ChannelPair, p_total: np.ndarray, verdict: Verdict, **details) -> CertificateGrid:
+    """The channel-level ``verdict`` (never SUFFICIENT_HOLDS) with ``details`` at each power."""
+    n = p_total.size
+    return CertificateGrid(np.full(n, verdict), [dict(details) for _ in range(n)],
+                           np.full(n, np.nan),  # broadcast_to: a read-only stack
+                           np.broadcast_to(np.nan, (n, pair.m, pair.m)))
 
-    ``checks`` lists ``(passes, reason)``, ``passes`` a boolean array over
-    the points.  Point k is INCONCLUSIVE with the reason of the first check
-    it fails, else SUFFICIENT_HOLDS with covariance ``covs[k]``, capacity
-    ``capacity(k)`` (else its secrecy rate, one stacked call for the grid)
-    and ``certified`` added to its details.
-    """
+
+def _grid(pair: ChannelPair, p_total: np.ndarray, details: list[dict], checks,
+          covs: np.ndarray, capacities=None, **certified) -> CertificateGrid:
+    """The grid of ``checks``, ``(passes, reason)`` pairs with ``passes`` a
+    boolean array over the points: point k is INCONCLUSIVE with the reason of
+    the first check it fails, else SUFFICIENT_HOLDS with covariance ``covs[k]``,
+    capacity ``capacities[k]`` (else its secrecy rate, one call for the grid)
+    and ``certified`` added to its details."""
     reasons = [next((why for passes, why in checks if not passes[k]), None)
-               for k in range(len(details))]
-    held = [k for k, reason in enumerate(reasons) if reason is None]
-    if held:  # checked once for the grid; each report views the read-only stack
-        stack = _hermitian(covs[held], 3)
-        stack.setflags(write=False)
-        views = dict(zip(held, (_unchecked(HermitianMatrix, cov) for cov in stack)))
-    if capacity is None:  # the secrecy rates of the points that hold, in one call
-        rates = dict(zip(held, secrecy_rate(pair, stack) if held else ()))
-    reports = CertificateReports()
-    for k, (info, reason) in enumerate(zip(details, reasons)):
-        if reason is not None:
-            reports.append(CertificateReport(Verdict.INCONCLUSIVE,
-                                             details={**info, "reason": reason}))
-            continue
-        reports.append(CertificateReport(
-            Verdict.SUFFICIENT_HOLDS, details={**info, **certified},
-            certified_covariance=views[k], certified_capacity=(
-                max(float(rates[k]), 0.0) if capacity is None else capacity(k))))
-    return reports
+               for k in range(p_total.size)]
+    held = np.array([reason is None for reason in reasons])
+    caps = np.full(p_total.size, np.nan)
+    if held.any():  # the held stack, checked once for the grid
+        covs[held] = _hermitian(covs[held], 3)
+        caps[held] = (np.maximum(secrecy_rate(pair, covs[held]), 0.0)
+                      if capacities is None else capacities[held])
+    covs[~held] = np.nan
+    covs.setflags(write=False)
+    return CertificateGrid(
+        np.where(held, Verdict.SUFFICIENT_HOLDS, Verdict.INCONCLUSIVE),
+        [{**info, **certified} if reason is None else {**info, "reason": reason}
+         for info, reason in zip(details, reasons)], caps, covs)
 
 
-def _common_basis(pair: ChannelPair, n: int):
-    """The pair's shared eigenbasis and None, or None and the inconclusive
-    reports at each of n points when W1 and W2 do not commute."""
-    try:
-        return pair.common_basis(), None
-    except common_rsv.NotCommutingError as err:
-        return None, _each(n, Verdict.INCONCLUSIVE,
-                           reason="W1 and W2 do not share an eigenbasis",
-                           commutator_norm=err.commutator_norm)
+def _certificate(certify):
+    """``certify(pair, powers)``, a grid, over :func:`over_powers`: where W1
+    and W2 share no eigenbasis, every point is INCONCLUSIVE."""
+    @over_powers
+    @functools.wraps(certify)
+    def run(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
+        try:
+            return certify(pair, p_total)
+        except common_rsv.NotCommutingError as err:
+            return _each(pair, p_total, Verdict.INCONCLUSIVE,
+                         reason="W1 and W2 do not share an eigenbasis",
+                         commutator_norm=err.commutator_norm)
+    return run
 
 
 def _covariances(basis: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -124,49 +142,50 @@ def _covariances(basis: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return sym((basis * powers[:, None, :]) @ basis.conj().T)
 
 
-@over_powers
-def zf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
+@_certificate
+def zf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     """Certify zero-forcing: transmit only where the eavesdropper is blind.
 
     Sufficient conditions: shared eigenbasis, water-filling over the
     zero-leakage modes, and every leaky mode weak enough that activating it
     would not pay (lam1_i <= lam2_i + lambda).  A certified solution needs
     no wiretap code: the eavesdropper receives exactly nothing.  ``p_total``
-    is a float (one report) or a 1-D grid (one report per power).
+    is a float (one report) or a 1-D grid (a :class:`CertificateGrid`).
     """
-    n = p_total.size
     if pair.w2.rank() == pair.m:
-        return _each(n, Verdict.NECESSARY_FAILS, w2_rank=pair.m, reason=(
+        return _each(pair, p_total, Verdict.NECESSARY_FAILS, w2_rank=pair.m, reason=(
             "W2 is positive definite: no zero-leakage direction exists"))
-    channel, reports = _common_basis(pair, n)
-    if channel is None:
-        return reports
+    channel = pair.common_basis()
     l1, l2 = channel.lam1, channel.lam2
     zf_mode = l2 == 0
     usable = zf_mode & (l1 > 0)
     if not np.any(usable):
-        return _each(n, Verdict.NECESSARY_FAILS, reason=(
+        return _each(pair, p_total, Verdict.NECESSARY_FAILS, reason=(
             "no zero-leakage mode carries positive legitimate gain"))
 
-    powers = np.zeros((n, pair.m))
+    powers = np.zeros((p_total.size, pair.m))
     powers[:, usable], lams = standard_waterfill(l1[usable], p_total)
     covs = _covariances(channel.basis, powers)
     leaky = ~zf_mode
     margins = np.min(l2[leaky] + lams[:, None] - l1[leaky], axis=1, initial=math.inf)
     # both relative to the terms compared, so verdicts keep the scaling symmetry
     inactive_ok = margins >= -1e-12 * np.maximum(lams, np.max(l1[leaky], initial=0.0))
-    leaks = np.linalg.norm(pair.w2.entries @ covs, axis=(1, 2))
-    scales = np.maximum(frob(pair.w2.entries) * np.linalg.norm(covs, axis=(1, 2)), 1e-300)
+    # both norms of R / P_T, so that the test is scale-free and none overflows
+    units = covs / p_total[:, None, None]
+    leaks = np.linalg.norm(pair.w2.entries @ units, axis=(1, 2))
+    scales = np.maximum(frob(pair.w2.entries) * np.linalg.norm(units, axis=(1, 2)), 1e-300)
     details = [{"zf_modes": int(np.count_nonzero(usable)), "water_lambda": lam,
                 "leaky_mode_margin": float(margin), "leaky_modes_inactive_ok": bool(ok),
                 "w2_r_product_norm": float(leak)}
-               for lam, margin, ok, leak in zip(lams, margins, inactive_ok, leaks)]
-    return _reports(pair, details, [
+               for lam, margin, ok, leak in zip(lams, margins, inactive_ok, p_total * leaks)]
+    # the sum over each point's active modes alone: numpy sums 8 or more terms
+    # pairwise, so a full row with zeros on the idle modes rounds otherwise
+    capacities = np.array([np.sum(np.log(l1[row > 0] / lam)) for row, lam in zip(powers, lams)])
+    return _grid(pair, p_total, details, [
         (inactive_ok, "a leaky mode is strong enough to be worth activating; "
                       "sufficiency fails"),
         (leaks <= _ZF_PRODUCT_TOL * scales, "numerical zero-forcing check W2 R = 0 failed"),
-    ], covs, lambda k: float(np.sum(np.log(l1[powers[k] > 0] / lams[k]))),
-        no_wiretap_code_needed=True)
+    ], covs, capacities, no_wiretap_code_needed=True)
 
 
 def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateReport:
@@ -188,8 +207,7 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateRepor
 
     ua = u[:, active]
     w1, w2 = pair.w1.entries, pair.w2.entries
-    n1 = max(frob(w1), 1e-300)
-    n2 = max(frob(w2), 1e-300)
+    n1, n2 = max(frob(w1), 1e-300), max(frob(w2), 1e-300)
 
     # active directions must leak nothing
     null_resid = float(np.linalg.norm(w2 @ ua, 2)) / n2
@@ -224,24 +242,21 @@ def zf_necessity_check(pair: ChannelPair, r, p_total: float) -> CertificateRepor
     return CertificateReport(Verdict.INCONCLUSIVE, details=details)
 
 
-@over_powers
-def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
+@_certificate
+def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     """Certify that the standard water-filling covariance is wiretap-optimal.
 
     Requires a shared eigenbasis, one inverse-gain offset alpha with
     1/lam2_i = 1/lam1_i + alpha across all active modes, and inactive modes
     whose rate slope lam1_i - lam2_i stays within the secrecy multiplier
     lambda' = alpha lambda^2 / (1 + alpha lambda), lambda the water level.
-    ``p_total`` is a float (one report) or a 1-D grid (one report per power).
+    ``p_total`` is a float (one report) or a 1-D grid (a :class:`CertificateGrid`).
     """
-    n = p_total.size
-    channel, reports = _common_basis(pair, n)
-    if channel is None:
-        return reports
+    channel = pair.common_basis()
     l1, l2 = channel.lam1, channel.lam2
     if not np.any(l1 > 0):
-        return _each(n, Verdict.INCONCLUSIVE, active_modes=0, water_lambda=math.inf,
-                     reason="W1 carries no positive gain")
+        return _each(pair, p_total, Verdict.INCONCLUSIVE, active_modes=0,
+                     water_lambda=math.inf, reason="W1 carries no positive gain")
     powers, lams = standard_waterfill(l1, p_total)
     active = powers > 0
     with np.errstate(divide="ignore", invalid="ignore"):  # masked to active modes
@@ -255,7 +270,7 @@ def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     details = [{"active_modes": int(c), "water_lambda": lam, "alpha": float(alpha),
                 "alpha_spread": float(spread), "lambda_prime": lam_p}
                for c, lam, alpha, spread, lam_p in zip(counts, lams, alphas, spreads, lam_ps)]
-    return _reports(pair, details, [
+    return _grid(pair, p_total, details, [
         (~np.any(active & (l2 == 0), axis=1), "an active mode has zero eavesdropper "
          "gain: no inverse-gain offset (use the ZF check)"),
         ((alphas > 0) & (spreads <= _CONSISTENCY_TOL * np.abs(alphas)),
@@ -267,22 +282,19 @@ def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     ], _covariances(channel.basis, powers))
 
 
-@over_powers
-def is_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
+@_certificate
+def is_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     """Certify that the isotropic covariance R = (P_T / m) I is optimal.
 
     Requires a shared eigenbasis, W1 > W2 > 0, and one multiplier value
     lambda = 1/(a_i + a) - 1/(b_i + a) consistent across all modes, where
     a_i and b_i are the inverse eigenvalues and a = P_T / m.  ``p_total`` is
-    a float (one report) or a 1-D grid (one report per power).
+    a float (one report) or a 1-D grid (a :class:`CertificateGrid`).
     """
-    n = p_total.size
-    channel, reports = _common_basis(pair, n)
-    if channel is None:
-        return reports
+    channel = pair.common_basis()
     l1, l2 = channel.lam1, channel.lam2
     if np.any(l2 <= 0) or np.any(l1 <= l2):
-        return _each(n, Verdict.INCONCLUSIVE,
+        return _each(pair, p_total, Verdict.INCONCLUSIVE,
                      reason="requires W1 > W2 > 0 on every shared eigenmode")
 
     a = p_total / pair.m
@@ -291,7 +303,7 @@ def is_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateReports:
     spreads = np.max(lambdas, axis=1) - np.min(lambdas, axis=1)
     details = [{"common_lambda": float(lam), "lambda_spread": float(spread)}
                for lam, spread in zip(lams, spreads)]
-    return _reports(pair, details, [
+    return _grid(pair, p_total, details, [
         (spreads <= _CONSISTENCY_TOL * np.abs(lams),
          "mode multipliers disagree; isotropic signaling is not certified"),
     ], a[:, None, None] * np.eye(pair.m))
@@ -323,9 +335,8 @@ def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,
             f"violated: lam*a^2/(1 - lam*a) = {bound!r} < b_{i + 2} < inf "
             f"(got b_{i + 2} = {b_rest[i]!r})")
     a_rest = -a + 1.0 / (lam + 1.0 / (b_rest + a))
-    a_all = np.concatenate(([a1], a_rest))
-    b_all = np.concatenate(([b1], b_rest))
-    return _pair_in_basis(1.0 / a_all, 1.0 / b_all, basis)
+    return _pair_in_basis(1.0 / np.concatenate(([a1], a_rest)),
+                          1.0 / np.concatenate(([b1], b_rest)), basis)
 
 
 def construct_wf_optimal_channel(lam1, alpha: float,

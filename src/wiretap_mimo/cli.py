@@ -89,9 +89,7 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"{where}: rows have inconsistent lengths")
     mat = np.array(rows, dtype=complex)
-    if np.all(mat.imag == 0):
-        return mat.real
-    return mat
+    return mat.real if np.all(mat.imag == 0) else mat
 
 
 def _parse_channel(obj) -> ChannelPair:
@@ -196,9 +194,9 @@ def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSp
 
 def _row(snr_db, p_t, solver, outs, i: int) -> Row:
     """Point i's table row of one solver's grid outcome: a SolveResultGrid
-    (with its bounds, if any) or a CapacityBoundsGrid, read from their
-    arrays; certificate reports; the oracle's (value, covariance) pairs; or
-    a ValueError, which fills every point."""
+    (with its bounds, if any), a CapacityBoundsGrid or a CertificateGrid,
+    read from their arrays; the oracle's (value, covariance) pairs; or a
+    ValueError, which fills every point."""
     if isinstance(outs, ValueError):
         return Row(snr_db, p_t, solver, status=f"error: {outs}")
     if isinstance(outs, CapacityBoundsGrid):
@@ -212,13 +210,13 @@ def _row(snr_db, p_t, solver, outs, i: int) -> Row:
                    None if b is None else float(b.upper_nats[i]),
                    float(outs.lambdas[i]), int(outs.active_modes[i]),
                    outs.statuses[i].value, outs.covariance_at(i))
-    out = outs[i]
-    if isinstance(out, certificates.CertificateReport):
-        return Row(snr_db, p_t, solver, out.certified_capacity,
-                   lam=out.details.get("water_lambda"), status=out.verdict.value,
-                   covariance=getattr(out.certified_covariance, "entries", None))
-    # the oracle's best value and covariance
-    return Row(snr_db, p_t, solver, out[0], status="Solved", covariance=out[1].entries)
+    if isinstance(outs, certificates.CertificateGrid):  # no capacity where it fails
+        cov = outs.covariance_at(i)
+        return Row(snr_db, p_t, solver, None if cov is None else float(outs.capacities[i]),
+                   lam=outs.details[i].get("water_lambda"),
+                   status=outs.verdicts[i].value, covariance=cov)
+    value, cov = outs[i]  # the oracle's best value and covariance
+    return Row(snr_db, p_t, solver, value, status="Solved", covariance=cov.entries)
 
 
 def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:

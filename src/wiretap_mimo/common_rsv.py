@@ -34,8 +34,7 @@ class NotCommutingError(ValueError):
 
 def commutation_residual(pair: ChannelPair) -> float:
     """||W1 W2 - W2 W1|| / (||W1|| ||W2||); zero means a shared eigenbasis."""
-    a = pair.w1.entries
-    b = pair.w2.entries
+    a, b = pair.w1.entries, pair.w2.entries
     denom = frob(a) * frob(b)
     if denom == 0.0:
         return 0.0
@@ -75,8 +74,7 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
     random eta, which splits eigenspaces that are degenerate in either
     matrix alone.
     """
-    w1 = pair.w1.entries
-    w2 = pair.w2.entries
+    w1, w2 = pair.w1.entries, pair.w2.entries
     resid = commutation_residual(pair)
     if resid > COMMUTE_TOL:
         raise NotCommutingError(

@@ -134,11 +134,25 @@ def _hermitian(a, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     asym = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-    if np.any(asym > _ASYMMETRY_TOL * np.linalg.norm(a, axis=(-2, -1))):
+    # ||A|| by hypot: np.linalg.norm squares each entry, which overflows past 1.3e154
+    mags = np.abs(a).reshape(*a.shape[:-2], a.shape[-1] ** 2)
+    if np.any(asym > _ASYMMETRY_TOL * np.hypot.reduce(mags, axis=-1, initial=0.0)):
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e} "
             f"exceeds {_ASYMMETRY_TOL:g} * ||A||")
     return sym(a)
+
+
+class _Grid(Sequence):
+    """A grid result as a sequence: its length is its first field's, and item
+    i, one integer (a slice or a float is a TypeError), is point i's view
+    ``self._point(i)``, built on demand."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, i):
+        return self._point(operator.index(i))
 
 
 def _unchecked(cls, *values, **named):
@@ -367,7 +381,7 @@ class CapacityBounds:
 
 
 @dataclass(frozen=True, eq=False)
-class CapacityBoundsGrid(Sequence):
+class CapacityBoundsGrid(_Grid):
     """:class:`CapacityBounds` over the points of a power grid, each field an
     array over the points, the chain checked once for the whole grid.  Item
     i (indexing, iteration) is point i's CapacityBounds, a view built on demand."""
@@ -379,11 +393,7 @@ class CapacityBoundsGrid(Sequence):
 
     __post_init__ = CapacityBounds.__post_init__  # one chain test over the arrays
 
-    def __len__(self) -> int:
-        return len(self.lower_nats)
-
-    def __getitem__(self, i) -> CapacityBounds:
-        i = operator.index(i)  # one point: a slice or a float is a TypeError
+    def _point(self, i: int) -> CapacityBounds:
         return _unchecked(CapacityBounds, *(float(a[i]) for a in vars(self).values()))
 
 
@@ -413,7 +423,7 @@ class SolveResult:
 
 
 @dataclass(frozen=True, eq=False)
-class SolveResultGrid(Sequence):
+class SolveResultGrid(_Grid):
     """:class:`SolveResult` over the points of a power grid, each field an
     array over the points (first axis), checked once for the whole grid by
     the rules of one result (``spectra``: the covariances' eigenvalues, when
@@ -439,9 +449,6 @@ class SolveResultGrid(Sequence):
         covs.setflags(write=False)  # _hermitian's own copy, which views share
         object.__setattr__(self, "covariances", covs)
 
-    def __len__(self) -> int:
-        return len(self.capacities)
-
     def _with(self, **changes) -> "SolveResultGrid":
         """A copy with ``changes`` (``bounds``, ``statuses``) set, sharing the
         arrays already checked: they are not checked again."""
@@ -455,8 +462,7 @@ class SolveResultGrid(Sequence):
             cov.setflags(write=False)  # read-only, as every covariance is
         return cov
 
-    def __getitem__(self, i) -> SolveResult:
-        i = operator.index(i)  # one point: a slice or a float is a TypeError
+    def _point(self, i: int) -> SolveResult:
         return _unchecked(
             SolveResult, _unchecked(HermitianMatrix, self.covariance_at(i)),
             float(self.capacities[i]), float(self.lambdas[i]), int(self.active_modes[i]),

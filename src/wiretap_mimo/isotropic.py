@@ -150,9 +150,7 @@ def asymptotic_capacity(problem: IsotropicProblem,
     at the problem's one power (a power grid is refused)."""
     if np.ndim(problem.p_total):
         raise ValueError("p_total must be one power here, not a grid")
-    g = problem.gains
-    eps = problem.epsilon
-    p = problem.p_total
+    g, eps, p = problem.gains, problem.epsilon, problem.p_total
 
     thresholds = threshold_powers(g, eps)
     single_mode = bool(g.size < 2 or p <= thresholds[1])
@@ -168,10 +166,8 @@ def asymptotic_capacity(problem: IsotropicProblem,
             raise ValueError("high-SNR saturation requires epsilon > 0")
         if not np.any(g > eps):
             raise ValueError("high-SNR regime requires some g_i > epsilon")
-        c_inf, beta = _saturation_terms(g, eps)
-        value = c_inf
-        if regime is AsymptoticRegime.HIGH_SNR_REFINED:
-            value = c_inf - beta * beta / p
+        # c_inf and beta as computed for the ratio, whose conditions hold here
+        value = c_inf - beta * beta / p if regime is AsymptoticRegime.HIGH_SNR_REFINED else c_inf
         return AsymptoticReport(value, ratio, single_mode)
 
     if g[0] <= eps:
@@ -209,9 +205,6 @@ def negligibility_margins(problem: IsotropicProblem,
     snr_margin = eps * problem.p_total
     res = solve_isotropic(problem)
     active = res.mode_powers > 0
-    if not np.any(active):
-        gain_margin = math.inf
-    else:
-        gain_margin = float(np.max(eps / problem.gains[active]))
+    gain_margin = float(np.max(eps / problem.gains[active])) if active.any() else math.inf
     negligible = snr_margin < threshold and gain_margin < threshold
     return NegligibilityReport(snr_margin, gain_margin, negligible, threshold)

@@ -61,8 +61,7 @@ def range_containment_residual(w1: HermitianMatrix,
     n1 = frob(w1.entries)
     if n1 == 0.0:
         return 0.0
-    proj = u @ u.conj().T
-    return frob(w1.entries - proj @ w1.entries) / n1
+    return frob(w1.entries - u @ u.conj().T @ w1.entries) / n1
 
 
 @over_powers

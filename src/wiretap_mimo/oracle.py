@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
-from .core import (ChannelPair, ConvergenceError, HermitianMatrix, SolveResultGrid,
+from .core import (ChannelPair, ConvergenceError, HermitianMatrix,
                    check_gains, check_positive, over_powers, sym)
 
 _CHUNK = 1 << 15
@@ -172,10 +172,9 @@ def _candidate_pool(pair: ChannelPair, powers: np.ndarray) -> list[list[np.ndarr
         except ValueError:
             return
         for i, cands in enumerate(pool[at]):
-            if isinstance(grid, SolveResultGrid):
-                cands.append(grid.covariance_at(i))
-            elif grid[i].certified_covariance is not None:  # the certificate holds
-                cands.append(grid[i].certified_covariance.entries)
+            cov = grid.covariance_at(i)  # None where a certificate does not hold
+            if cov is not None:
+                cands.append(cov)
 
     attempt(lambda p: weak_eavesdropper.solve_weak(pair, p))
     attempt(lambda p: isotropic.solve_isotropic_in_w1_basis(
@@ -235,8 +234,7 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
             ev, vec = np.linalg.eigh(np.stack(cands))
             consider_psd(i, np.clip(ev, 0.0, None), vec)
 
-    rng_a = _stream(cfg.seed, 1)
-    rng_t = _stream(cfg.seed, 2)
+    rng_a, rng_t = _stream(cfg.seed, 1), _stream(cfg.seed, 2)
     remaining = cfg.samples
     while remaining > 0:
         n = min(_CHUNK, remaining)
@@ -260,9 +258,8 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
         rng_r = _stream(cfg.seed, 3)
         for round_idx in range(cfg.refine_rounds):
             scale = 0.1 * p_total / 10.0 ** round_idx
-            x = rng_r.standard_normal((n_ref, m, m))
-            y = rng_r.standard_normal((n_ref, m, m))
-            e = x + 1j * y
+            # the real parts are drawn before the imaginary ones
+            e = rng_r.standard_normal((n_ref, m, m)) + 1j * rng_r.standard_normal((n_ref, m, m))
             e = 0.5 * (e + np.conj(np.transpose(e, (0, 2, 1))))
             ev, vec = np.linalg.eigh(best[i][1][None, :, :] + scale * e)
             ev = np.clip(ev, 0.0, None)
@@ -326,8 +323,7 @@ def _golden_polish(g1: np.ndarray, g2: np.ndarray, nu: float,
         fpt = phi(pt)
         fc, fd = np.where(left, fpt, fd), np.where(left, fc, fpt)
         c, d = cn, dn
-    mid = 0.5 * (a + b)
-    return mid
+    return 0.5 * (a + b)
 
 
 def separable_oracle(lam1, lam2, p_total: float) -> float:
@@ -339,8 +335,7 @@ def separable_oracle(lam1, lam2, p_total: float) -> float:
     per-mode maximizers consume the full power.  The returned value is
     evaluated at a feasible allocation, hence always achievable.
     """
-    l1 = check_gains("lam1", lam1)
-    l2 = check_gains("lam2", lam2)
+    l1, l2 = check_gains("lam1", lam1), check_gains("lam2", lam2)
     if l1.shape != l2.shape:
         raise ValueError("lam1 and lam2 must be paired 1-D vectors")
     check_positive("p_total", p_total)
@@ -348,8 +343,7 @@ def separable_oracle(lam1, lam2, p_total: float) -> float:
     usable = l1 > l2
     if not np.any(usable):
         return 0.0
-    g1 = l1[usable]
-    g2 = l2[usable]
+    g1, g2 = l1[usable], l2[usable]
 
     def value(powers):
         return float(np.sum(np.log1p(g1 * powers) - np.log1p(g2 * powers)))

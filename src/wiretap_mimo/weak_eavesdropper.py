@@ -202,9 +202,8 @@ def saturation_capacities(pair: ChannelPair) -> tuple[float, float]:
     diff = HermitianMatrix(pair.w1.entries - pair.w2.entries)
     if diff.spectrum()[-1] == 0:
         raise NotApplicableError("saturation formulas need W1 - W2 positive definite")
-    _, logdet1 = np.linalg.slogdet(pair.w1.entries)
-    _, logdet2 = np.linalg.slogdet(pair.w2.entries)
-    exact = float(logdet1 - logdet2)
+    exact = float(np.linalg.slogdet(pair.w1.entries)[1]
+                  - np.linalg.slogdet(pair.w2.entries)[1])
     corr = pair.m - float(np.trace(
         pair.w2.entries @ np.linalg.inv(pair.w1.entries)).real)
     return exact, exact - corr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,19 @@ class TestZfCertify:
         assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.linalg.norm(pair.w2.entries @ r) <= 1e-12
         assert report.details["no_wiretap_code_needed"] is True
+
+    def test_zero_forcing_check_holds_at_any_finite_power(self):
+        # the check W2 R = 0 compares norms of R / P_T: past P_T ~ 1.3e154 a
+        # norm of R itself overflows, and inf <= inf would pass any leak
+        pair = ChannelPair.from_gram(np.diag([1.0, 2.0]), np.diag([3.0, 0.0]))
+        powers = np.array([1e155, 1e160, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [*zf_certify(pair, powers), *(zf_certify(pair, p) for p in powers)]
+        for report in reports:
+            assert report.verdict is Verdict.SUFFICIENT_HOLDS
+            assert report.details["w2_r_product_norm"] == 0.0
+            assert math.isfinite(report.certified_capacity)
 
     def test_positive_definite_w2_fails_necessity(self):
         pair = ChannelPair.from_gram(np.diag([3.0, 2.0]), np.diag([1.0, 5.0]))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from wiretap_mimo import (CapacityBounds, CapacityBoundsGrid, ChannelPair,
                           HermitianMatrix, IsotropicProblem, SolveResult,
                           SolveResultGrid, SolveStatus, capacity_bounds_isotropic,
-                          capacity_bounds_weak, epsilon_from_pathloss,
-                          positive_part, secrecy_rate, solve_auto,
+                          capacity_bounds_weak, construct_is_optimal_channel,
+                          construct_wf_optimal_channel, epsilon_from_pathloss,
+                          is_certify, positive_part, secrecy_rate, solve_auto,
                           solve_common_rsv, solve_isotropic, solve_omni,
-                          solve_weak, solve_weak_with_bounds, weak_rate)
+                          solve_weak, solve_weak_with_bounds, weak_rate,
+                          wf_certify, zf_certify)
 from util import fig1_pair, random_commuting_pair, random_psd, random_unitary
 
 
@@ -25,6 +28,17 @@ class TestHermitianMatrix:
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_asymmetry_rule_holds_at_any_finite_scale(self):
+        # ||A|| squared overflows past entries of 1.3e154: the rule must still
+        # compare the asymmetry with a finite norm, not with inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e155, 1e300):
+                h = HermitianMatrix(s * np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]]))
+                assert np.isfinite(h.entries).all()
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    HermitianMatrix(s * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_rejects_non_finite_entries(self):
         for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
@@ -360,10 +374,22 @@ def test_every_grid_solver_refuses_a_bad_stack_entry():
                     dataclasses.replace(outs, **{field: bad})
 
 
+def _certificate_and_auto_grids():
+    """The three certificates' grids and solve_auto's, on pairs where each
+    certificate holds at one power at least."""
+    grid = 10.0 ** (np.arange(-10.0, 41.0, 10.0) / 10.0)
+    zf = ChannelPair.from_gram(np.diag([3.0, 2.0, 0.5]), np.diag([0.0, 5.0, 0.1]))
+    wf = construct_wf_optimal_channel([2.0, 1.0, 0.5], 0.7)
+    iso = construct_is_optimal_channel(2, 10.0, b1=2.0, a1=1.0, b_rest=[3.0])
+    for certify, pair in ((zf_certify, zf), (wf_certify, wf), (is_certify, iso)):
+        yield certify.__name__, certify(pair, grid)
+    yield "solve_auto", solve_auto(zf, grid)
+
+
 def test_a_grid_point_is_one_integer_index():
     # a view is one point, taken by any integer (negative from the end); a
     # slice or a float is a TypeError that says so, not a failed matrix check
-    for name, outs in _grid_outcomes():
+    for name, outs in [*_grid_outcomes(), *_certificate_and_auto_grids()]:
         assert repr(outs[np.int64(len(outs) - 1)]) == repr(outs[-1]), name
         for bad in (slice(0, 1), 1.0, np.float64(1.0)):
             with pytest.raises(TypeError, match="integer"):

@@ -355,14 +355,55 @@ def test_a_certificate_view_takes_its_grids_verdict(monkeypatch):
         # is a secrecy rate (WF and IS): none per point
         assert len(calls) == (1 if certify is zf_certify else 2), certify.__name__
         assert len(reports) == powers.size
+        assert reports.verdict is Verdict.SUFFICIENT_HOLDS
         assert all(r.verdict is Verdict.SUFFICIENT_HOLDS for r in reports)
         stack = reports[0].certified_covariance.entries.base
-        assert stack.shape == (powers.size, 3, 3)
+        assert stack is reports.covariances and stack.shape == (powers.size, 3, 3)
         for k, report in enumerate(reports):
             assert report.certified_covariance.entries.base is stack
             assert np.shares_memory(report.certified_covariance.entries, stack[k])
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0] = 1.0
+    # grids whose points hold at some powers and not at others: neither a
+    # grid nor any of its views runs the public CertificateReport check, a
+    # point that does not hold has no covariance or capacity (NaN in the
+    # grid's arrays), and a grid's verdict is the one its points share
+    mixed = [(zf_certify, ChannelPair.from_gram(np.diag([3.0, 2.0, 0.5]),
+                                                np.diag([0.0, 5.0, 0.1]))),
+             (wf_certify, ChannelPair.from_gram(np.diag([2.0, 1.0, 0.3]),
+                                                np.diag([2.0 / 3.0, 0.5, 0.01]))),
+             (is_certify, construct_is_optimal_channel(2, 10.0, 2.0, 1.0, [3.0]))]
+    uniform = [(zf_certify, fig1_pair(), Verdict.NECESSARY_FAILS),
+               (wf_certify, fig1_pair(), Verdict.INCONCLUSIVE),
+               (is_certify, ChannelPair.from_gram(3.0 * np.eye(2), np.eye(2)),
+                Verdict.SUFFICIENT_HOLDS)]
+    checks, post_init = [], certificates.CertificateReport.__post_init__
+    monkeypatch.setattr(certificates.CertificateReport, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    for certify, pair in mixed:
+        grid = certify(pair, np.append(powers, 10.0))
+        reports = list(grid)
+        held = np.array([r.verdict is Verdict.SUFFICIENT_HOLDS for r in reports])
+        assert held.any() and not held.all(), certify.__name__
+        assert grid.verdict is None
+        assert np.array_equal(np.isnan(grid.capacities), ~held)
+        assert np.isnan(grid.covariances[~held]).all()
+        for k, report in enumerate(reports):
+            assert report.verdict is grid.verdicts[k]
+            if held[k]:
+                assert report.certified_capacity == grid.capacities[k]
+                assert report.certified_covariance.entries.base is grid.covariances
+            else:
+                assert report.certified_covariance is None
+                assert report.certified_capacity is None
+                assert grid.covariance_at(k) is None
+                assert "reason" in report.details
+    for certify, pair, verdict in uniform:
+        grid = certify(pair, powers)
+        assert grid.verdict is verdict and len(list(grid)) == powers.size
+    assert not checks
+    certificates.CertificateReport(Verdict.INCONCLUSIVE)  # the public one checks
+    assert checks == [1]
 
 
 def test_a_grids_covariances_are_read_only():
