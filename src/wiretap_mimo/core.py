@@ -304,16 +304,22 @@ class ChannelPair:
 
     def fact(self, name: str, compute):
         """``compute(self)``, run on the first call for ``name`` and kept; a
-        ValueError it raised is kept and raised again."""
+        ValueError it raised is kept without its traceback and raised again
+        as a copy, so that no caller's frame outlives its call in the pair."""
         facts = self._facts
         if name not in facts:
             try:
                 facts[name] = compute(self)
             except ValueError as err:
-                facts[name] = err
-        if isinstance(facts[name], ValueError):
-            raise facts[name].with_traceback(None)
-        return facts[name]
+                facts[name] = err.with_traceback(None)
+        if isinstance(kept := facts[name], ValueError):
+            err = type(kept).__new__(type(kept), *kept.args)
+            err.__dict__.update(vars(kept))
+            try:
+                raise err
+            finally:
+                del err  # its traceback holds this frame: no cycle through err
+        return kept
 
     # the solver modules import this one, so they are imported on use
     def common_basis(self):

@@ -100,21 +100,28 @@ def capacity_bounds_isotropic(pair: ChannelPair,
                               p_total: np.ndarray) -> CapacityBoundsGrid:
     """Sandwich the secrecy capacity between isotropic solves at the extreme
     eigenvalues of W2: C*(eps_max) <= C_s <= C*(eps_min)."""
+    eps1 = float(pair.w2.spectrum()[0])
+    if eps1 <= 0:
+        raise ValueError("W2 must be nonzero; use standard water-filling instead")
+    return _sandwich(pair, solve_isotropic(IsotropicProblem(
+        pair.w1.spectrum(), eps1, p_total)).capacities, p_total)
+
+
+def _sandwich(pair: ChannelPair, lower: np.ndarray,
+             p_total: np.ndarray) -> CapacityBoundsGrid:
+    """:func:`capacity_bounds_isotropic` at each power of the 1-D array
+    ``p_total``, given its lower end: the capacities C*(eps_max) of an
+    isotropic solve at W2's largest eigenvalue, which must be positive."""
     gains = pair.w1.spectrum()
     ev2 = pair.w2.spectrum()
     eps1, epsm = float(ev2[0]), float(ev2[-1])
-    if eps1 <= 0:
-        raise ValueError("W2 must be nonzero; use standard water-filling instead")
-    lower = solve_isotropic(IsotropicProblem(gains, eps1, p_total))
-    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total))
+    upper = solve_isotropic(IsotropicProblem(gains, epsm, p_total)).capacities
     m_plus = int(np.count_nonzero(gains > epsm))
     gaps = np.zeros(p_total.shape) if m_plus == 0 else np.minimum(
         m_plus * np.log((1.0 + eps1 * p_total / m_plus)
                         / (1.0 + epsm * p_total / m_plus)),
         m_plus * math.log(eps1 / epsm) if epsm > 0 else math.inf)
-    return CapacityBoundsGrid(lower.capacities,
-                              0.5 * (lower.capacities + upper.capacities),
-                              upper.capacities, gaps)
+    return CapacityBoundsGrid(lower, 0.5 * (lower + upper), upper, gaps)
 
 
 class AsymptoticRegime(Enum):

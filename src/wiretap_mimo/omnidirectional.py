@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (ChannelPair, HermitianMatrix, NotApplicableError,
                    SolveResultGrid, SolveStatus, frob, over_powers)
-from .isotropic import capacity_bounds_isotropic, solve_isotropic_in_w1_basis
+from .isotropic import _sandwich, solve_isotropic_in_w1_basis
 
 # relative spread up to which W2's positive eigenvalues count as one gain
 OMNI_TOL = 1e-8
@@ -80,8 +80,8 @@ def solve_omni(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     if pair.range_contained():
         return solve_isotropic_in_w1_basis(pair, cls.epsilon, p_total)
     # the lower bound is achievable: signaling designed against the worst
-    # isotropic eavesdropper cannot do worse on the true channel; its
-    # capacities are the lower bound's to the bit (same modes, leak, powers)
+    # isotropic eavesdropper cannot do worse on the true channel, and its
+    # capacities are the lower bound itself
     res = solve_isotropic_in_w1_basis(pair, float(pair.w2.spectrum()[0]), p_total)
-    return res._with(bounds=capacity_bounds_isotropic(pair, p_total),
+    return res._with(bounds=_sandwich(pair, res.capacities, p_total),
                      statuses=np.full(len(res), SolveStatus.BOUNDS_ONLY))

@@ -14,20 +14,24 @@ ln|I_r + s B B^H| for B = L^H F (Sylvester), from one real matrix product
 per batch and an elementwise LDL^H, the same path for every m.  Only the
 winner of a batch is formed as a matrix; the samples do not depend on this.
 
-Over a power grid, one pass over the sample stream serves every power: each
-batch is drawn, multiplied into B and reduced to B B^H once; only the scale
-s, the LDL^H and the incumbent update run per power.  Each power keeps its
-own candidates, incumbent, tie rule and refinement.
+The sample pass runs chunk by chunk in buffers that fit ``_WORKSET_BYTES``
+whatever m, reused from chunk to chunk, and one pass serves a power grid:
+each chunk is drawn, multiplied into B and reduced to B B^H once; only the
+scale s, the LDL^H and the incumbent update run per power.  Each power keeps
+its own candidates, incumbent, tie rule and refinement, whose rounds draw
+their perturbations once for every power.
 
 Determinism: every sample is derived from fixed positions of Philox streams
 keyed by (seed, stream id), so results are bit-identical for a given
-(seed, config), a power gives the same bytes alone as inside a grid, and
-the first N samples of a longer run are exactly the samples of a shorter
-run (nested streams).
+(seed, config), alone or inside a grid, and the first N samples of a longer
+run are exactly a shorter run's.  Chunking never changes a result: B is
+formed over whole blocks of ``_BLOCK`` columns, so every sample meets the
+same BLAS kernel, and ties go to the earliest sample.
 """
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -38,7 +42,11 @@ from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdr
 from .core import (ChannelPair, ConvergenceError, HermitianMatrix,
                    check_gains, check_positive, over_powers, sym)
 
-_CHUNK = 1 << 15
+_WORKSET_BYTES = 1 << 22  # the sample pass's buffers, whatever m
+_BLOCK = 64  # B = L^H F is formed over whole blocks of this many columns
+# the largest P_T * lambda_max(W1) answered: float rates err by about 6 eps
+# times it, 2e-7 relative here and 1.5e-6 at 1e12
+_SNR_CEILING = 1e11
 # points of the separable oracle's level-0 per-mode grid
 _GRID_POINTS = 2001
 _GOLDEN = 0.6180339887498949
@@ -83,26 +91,23 @@ def _factor_map(w: HermitianMatrix) -> np.ndarray:
     return np.block([[lh.real, -lh.imag], [lh.imag, lh.real]])
 
 
-def _gram(b: np.ndarray) -> np.ndarray:
-    """B B^H for every sample n, from the real and imaginary parts of B
-    stored n-last, shape (2, r, k, n), packed as one real (r, r, n) array:
-    the real part on and below the diagonal, the imaginary part above it.
-    It does not depend on the power scale s."""
+def _gram(b: np.ndarray, g: np.ndarray, work: np.ndarray) -> None:
+    """B B^H for every sample n into ``g``, from the real and imaginary
+    parts of B stored n-last, shape (2, r, k, n), packed as one real
+    (r, r, n) array: the real part on and below the diagonal, the imaginary
+    part above it, with (2, n) scratch ``work``; no power scale s enters."""
     bre, bim = b
-    r = b.shape[1]
-    g = np.empty((r, r, b.shape[-1]))
-    for i in range(r):
+    for i in range(b.shape[1]):
         for k in range(i + 1):
             np.einsum("pjn,pjn->n", b[:, i], b[:, k], out=g[i, k])
             if k < i:
-                np.subtract(np.einsum("jn,jn->n", bim[i], bre[k]),
-                            np.einsum("jn,jn->n", bre[i], bim[k]), out=g[k, i])
-    return g
+                np.subtract(np.einsum("jn,jn->n", bim[i], bre[k], out=work[0]),
+                            np.einsum("jn,jn->n", bre[i], bim[k], out=work[1]), out=g[k, i])
 
 
-def _logdet_i_plus(gram: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _logdet_i_plus(gram: np.ndarray, s: np.ndarray, g: np.ndarray, work: np.ndarray):
     """ln|I_r + s_n B_n B_n^H| for every sample n, from B B^H packed as by
-    :func:`_gram`.
+    :func:`_gram`, into ``work[0]``, with scratch g (r, r, n) and work (6, n).
 
     An elementwise LDL^H factorization runs in place on the r(r+1)/2 lower
     entries of s B B^H, each a length-n real array (a pair of them off the
@@ -111,48 +116,72 @@ def _logdet_i_plus(gram: np.ndarray, s: np.ndarray) -> np.ndarray:
     is the sum of log1p(e).
     """
     # g[i, k] and g[k, i], k < i: real and imaginary part of s (B B^H)_ik
-    g = s * gram
-    total = np.zeros(s.shape)
+    np.multiply(s, gram, out=g)
+    total, inv, cr, ci, t1, t2 = work
+    total.fill(0.0)
+
+    def fused(op, a, b, c, d):  # op(a * b, c * d), in place
+        return op(np.multiply(a, b, out=t1), np.multiply(c, d, out=t2), out=t1)
+
     for j in range(g.shape[0]):
-        total += np.log1p(g[j, j])
-        inv = 1.0 / (1.0 + g[j, j])
+        total += np.log1p(g[j, j], out=t1)
+        np.divide(1.0, np.add(1.0, g[j, j], out=inv), out=inv)
         for i in range(j + 1, g.shape[0]):
             xr, xi = g[i, j], g[j, i]
-            cr, ci = xr * inv, xi * inv
-            g[i, i] -= xr * cr + xi * ci
+            cr, ci = np.multiply(xr, inv, out=cr), np.multiply(xi, inv, out=ci)
+            g[i, i] -= fused(np.add, xr, cr, xi, ci)
             for k in range(j + 1, i):
                 # g_ik -= g_ij conj(g_kj) / pivot_j
                 yr, yi = g[k, j], g[j, k]
-                g[i, k] -= cr * yr + ci * yi
-                g[k, i] -= ci * yr - cr * yi
+                g[i, k] -= fused(np.add, cr, yr, ci, yi)
+                g[k, i] -= fused(np.subtract, ci, yr, cr, yi)
     return total
 
 
-def _grams(maps: list[np.ndarray], roots: np.ndarray,
-           objective: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """What the objective needs of samples F_n before the power scale: the
-    :func:`_gram` of B = L1^H F, and that of L2^H F (EXACT) or ||L2^H F||_F^2
-    (WEAK).  ``roots[n]`` holds the real and imaginary parts of F_n, shape
-    (2, m, k); ``maps`` are the two :func:`_factor_map` of (W1, W2)."""
-    n, _, _, k = roots.shape
-    r1, r2 = (mp.shape[0] // 2 for mp in maps)
-    # one real product forms B = L^H F of both channels for the whole
-    # batch, n-last, without transposing the sample-major roots
-    b = np.kron(np.vstack(maps), np.eye(k)) @ roots.reshape(n, -1).T
-    gram1 = _gram(b[:2 * r1 * k].reshape(2, r1, k, n))
-    b2 = b[2 * r1 * k:]
-    if objective is Objective.EXACT:
-        return gram1, _gram(b2.reshape(2, r2, k, n))
-    return gram1, np.einsum("jn,jn->n", b2, b2)  # ||L2^H F||_F^2
+class _Scorer:
+    """Buffers, reused from batch to batch, that score up to ``width``
+    samples F_n (rounded up to whole blocks), held by their real and
+    imaginary parts in ``roots[n]``, (2, m, m); ``maps`` are the two
+    :func:`_factor_map` of (W1, W2)."""
+
+    def __init__(self, maps: list[np.ndarray], objective: Objective, width: int):
+        m, (r1, r2) = maps[0].shape[1] // 2, (mp.shape[0] // 2 for mp in maps)
+        width = -(-width // _BLOCK) * _BLOCK
+        self.kron = np.kron(np.vstack(maps), np.eye(m))
+        self.roots = np.zeros((width, 2, m, m))  # finite in every column
+        self.b = np.empty((len(self.kron), width))
+        self.grams = (np.empty((r1, r1, width)), np.empty(
+            (r2, r2, width) if objective is Objective.EXACT else width))
+        self.g, self.work = np.empty((max(r1, r2),) * 2 + (width,)), np.empty((2, 6, width))
+
+    def load(self, n: int, blocks: bool = True) -> None:
+        """What the objective needs of ``roots[:n]`` before the power scale:
+        the :func:`_gram` of B = L1^H F, and that of L2^H F (EXACT) or
+        ||L2^H F||_F^2 (WEAK), over whole blocks of columns or just n."""
+        cols = -(-n // _BLOCK) * _BLOCK if blocks else n
+        m, rows = self.roots.shape[-1], 2 * len(self.grams[0]) * self.roots.shape[-1]
+        # one real product forms B = L^H F of both channels, n-last, without
+        # transposing the sample-major roots
+        b = np.matmul(self.kron, self.roots[:cols].reshape(cols, -1).T, out=self.b[:, :cols])
+        for gram, bk in zip(self.grams, (b[:rows], b[rows:])):
+            if gram.ndim == 1:
+                np.einsum("jn,jn->n", bk, bk, out=gram[:cols])  # ||L2^H F||_F^2
+            else:
+                _gram(bk.reshape(2, len(gram), m, cols), gram[..., :cols], self.work[0, :2, :cols])
+
+    def terms(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ln|I + W1 R_n| and ln|I + W2 R_n| (EXACT) or tr(W2 R_n) (WEAK) for
+        R_n = s_n F_n F_n^H over the first s.size loaded roots, in scratch."""
+        n = s.size
+        return tuple(np.multiply(s, gram[:n], out=work[0, :n]) if gram.ndim == 1 else
+                     _logdet_i_plus(gram[..., :n], s, self.g[:len(gram), :len(gram), :n],
+                                    work[:, :n]) for gram, work in zip(self.grams, self.work))
 
 
-def _terms(grams: tuple, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln|I + W1 R_n| and the eavesdropper's term, ln|I + W2 R_n| (EXACT) or
-    tr(W2 R_n) (WEAK), for R_n = s_n F_n F_n^H, from the :func:`_grams` of
-    the F_n."""
-    gram1, gram2 = grams
-    leak = s * gram2 if gram2.ndim == 1 else _logdet_i_plus(gram2, s)
-    return _logdet_i_plus(gram1, s), leak
+def _chunk_samples(m: int) -> int:
+    """Samples per chunk of the sample pass: the whole blocks (at least one)
+    that ``_WORKSET_BYTES`` holds at 9 m^2 + 18 floats a sample."""
+    return max(1, _WORKSET_BYTES // (8 * (9 * m * m + 18)) // _BLOCK) * _BLOCK
 
 
 def _candidate_pool(pair: ChannelPair, powers: np.ndarray) -> list[list[np.ndarray]]:
@@ -206,65 +235,79 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
     each power's result is the bytes of that power solved alone.
     """
     cfg = cfg or OracleConfig()
+    if float(powers.max()) * float(pair.w1.spectrum()[0]) > _SNR_CEILING:
+        raise ValueError(f"the oracle needs P_T * lambda_max(W1) <= {_SNR_CEILING:g}")
     m = pair.m
     maps = [_factor_map(pair.w1), _factor_map(pair.w2)]
     # per power: the incumbent value and covariance; the zero covariance is
     # the clamp floor and is always achievable
     best = [(0.0, np.zeros((m, m), dtype=complex)) for _ in powers]
 
-    def consider(i: int, roots: np.ndarray, grams: tuple, s: np.ndarray):
-        """Samples s_n F_n F_n^H at power i, F_n given as real and imaginary
-        parts ``roots[n]`` of shape (2, m, m) and by their :func:`_grams`;
-        only the winner is formed."""
-        c1, c2 = _terms(grams, s)
-        vals = np.maximum(c1 - c2, 0.0)
+    def consider(i: int, s: np.ndarray):
+        """Samples s_n F_n F_n^H at power i, F_n the first s.size roots
+        loaded in ``sc``; only the winner is formed."""
+        c1, c2 = sc.terms(s)
+        vals = np.maximum(np.subtract(c1, c2, out=c1), 0.0, out=c1)
         j = int(np.argmax(vals))
         if vals[j] > best[i][0]:
-            f = roots[j, 0] + 1j * roots[j, 1]
+            f = sc.roots[j, 0] + 1j * sc.roots[j, 1]
             best[i] = (float(vals[j]), s[j] * (f @ f.conj().T))
 
-    def consider_psd(i: int, ev: np.ndarray, vec: np.ndarray):
+    def consider_psd(i: int, ev: np.ndarray, vec: np.ndarray, blocks: bool = True):
         """Covariances vec diag(ev) vec^H, ev >= 0, through their roots."""
         f = vec * np.sqrt(ev)[:, None, :]
-        roots = np.stack([f.real, f.imag], axis=1)
-        consider(i, roots, _grams(maps, roots, objective), np.ones(ev.shape[0]))
+        sc.roots[:len(f), 0], sc.roots[:len(f), 1] = f.real, f.imag
+        sc.load(len(f), blocks)
+        consider(i, np.ones(len(f)))
 
-    if include_candidates:
-        for i, cands in enumerate(_candidate_pool(pair, powers)):
-            ev, vec = np.linalg.eigh(np.stack(cands))
-            consider_psd(i, np.clip(ev, 0.0, None), vec)
+    pool = _candidate_pool(pair, powers) if include_candidates else []
+    chunk = _chunk_samples(m)
+    sc = _Scorer(maps, objective, min(chunk, max(cfg.samples, 500)))
+    for i, cands in enumerate(pool):
+        ev, vec = np.linalg.eigh(np.stack(cands))
+        consider_psd(i, np.clip(ev, 0.0, None), vec, blocks=False)  # one batch a power
 
+    u, (tr, om, s) = np.empty((len(sc.roots), 2)), np.empty((3, len(sc.roots)))
     rng_a, rng_t = _stream(cfg.seed, 1), _stream(cfg.seed, 2)
-    remaining = cfg.samples
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        remaining -= n
+    for start in range(0, cfg.samples, chunk):
+        n = min(chunk, cfg.samples - start)
         # sample-major draw keeps every sample at fixed stream positions, so
         # the first N samples of a longer run are exactly a shorter run's;
         # z[n] holds the real and imaginary parts of A_n
-        z = rng_a.standard_normal((n, 2, m, m))
-        tr = np.einsum("nk,nk->n", z.reshape(n, -1), z.reshape(n, -1))
-        u = rng_t.random((n, 2))
-        grams = _grams(maps, z, objective)
+        z = rng_a.standard_normal(out=sc.roots[:n])
+        np.einsum("nk,nk->n", z.reshape(n, -1), z.reshape(n, -1), out=tr[:n])
+        rng_t.random(out=u[:n])
+        sc.load(n)
+        # what every power shares: the mixture's choice, 1 - U and the trace
+        low = u[:n, 0] < 0.5
+        np.subtract(1.0, u[:n, 1], out=om[:n])
+        np.maximum(tr[:n], 1e-300, out=tr[:n])
         for i, p_total in enumerate(powers):
-            t = np.where(u[:, 0] < 0.5, p_total, p_total * (1.0 - u[:, 1]))
-            consider(i, z, grams, t / np.maximum(tr, 1e-300))
-        del grams  # so that they never coexist with the next chunk's B
+            np.copyto(np.multiply(p_total, om[:n], out=s[:n]), p_total, where=low)
+            consider(i, np.divide(s[:n], tr[:n], out=s[:n]))
 
     n_ref = min(20_000, max(500, cfg.samples // 100))
-    for i, p_total in enumerate(powers):
-        if cfg.refine_rounds == 0 or best[i][0] == 0.0:
-            continue
-        rng_r = _stream(cfg.seed, 3)
-        for round_idx in range(cfg.refine_rounds):
-            scale = 0.1 * p_total / 10.0 ** round_idx
-            # the real parts are drawn before the imaginary ones
-            e = rng_r.standard_normal((n_ref, m, m)) + 1j * rng_r.standard_normal((n_ref, m, m))
+    live = [i for i, (val, _) in enumerate(best) if val != 0.0]
+    piece = max(_BLOCK, chunk // 2)  # with e and its eigh, within the working set
+    rng_r = _stream(cfg.seed, 3)
+    for round_idx in range(cfg.refine_rounds if live else 0):
+        # one draw a round serves every power, its real parts before its
+        # imaginary ones: a copy of the stream skips to the imaginary parts
+        rng_i = copy.deepcopy(rng_r)
+        for start in range(0, n_ref, piece):
+            rng_i.standard_normal((min(piece, n_ref - start), m, m))
+        bases = [best[i][1] for i in live]  # the incumbents the round perturbs
+        for start in range(0, n_ref, piece):
+            k = min(piece, n_ref - start)
+            e = rng_r.standard_normal((k, m, m)) + 1j * rng_i.standard_normal((k, m, m))
             e = 0.5 * (e + np.conj(np.transpose(e, (0, 2, 1))))
-            ev, vec = np.linalg.eigh(best[i][1][None, :, :] + scale * e)
-            ev = np.clip(ev, 0.0, None)
-            shrink = np.minimum(1.0, p_total / np.maximum(ev.sum(axis=1), 1e-300))
-            consider_psd(i, ev * shrink[:, None], vec)
+            for i, base in zip(live, bases):
+                scale = 0.1 * powers[i] / 10.0 ** round_idx
+                ev, vec = np.linalg.eigh(base[None, :, :] + scale * e)
+                ev = np.clip(ev, 0.0, None)
+                shrink = powers[i] / np.maximum(ev.sum(axis=1), powers[i])  # min(1, P/tr)
+                consider_psd(i, ev * shrink[:, None], vec)
+        rng_r = rng_i
 
     return [(val, HermitianMatrix(sym(r))) for val, r in best]
 

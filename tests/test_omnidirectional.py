@@ -80,6 +80,24 @@ class TestSolveOmni:
         assert np.array_equal(grid.capacities, grid.bounds.lower_nats)
         assert all(s is SolveStatus.BOUNDS_ONLY for s in grid.statuses)
 
+    def test_bounds_only_solves_the_eps_max_allocation_once(self, monkeypatch):
+        """Without containment the isotropic solve at eps_max serves both the
+        covariance and the sandwich's lower bound: two per-mode solves
+        (eps_max and eps_min), and every bound array is the bytes of
+        capacity_bounds_isotropic's."""
+        from wiretap_mimo import _waterfill, capacity_bounds_isotropic
+        pair = ChannelPair.from_gram(np.diag([2.0, 1.0]), 0.5 * np.diag([1.0, 0.0]))
+        grid = np.geomspace(1e-2, 1e6, 9)
+        solve_modes, leaks = _waterfill.solve_modes, []
+        monkeypatch.setattr(_waterfill, "solve_modes", lambda gains, leak, *rest:
+                            leaks.append(leak) or solve_modes(gains, leak, *rest))
+        res = solve_omni(pair, grid)
+        assert leaks == [0.5, 0.0]
+        monkeypatch.undo()
+        bounds = capacity_bounds_isotropic(pair, grid)
+        for name in ("lower_nats", "mid_nats", "upper_nats", "gap_bound_nats"):
+            assert getattr(res.bounds, name).tobytes() == getattr(bounds, name).tobytes()
+
     def test_rejects_non_omni(self):
         pair = ChannelPair.from_gram(np.eye(2), np.diag([0.5, 0.3]))
         with pytest.raises(NotApplicableError):

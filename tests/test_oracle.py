@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wiretap_mimo import (ChannelPair, ConvergenceError, HermitianMatrix,
-                          Objective, OracleConfig, mc_capacity, secrecy_rate,
+                          Objective, OracleConfig, mc_capacity, oracle, secrecy_rate,
                           separable_oracle, solve_common_rsv, solve_weak,
                           detect_common_rsv, weak_eavesdropper)
 from wiretap_mimo._waterfill import standard_waterfill
-from wiretap_mimo.oracle import _factor_map, _grams, _terms
+from wiretap_mimo.oracle import _factor_map, _Scorer
 from util import fig1_pair, random_commuting_pair, random_psd
 
 
@@ -132,6 +133,13 @@ def _integer_h(rng, rows, m):
     return rng.integers(-3, 4, (rows, m)) + 1j * rng.integers(-3, 4, (rows, m))
 
 
+def _factor_terms(maps, objective, roots, s):
+    scorer = _Scorer(maps, objective, len(roots))
+    scorer.roots[:len(roots)] = roots
+    scorer.load(len(roots))
+    return [t.copy() for t in scorer.terms(s)]
+
+
 def test_factor_form_matches_slogdet():
     """The oracle's ln|I + W R| and tr(W R), in factor form, against
     slogdet and the trace of the formed complex128 matrices, m = 1 to 5 and
@@ -163,8 +171,8 @@ def test_factor_form_matches_slogdet():
                 ref = np.linalg.slogdet(np.eye(h.shape[0])
                                         + h @ r @ h.conj().T)[1]
             maps = [_factor_map(w)] * 2
-            logdet, _ = _terms(_grams(maps, roots, Objective.EXACT), s)
-            _, leak = _terms(_grams(maps, roots, Objective.WEAK), s)
+            logdet, _ = _factor_terms(maps, Objective.EXACT, roots, s)
+            _, leak = _factor_terms(maps, Objective.WEAK, roots, s)
             trace = np.einsum("ij,nji->n", w.entries, r).real
             assert np.all(np.abs(logdet - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
             assert np.all(np.abs(leak - trace) <= 1e-12 * np.maximum(1.0, trace))
@@ -287,11 +295,12 @@ def test_an_oracle_point_alone_equals_the_same_point_in_a_grid():
     """One pass over the sample stream serves every power of a grid, and
     each power's value and covariance are the bytes of that power solved
     alone: EXACT and WEAK, candidates on and off, 0 and 3 refinement rounds,
-    m = 2 to 4, and a partial last chunk (40,000 samples)."""
+    m = 2 to 4, and a partial last chunk (a chunk and a third of samples)."""
     grid = 10.0 ** (np.linspace(-10.0, 30.0, 5) / 10.0)
     zeros = 0
     for pair, objective, cand, rounds in _grid_cases():
-        cfg = OracleConfig(samples=40_000, seed=3, refine_rounds=rounds)
+        samples = oracle._chunk_samples(pair.m) * 4 // 3
+        cfg = OracleConfig(samples=samples, seed=3, refine_rounds=rounds)
         outs = mc_capacity(pair, grid, objective, cfg, cand)
         assert len(outs) == grid.size
         for p_total, (best, best_r) in zip(grid, outs):
@@ -300,3 +309,69 @@ def test_an_oracle_point_alone_equals_the_same_point_in_a_grid():
             assert best_r.entries.tobytes() == alone_r.entries.tobytes()
             zeros += best == 0.0
     assert zeros == grid.size  # the dominated pair, and only it
+
+
+def _bytes(outs):
+    return [(np.float64(best).tobytes(), best_r.entries.tobytes()) for best, best_r in outs]
+
+
+def test_chunking_never_changes_a_result(monkeypatch):
+    """The sample pass's chunk size is invisible: chunks of one sample, of a
+    prime count, of the default size and of more than every sample give the
+    same value and covariance bytes.  EXACT and WEAK, candidates on and off,
+    0 and 3 refinement rounds, m = 2 to 4, on a 3-power grid; a small run
+    takes every size, and a run one third of a chunk past the default chunk
+    takes a prime chunk, the default and one chunk for all."""
+    default = oracle._chunk_samples
+    grid = np.array([0.3, 5.0, 80.0])
+    rng = np.random.default_rng(83)
+    for m in (2, 3, 4):
+        h1, h2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                  for _ in range(2))
+        pair = ChannelPair.from_channels(h1, 0.5 * h2)
+        for samples, sizes in ((60, (1, 7, default(m), 61)),
+                               (default(m) * 4 // 3, (1031, default(m), 10 ** 6))):
+            runs = []
+            for size in sizes:
+                monkeypatch.setattr(oracle, "_chunk_samples", lambda _, size=size: size)
+                runs.append([_bytes(mc_capacity(pair, grid, objective, OracleConfig(
+                    samples=samples, seed=5, refine_rounds=rounds), cand))
+                    for objective in Objective for cand in (False, True)
+                    for rounds in (0, 3)])
+            assert all(run == runs[0] for run in runs), (m, samples)
+
+
+def test_peak_memory_is_flat_in_m():
+    """The sample pass and the refinement run in a working set fixed in
+    bytes: one call's peak traced memory (50,000 samples, 2 powers) at m = 8
+    stays within twice that budget and within 1.5 times its peak at m = 2
+    (chunks of 32,768 samples took 9 MiB at m = 2 and 129 MiB at m = 8)."""
+    rng = np.random.default_rng(89)
+    peaks = {}
+    for m in (2, 8):
+        h1, h2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                  for _ in range(2))
+        pair = ChannelPair.from_channels(h1, 0.5 * h2)
+        tracemalloc.start()
+        try:
+            mc_capacity(pair, np.array([1.0, 10.0]), cfg=OracleConfig(samples=50_000, seed=1))
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 2 * oracle._WORKSET_BYTES
+    assert peaks[8] <= 1.5 * peaks[2]
+
+
+def test_the_oracle_refuses_powers_past_its_float_ceiling():
+    """Past P_T * lambda_max(W1) = 1e11 the oracle's float rates lose their
+    accuracy, so it raises ValueError at entry, for one power and for a grid
+    with any point past it.  On W1 = diag(3, 1, 0.5), W2 = diag(1, 2, 1) it
+    answered 1.2228 at P_T = 1e16 against the exact ln 3 = 1.0986, and it
+    raised on its own covariance at 1e308; at 1e8 it answers ln 3 to 1e-8."""
+    pair = ChannelPair.from_gram(np.diag([3.0, 1.0, 0.5]), np.diag([1.0, 2.0, 1.0]))
+    cfg = OracleConfig(samples=2_000, seed=3)
+    best, _ = mc_capacity(pair, 1e8, cfg=cfg)
+    assert best == pytest.approx(math.log(3.0), rel=1e-8)
+    for p_total in (1e16, 1e20, 1e308, np.array([1.0, 1e8, 1e16])):
+        with pytest.raises(ValueError, match="lambda_max"):
+            mc_capacity(pair, p_total, cfg=cfg)
