@@ -106,20 +106,21 @@ def _grid(pair: ChannelPair, p_total: np.ndarray, details: list[dict], checks,
     the first check it fails, else SUFFICIENT_HOLDS with covariance ``covs[k]``,
     capacity ``capacities[k]`` (else its secrecy rate, one call for the grid)
     and ``certified`` added to its details."""
-    reasons = [next((why for passes, why in checks if not passes[k]), None)
-               for k in range(p_total.size)]
-    held = np.array([reason is None for reason in reasons])
+    reasons = np.full(p_total.size, None)
+    for passes, why in reversed(checks):  # the first check a point fails names it
+        reasons[~passes] = why
+    held = np.equal(reasons, None)
+    for info, reason in zip(details, reasons.tolist()):
+        info.update({"reason": reason} if reason else certified)
     caps = np.full(p_total.size, np.nan)
-    if held.any():  # the held stack, checked once for the grid
-        covs[held] = _hermitian(covs[held], 3)
-        caps[held] = (np.maximum(secrecy_rate(pair, covs[held]), 0.0)
-                      if capacities is None else capacities[held])
+    if held.any() and capacities is None:  # secrecy_rate checks the held stack, once
+        caps[held] = np.maximum(secrecy_rate(pair, covs[held]), 0.0)
+    elif held.any():  # the held stack, checked once for the grid
+        covs[held], caps[held] = _hermitian(covs[held], 3), capacities[held]
     covs[~held] = np.nan
     covs.setflags(write=False)
-    return CertificateGrid(
-        np.where(held, Verdict.SUFFICIENT_HOLDS, Verdict.INCONCLUSIVE),
-        [{**info, **certified} if reason is None else {**info, "reason": reason}
-         for info, reason in zip(details, reasons)], caps, covs)
+    return CertificateGrid(np.where(held, Verdict.SUFFICIENT_HOLDS, Verdict.INCONCLUSIVE),
+                           details, caps, covs)
 
 
 def _certificate(certify):
@@ -159,7 +160,7 @@ def zf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     l1, l2 = channel.lam1, channel.lam2
     zf_mode = l2 == 0
     usable = zf_mode & (l1 > 0)
-    if not np.any(usable):
+    if not usable.any():
         return _each(pair, p_total, Verdict.NECESSARY_FAILS, reason=(
             "no zero-leakage mode carries positive legitimate gain"))
 
@@ -167,20 +168,21 @@ def zf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     powers[:, usable], lams = standard_waterfill(l1[usable], p_total)
     covs = _covariances(channel.basis, powers)
     leaky = ~zf_mode
-    margins = np.min(l2[leaky] + lams[:, None] - l1[leaky], axis=1, initial=math.inf)
+    margins = (l2[leaky] + lams[:, None] - l1[leaky]).min(axis=1, initial=math.inf)
     # both relative to the terms compared, so verdicts keep the scaling symmetry
-    inactive_ok = margins >= -1e-12 * np.maximum(lams, np.max(l1[leaky], initial=0.0))
+    inactive_ok = margins >= -1e-12 * np.maximum(lams, l1[leaky].max(initial=0.0))
     # both norms of R / P_T, so that the test is scale-free and none overflows
     units = covs / p_total[:, None, None]
     leaks = np.linalg.norm(pair.w2.entries @ units, axis=(1, 2))
     scales = np.maximum(frob(pair.w2.entries) * np.linalg.norm(units, axis=(1, 2)), 1e-300)
-    details = [{"zf_modes": int(np.count_nonzero(usable)), "water_lambda": lam,
-                "leaky_mode_margin": float(margin), "leaky_modes_inactive_ok": bool(ok),
-                "w2_r_product_norm": float(leak)}
-               for lam, margin, ok, leak in zip(lams, margins, inactive_ok, p_total * leaks)]
+    zf_modes = int(np.count_nonzero(usable))
+    details = [{"zf_modes": zf_modes, "water_lambda": lam, "leaky_mode_margin": margin,
+                "leaky_modes_inactive_ok": ok, "w2_r_product_norm": leak}
+               for lam, margin, ok, leak in zip(lams.tolist(), margins.tolist(),
+                                                inactive_ok.tolist(), (p_total * leaks).tolist())]
     # the sum over each point's active modes alone: numpy sums 8 or more terms
     # pairwise, so a full row with zeros on the idle modes rounds otherwise
-    capacities = np.array([np.sum(np.log(l1[row > 0] / lam)) for row, lam in zip(powers, lams)])
+    capacities = np.array([np.log(l1[row > 0] / lam).sum() for row, lam in zip(powers, lams)])
     return _grid(pair, p_total, details, [
         (inactive_ok, "a leaky mode is strong enough to be worth activating; "
                       "sufficiency fails"),
@@ -254,7 +256,7 @@ def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     """
     channel = pair.common_basis()
     l1, l2 = channel.lam1, channel.lam2
-    if not np.any(l1 > 0):
+    if not (l1 > 0).any():
         return _each(pair, p_total, Verdict.INCONCLUSIVE, active_modes=0,
                      water_lambda=math.inf, reason="W1 carries no positive gain")
     powers, lams = standard_waterfill(l1, p_total)
@@ -262,22 +264,23 @@ def wf_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     with np.errstate(divide="ignore", invalid="ignore"):  # masked to active modes
         offsets = np.where(active & (l2 > 0), 1.0 / l2 - 1.0 / l1, 0.0)
     counts = np.count_nonzero(active, axis=1)
-    alphas = np.sum(offsets, axis=1) / counts
-    spreads = (np.max(np.where(active, offsets, -math.inf), axis=1)
-               - np.min(np.where(active, offsets, math.inf), axis=1))
+    alphas = offsets.sum(axis=1) / counts
+    spreads = (np.where(active, offsets, -math.inf).max(axis=1)
+               - np.where(active, offsets, math.inf).min(axis=1))
     # lambda' (read only where alpha > 0)
     lam_ps = alphas * lams * lams / (1.0 + np.maximum(alphas, 0.0) * lams)
-    details = [{"active_modes": int(c), "water_lambda": lam, "alpha": float(alpha),
-                "alpha_spread": float(spread), "lambda_prime": lam_p}
-               for c, lam, alpha, spread, lam_p in zip(counts, lams, alphas, spreads, lam_ps)]
+    details = [{"active_modes": c, "water_lambda": lam, "alpha": alpha,
+                "alpha_spread": spread, "lambda_prime": lam_p}
+               for c, lam, alpha, spread, lam_p in zip(
+                   *(a.tolist() for a in (counts, lams, alphas, spreads, lam_ps)))]
     return _grid(pair, p_total, details, [
-        (~np.any(active & (l2 == 0), axis=1), "an active mode has zero eavesdropper "
+        (~(active & (l2 == 0)).any(axis=1), "an active mode has zero eavesdropper "
          "gain: no inverse-gain offset (use the ZF check)"),
         ((alphas > 0) & (spreads <= _CONSISTENCY_TOL * np.abs(alphas)),
          "no single positive inverse-gain offset fits the active modes"),
         # the KKT rule of an idle mode: its rate slope at zero power, l1 - l2,
         # stays within the multiplier lambda' of the active ones
-        (~np.any(~active & (l1 - l2 > lam_ps[:, None] + _CONSISTENCY_TOL * l1), axis=1),
+        (~(~active & (l1 - l2 > lam_ps[:, None] + _CONSISTENCY_TOL * l1)).any(axis=1),
          "an inactive mode would raise the secrecy rate: lam1 - lam2 > lambda'"),
     ], _covariances(channel.basis, powers))
 
@@ -293,20 +296,20 @@ def is_certify(pair: ChannelPair, p_total: np.ndarray) -> CertificateGrid:
     """
     channel = pair.common_basis()
     l1, l2 = channel.lam1, channel.lam2
-    if np.any(l2 <= 0) or np.any(l1 <= l2):
+    if (l2 <= 0).any() or (l1 <= l2).any():
         return _each(pair, p_total, Verdict.INCONCLUSIVE,
                      reason="requires W1 > W2 > 0 on every shared eigenmode")
 
     a = p_total / pair.m
     lambdas = l1 / (1.0 + a[:, None] * l1) - l2 / (1.0 + a[:, None] * l2)
     lams = np.mean(lambdas, axis=1)
-    spreads = np.max(lambdas, axis=1) - np.min(lambdas, axis=1)
-    details = [{"common_lambda": float(lam), "lambda_spread": float(spread)}
-               for lam, spread in zip(lams, spreads)]
+    spreads = lambdas.max(axis=1) - lambdas.min(axis=1)
+    details = [{"common_lambda": lam, "lambda_spread": spread}
+               for lam, spread in zip(lams.tolist(), spreads.tolist())]
     return _grid(pair, p_total, details, [
         (spreads <= _CONSISTENCY_TOL * np.abs(lams),
          "mode multipliers disagree; isotropic signaling is not certified"),
-    ], a[:, None, None] * np.eye(pair.m))
+    ], sym(a[:, None, None] * np.eye(pair.m)))  # a sym output: secrecy_rate's own check
 
 
 def construct_is_optimal_channel(m: int, p_total: float, b1: float, a1: float,

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from itertools import chain
 
 import numpy as np
 
@@ -47,20 +47,6 @@ class ScenarioSpec:
     units: str = "nats"
 
 
-@dataclass
-class Row:
-    snr_db: float
-    p_t: float
-    solver: str
-    capacity: Optional[float] = None
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-    lam: Optional[float] = None
-    active_modes: Optional[int] = None
-    status: str = ""
-    covariance: Optional[np.ndarray] = None  # emitted by `solve` and `certify` in JSON
-
-
 def _number(value, where: str) -> float:
     """``value`` as a float when it is a finite JSON number (an int or a
     float, never a bool); otherwise a ValueError naming ``where``."""
@@ -70,25 +56,28 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _parse_entry(entry, where: str) -> complex:
-    """A matrix entry: a number, or a complex number as an [re, im] pair."""
-    if isinstance(entry, list) and len(entry) == 2:
-        return complex(_number(entry[0], where), _number(entry[1], where))
-    return complex(_number(entry, where))
-
-
 def _parse_matrix(obj, where: str) -> np.ndarray:
+    """A matrix of numbers, or of complex numbers as [re, im] pairs, checked
+    as one array; an entry alone only to name the first bad one."""
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a nonempty nested array")
     rows = []
-    for i, row in enumerate(obj):
+    for row in obj:  # every row up to the first that is no nonempty list
         if not isinstance(row, list) or not row:
-            raise ValueError(f"{where}: row {i} is not a nonempty array")
-        rows.append([_parse_entry(e, f"{where}[{i}][{j}]")
-                     for j, e in enumerate(row)])
+            break
+        rows.append([e if type(e) is list and len(e) == 2 else [e, 0] for e in row])
+    numbers = list(chain.from_iterable(chain.from_iterable(rows)))
+    if not (set(map(type, numbers)) <= {int, float}
+            and all(map(sys.float_info.max.__ge__, map(abs, numbers)))):
+        for i, (row, pairs) in enumerate(zip(obj, rows)):  # _number's rule, entry by entry
+            for j, pair in enumerate(pairs):
+                for part in pair if pair is row[j] else pair[:1]:
+                    _number(part, f"{where}[{i}][{j}]")
+    if len(rows) < len(obj):
+        raise ValueError(f"{where}: row {len(rows)} is not a nonempty array")
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"{where}: rows have inconsistent lengths")
-    mat = np.array(rows, dtype=complex)
+    mat = np.array(numbers, dtype=float).view(complex).reshape(len(rows), -1)
     return mat.real if np.all(mat.imag == 0) else mat
 
 
@@ -192,31 +181,50 @@ def load_scenario(path: str, oracle_overrides: dict | None = None) -> ScenarioSp
     )
 
 
-def _row(snr_db, p_t, solver, outs, i: int) -> Row:
-    """Point i's table row of one solver's grid outcome: a SolveResultGrid
-    (with its bounds, if any), a CapacityBoundsGrid or a CertificateGrid,
-    read from their arrays; the oracle's (value, covariance) pairs; or a
-    ValueError, which fills every point."""
+def _nested(cov: np.ndarray) -> list:
+    """A matrix, or a stack, as nested lists: a complex entry as an [re, im] pair."""
+    return (np.stack([cov.real, cov.imag], -1) if np.iscomplexobj(cov) else cov).tolist()
+
+
+def _records(grid, label: str, outs, scale: float, covariance: bool) -> list[dict]:
+    """Per point of one solver's outcome, a record keyed by the CSV columns (with
+    ``covariance``, a covariance as nested lists last), rates divided by ``scale``,
+    each column from one array of a SolveResultGrid, CapacityBoundsGrid or
+    CertificateGrid; or the oracle's (value, covariance) pairs; or a ValueError."""
+    cap = low = up = lam = modes = covs = [None] * (n := len(grid))
     if isinstance(outs, ValueError):
-        return Row(snr_db, p_t, solver, status=f"error: {outs}")
-    if isinstance(outs, CapacityBoundsGrid):
-        return Row(snr_db, p_t, solver, float(outs.mid_nats[i]),
-                   float(outs.lower_nats[i]), float(outs.upper_nats[i]),
-                   status=SolveStatus.BOUNDS_ONLY.value)
-    if isinstance(outs, SolveResultGrid):
-        b = outs.bounds
-        return Row(snr_db, p_t, solver, float(outs.capacities[i]),
-                   None if b is None else float(b.lower_nats[i]),
-                   None if b is None else float(b.upper_nats[i]),
-                   float(outs.lambdas[i]), int(outs.active_modes[i]),
-                   outs.statuses[i].value, outs.covariance_at(i))
-    if isinstance(outs, certificates.CertificateGrid):  # no capacity where it fails
-        cov = outs.covariance_at(i)
-        return Row(snr_db, p_t, solver, None if cov is None else float(outs.capacities[i]),
-                   lam=outs.details[i].get("water_lambda"),
-                   status=outs.verdicts[i].value, covariance=cov)
-    value, cov = outs[i]  # the oracle's best value and covariance
-    return Row(snr_db, p_t, solver, value, status="Solved", covariance=cov.entries)
+        status = [f"error: {outs}"] * n
+    elif isinstance(outs, certificates.CertificateGrid):  # none where a point fails
+        held = (outs.verdicts == certificates.Verdict.SUFFICIENT_HOLDS).tolist()
+        cap = [c if h else None for c, h in zip((outs.capacities / scale).tolist(), held)]
+        lam = [d.get("water_lambda") for d in outs.details]
+        status = [v.value for v in outs.verdicts]
+        if covariance:
+            held_covs = iter(_nested(outs.covariances[held]))
+            covs = [next(held_covs) if h else None for h in held]
+    elif isinstance(outs, CapacityBoundsGrid):
+        low, cap, up = ((a / scale).tolist()
+                        for a in (outs.lower_nats, outs.mid_nats, outs.upper_nats))
+        status = [SolveStatus.BOUNDS_ONLY.value] * n
+    elif isinstance(outs, SolveResultGrid):
+        if outs.bounds is not None:
+            low, up = ((a / scale).tolist() for a in (outs.bounds.lower_nats,
+                                                       outs.bounds.upper_nats))
+        cap, lam = (outs.capacities / scale).tolist(), outs.lambdas.tolist()
+        modes, status = outs.active_modes.tolist(), [s.value for s in outs.statuses]
+        if covariance:  # one point at a time: only `solve` asks, for one point
+            covs = [_nested(outs.covariance_at(i)) for i in range(n)]
+    else:  # the oracle's best value and covariance
+        cap, status = [value / scale for value, _ in outs], ["Solved"] * n
+        covs = [_nested(cov.entries) for _, cov in outs] if covariance else covs
+    records = [{"snr_db": snr_db, "p_t": p_t, "solver": label, "capacity": c, "lower": lo,
+                "upper": u, "lambda": la, "active_modes": k, "status": st}  # CSV_HEADER order
+               for (snr_db, p_t), c, lo, u, la, k, st in zip(grid, cap, low, up, lam, modes,
+                                                            status)]
+    for rec, cov in zip(records, covs):
+        if cov is not None:
+            rec["covariance"] = cov
+    return records
 
 
 def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:
@@ -243,18 +251,20 @@ def _outcomes(spec: ScenarioSpec, name: str, powers: np.ndarray) -> list:
     return [(name, outs)]
 
 
-def _table(grid, columns) -> list[Row]:
-    """Rows per point in column order, from each ``(label, outcomes)`` column."""
-    return [_row(snr_db, p_t, label, outs, i)
-            for i, (snr_db, p_t) in enumerate(grid) for label, outs in columns]
+def _table(grid, columns, units: str, covariance: bool = False) -> list[dict]:
+    """Records per point in the order of the ``(label, outcomes)`` columns."""
+    scale = NATS_PER_BIT if units == "bits" else 1.0
+    return [rec for recs in zip(*(_records(grid, label, outs, scale, covariance)
+                                  for label, outs in columns)) for rec in recs]
 
 
-def run_sweep(spec: ScenarioSpec) -> list[Row]:
-    """Rows per power point in solver-list order; solver errors land in the
-    status column without aborting the rest of the sweep."""
+def run_sweep(spec: ScenarioSpec, covariance: bool = False) -> list[dict]:
+    """Records (see :func:`_records`) per power point in solver-list order and the
+    scenario's units; a solver's error lands in its status column, the sweep goes on."""
     powers = np.array([p_t for _, p_t in spec.grid])
     return _table(spec.grid, [column for name in spec.solvers
-                              for column in _outcomes(spec, name, powers)])
+                              for column in _outcomes(spec, name, powers)],
+                  spec.units, covariance)
 
 
 def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
@@ -264,76 +274,55 @@ def _fig1_spec(cfg: OracleConfig) -> ScenarioSpec:
     return ScenarioSpec(pair, grid, ["weak", "oracle"], cfg)
 
 
-def _fig3_rows() -> list[Row]:
+def _fig3_rows(units: str) -> list[dict]:
     gains, epsilons = np.array([2.0, 1.0]), (0.0, 0.1, 0.5)
     grid = _parse_grid({"db_start": -10, "db_stop": 30, "db_step": 1})
     powers = np.array([p_t for _, p_t in grid])
     return _table(grid, [(f"isotropic(eps={eps:g})",
                           solve_isotropic(IsotropicProblem(gains, eps, powers)))
-                         for eps in epsilons])
+                         for eps in epsilons], units)
 
 
 # json.dumps(..., indent=2) runs Python's own encoder, this one the C encoder.
-# Its item separator, a raw tab, is never inside an encoded string, and no
-# number holds a bracket or brace: plain text replacement lays out the joints.
-_encode = json.JSONEncoder(separators=(",\t", ": ")).encode
-_COVARIANCE = ',\t"covariance": '
+# Its item separator is indent=2's joint of a record's fields; a raw newline
+# is never inside an encoded string, and no number holds a bracket or brace.
+_encode = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False).encode
+_COVARIANCE = ',\n    "covariance": '
 
 
 @functools.cache
-def _covariance_layout(depth: int) -> list[tuple[str, str]]:
-    """(old, new) text that lays out a record's covariance, numbers nested
-    ``depth`` lists deep, as indent=2 does: its list joints (the widest first),
-    its ends, its number joints.  No new text holds a tab or two brackets in a
-    row, so no replacement makes text that a later one would match."""
-    pad = [f"\n{' ' * (4 + 2 * k)}" for k in range(depth + 1)]  # list depth k's items
-
-    def joint(j):  # j lists closed, then j opened
-        return ("".join(pad[k] + "]" for k in range(depth - 1, depth - 1 - j, -1)) + ","
-                + "".join(pad[k] + "[" for k in range(depth - j, depth)) + pad[depth])
-    closing, opening = joint(depth).split(",")
-    return [("]" * j + ",\t" + "[" * j, joint(j)) for j in range(depth - 1, 0, -1)] + [
-        ("[" * depth, opening[len(pad[0]):]), ("]" * depth, closing),
-        (",\t", "," + pad[depth])]
+def _covariance_layout(depth: int, size: int) -> str:
+    """indent=2's text of a record's m x m covariance of ``size`` numbers nested
+    ``depth`` lists deep (3: [re, im] pairs), with a ``%s`` slot for each number."""
+    m = math.isqrt(size // (depth - 1))
+    entry = [0, 0] if depth == 3 else 0
+    return json.dumps([[entry] * m] * m, indent=2).replace("\n", "\n    ").replace("0", "%s")
 
 
 def _json(records: list[dict]) -> str:
-    """``json.dumps(records, indent=2)`` byte for byte, from one C-encoder
-    call; a record's "covariance", if any, is its last field."""
+    """``json.dumps(records, indent=2)``, byte for byte, from one C-encoder call; a
+    record's "covariance", if any, is last: m x m nested lists, [re, im] pairs if complex."""
     if not records:
         return "[]"
     head, *tails = _encode(records).split(_COVARIANCE)
     for i, tail in enumerate(tails):
         cov, _, rest = tail.partition("}")
-        for old, new in _covariance_layout(len(cov) - len(cov.lstrip("["))):
-            cov = cov.replace(old, new)
-        tails[i] = cov + "}" + rest
+        numbers = cov.replace("[", "").replace("]", "").split(",\n    ")
+        depth = len(cov) - len(cov.lstrip("["))
+        tails[i] = _covariance_layout(depth, len(numbers)) % tuple(numbers) + "}" + rest
     return "[\n  {\n    " + _COVARIANCE.join([head, *tails])[2:-2].replace(
-        "},\t{", "\n  },\n  {\n    ").replace(",\t", ",\n    ") + "\n  }\n]"
+        "},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
-def _emit(rows: list[Row], out_format: str, units: str,
-          out_path: str | None, with_covariance: bool = False) -> None:
-    """One record per row, keyed by the CSV columns in order, its rates
-    divided by NATS_PER_BIT for bits: CSV joins its values (a number to 10
-    significant digits, None empty), JSON as ``json.dumps(records, indent=2)``
-    would, with the row's covariance when asked."""
-    records, columns = [], CSV_HEADER.split(",")
-    for r in rows:
-        rec = dict(zip(columns, vars(r).values()))  # a Row's fields are in CSV order
-        for column in ("capacity", "lower", "upper") if units == "bits" else ():
-            if rec[column] is not None:
-                rec[column] /= NATS_PER_BIT
-        if with_covariance and out_format == "json" and r.covariance is not None:
-            cov = r.covariance  # a complex entry as an [re, im] pair
-            rec["covariance"] = (np.stack([cov.real, cov.imag], -1)
-                                 if np.iscomplexobj(cov) else cov).tolist()
-        records.append(rec)
+def _emit(records: list[dict], out_format: str, out_path: str | None) -> None:
+    """CSV joins each record's values (a number to 10 significant digits,
+    None empty); JSON prints the records as ``json.dumps(records, indent=2)``
+    would."""
     if out_format == "csv":
         text = "\n".join([CSV_HEADER] + [",".join([
             "" if v is None else v if isinstance(v, str) else f"{v:.10g}"
             for v in rec.values()]) for rec in records]) + "\n"
-    else:
+    else:  # a new string: growing the text in place (+=) raises the bench's peak RSS
         text = _json(records) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -389,7 +378,7 @@ def main(argv=None) -> int:
 
         if args.command == "figure" and args.which == "fig3":
             _reject_oracle_flags(overrides, "figure fig3")
-            _emit(_fig3_rows(), args.format or "csv", args.units or "nats", args.out)
+            _emit(_fig3_rows(args.units or "nats"), args.format or "csv", args.out)
             return 0
         if args.command == "figure":
             spec = _fig1_spec(OracleConfig(**overrides))
@@ -402,9 +391,10 @@ def main(argv=None) -> int:
                              "use 'sweep' for grids")
         if "oracle" not in spec.solvers:
             _reject_oracle_flags(overrides, f"{args.command} with no 'oracle' solver")
-        _emit(run_sweep(spec), args.format or spec.out_format,
-              args.units or spec.units, args.out,
-              with_covariance=args.command in ("solve", "certify"))
+        out_format = args.format or spec.out_format
+        spec.units = args.units or spec.units
+        _emit(run_sweep(spec, covariance=out_format == "json"
+                        and args.command in ("solve", "certify")), out_format, args.out)
         return 0
     except ConvergenceError as err:
         print(f"error: solver failed to converge: {err}", file=sys.stderr)

@@ -96,7 +96,7 @@ def check_gains(name: str, values, decreasing: bool = False) -> np.ndarray:
 def _zero_cut(w: np.ndarray) -> np.ndarray:
     """The magnitude at or below which an entry of the spectrum ``w`` (or
     of each in a stack along the last axis) is zero."""
-    return RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    return RANK_TOL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
 
 
 def clean_spectrum(w: np.ndarray) -> np.ndarray:
@@ -109,8 +109,7 @@ def clean_spectrum(w: np.ndarray) -> np.ndarray:
 def _psd(w: np.ndarray) -> bool:
     """Whether no spectrum in ``w`` (one, or a stack along the last axis)
     has an eigenvalue below ``-RANK_TOL * max |w|``: the one PSD rule."""
-    return bool(np.all(np.min(w, axis=-1, keepdims=True, initial=math.inf)
-                       >= -_zero_cut(w)))
+    return bool((w.min(axis=-1, keepdims=True, initial=math.inf) >= -_zero_cut(w)).all())
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -131,12 +130,12 @@ def _hermitian(a, ndim: int) -> np.ndarray:
         raise ValueError(f"expected a square matrix{' stack' * (ndim > 2)}, "
                          f"got shape {a.shape}")
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    asym = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     # ||A|| by hypot: np.linalg.norm squares each entry, which overflows past 1.3e154
     mags = np.abs(a).reshape(*a.shape[:-2], a.shape[-1] ** 2)
-    if np.any(asym > _ASYMMETRY_TOL * np.hypot.reduce(mags, axis=-1, initial=0.0)):
+    if (asym > _ASYMMETRY_TOL * np.hypot.reduce(mags, axis=-1, initial=0.0)).any():
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e} "
             f"exceeds {_ASYMMETRY_TOL:g} * ||A||")
@@ -173,14 +172,9 @@ class SpectralDecomposition:
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
         v = np.asarray(self.eigenvectors)
-        if (w.ndim != 1 or v.shape != (w.size, w.size)
-                or not np.isfinite(w).all() or not np.isfinite(v).all()):
-            raise ValueError("expected m finite eigenvalues and finite m x m eigenvectors")
-        if np.any(np.diff(w) > 0):
-            raise ValueError("eigenvalues must be sorted in decreasing order")
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > _SPECTRAL_TOL:
-            raise ValueError("eigenvectors are not orthonormal within 1e-10")
+        fault = _spectral_fault(w, v, 1)
+        if fault:
+            raise ValueError(fault)
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
@@ -220,15 +214,9 @@ class HermitianMatrix:
     def eig(self) -> SpectralDecomposition:
         """The checked eigendecomposition, computed on the first call and
         kept: every spectral query of this matrix shares it."""
-        dec = self.__dict__.get("_eig")
-        if dec is None:
-            w, v = np.linalg.eigh(sym(self.entries))
-            dec = SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
-            err = frob(dec.reconstruct() - self.entries)
-            if err > _SPECTRAL_TOL * max(frob(self.entries), 1e-300):
-                raise ValueError("eigendecomposition failed to reconstruct the input")
-            object.__setattr__(self, "_eig", dec)
-        return dec
+        if "_eig" not in self.__dict__:
+            _decompose(self)
+        return self._eig
 
     def eigenvalues(self) -> np.ndarray:
         return self.eig().eigenvalues
@@ -293,6 +281,11 @@ class ChannelPair:
             raise ValueError(
                 f"W1 and W2 must have equal dimension, got {self.w1.dim} and {self.w2.dim}"
             )
+        if self.w1.entries.dtype == self.w2.entries.dtype:
+            try:  # one batched eigh for the two; where a rule breaks, each alone names it
+                _decompose(self.w1, self.w2)
+            except ValueError:
+                pass
         for name, w in (("W1", self.w1), ("W2", self.w2)):
             if not w.is_psd():
                 raise ValueError(f"{name} is not positive semidefinite within RANK_TOL")
@@ -358,6 +351,43 @@ class ChannelPair:
                 or not np.isfinite(h1).all() or not np.isfinite(h2).all()):
             raise ValueError("H1 and H2 must be finite and 2-D with equal column counts")
         return cls(HermitianMatrix(h1.conj().T @ h1), HermitianMatrix(h2.conj().T @ h2))
+
+
+def _spectral_fault(w: np.ndarray, v: np.ndarray, ndim: int, a=None) -> Optional[str]:
+    """The message of the first rule of a checked eigendecomposition that ``w``
+    (eigenvalues, ``ndim`` 1, or a stack of spectra) and ``v`` (eigenvector columns)
+    break, else None: finite and shaped alike, decreasing, orthonormal within
+    1e-10 and, given the matrices ``a``, reconstructing each within 1e-10 * ||A||."""
+    if (w.ndim != ndim or v.shape != w.shape + w.shape[-1:]
+            or not np.isfinite(w).all() or not np.isfinite(v).all()):
+        return "expected m finite eigenvalues and finite m x m eigenvectors"
+    if (np.diff(w) > 0).any():
+        return "eigenvalues must be sorted in decreasing order"
+    vh = v.conj().swapaxes(-1, -2)
+    if np.abs(vh @ v - np.eye(w.shape[-1])).max() > _SPECTRAL_TOL:
+        return "eigenvectors are not orthonormal within 1e-10"
+    if a is not None and (
+            np.linalg.norm((v * w[..., None, :]) @ vh - a, axis=(-2, -1))
+            > _SPECTRAL_TOL * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)).any():
+        return "eigendecomposition failed to reconstruct the input"
+    return None
+
+
+def _decompose(*mats: HermitianMatrix) -> None:
+    """Give each of ``mats`` (of one kind) without one its checked eigendecomposition
+    from one batched ``eigh``, or raise the first rule broken and keep none."""
+    mats = [m for m in mats if "_eig" not in m.__dict__]
+    if mats:
+        a = np.array([m.entries for m in mats])
+        w, v = np.linalg.eigh(sym(a))
+        w, v = w[:, ::-1].copy(), v[..., ::-1].copy()
+        fault = _spectral_fault(w, v, 2, a)
+        if fault:
+            raise ValueError(fault)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        for m, wm, vm in zip(mats, w, v):
+            object.__setattr__(m, "_eig", _unchecked(SpectralDecomposition, wm, vm))
 
 
 class SolveStatus(Enum):

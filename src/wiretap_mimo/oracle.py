@@ -190,29 +190,28 @@ def _candidate_pool(pair: ChannelPair, powers: np.ndarray) -> list[list[np.ndarr
     m = pair.m
     pool = [[(p / m) * np.eye(m)] for p in powers]
 
-    def attempt(solve, at=slice(None)):
-        try:
-            grid = solve(powers[at])
-        except ConvergenceError:  # a point that fails drops only its own
-            if powers[at].size > 1:
-                for i in range(powers.size):
-                    attempt(solve, slice(i, i + 1))
-            return
-        except ValueError:
-            return
-        for i, cands in enumerate(pool[at]):
-            cov = grid.covariance_at(i)  # None where a certificate does not hold
-            if cov is not None:
-                cands.append(cov)
-
-    attempt(lambda p: weak_eavesdropper.solve_weak(pair, p))
-    attempt(lambda p: isotropic.solve_isotropic_in_w1_basis(
-        pair, float(pair.w2.spectrum()[0]), p))
-    attempt(lambda p: common_rsv.solve_common_rsv(pair.common_basis(), p))
-    attempt(lambda p: omnidirectional.solve_omni(pair, p))
-    for certify in (certificates.zf_certify, certificates.wf_certify,
-                    certificates.is_certify):
-        attempt(lambda p, fn=certify: fn(pair, p))
+    for solve in (lambda p: weak_eavesdropper.solve_weak(pair, p),
+                  lambda p: isotropic.solve_isotropic_in_w1_basis(
+                      pair, float(pair.w2.spectrum()[0]), p),
+                  lambda p: common_rsv.solve_common_rsv(pair.common_basis(), p),
+                  lambda p: omnidirectional.solve_omni(pair, p),
+                  lambda p: certificates.zf_certify(pair, p),
+                  lambda p: certificates.wf_certify(pair, p),
+                  lambda p: certificates.is_certify(pair, p)):
+        tries = [slice(None)]  # the grid, then each point alone if the grid failed
+        for at in tries:
+            try:
+                grid = solve(powers[at])
+            except ConvergenceError:  # a point that fails drops only its own
+                if at == slice(None) and powers.size > 1:
+                    tries += [slice(i, i + 1) for i in range(powers.size)]
+                continue
+            except ValueError:
+                continue
+            for i, cands in enumerate(pool[at]):
+                cov = grid.covariance_at(i)  # None where a certificate does not hold
+                if cov is not None:
+                    cands.append(cov)
     return pool
 
 

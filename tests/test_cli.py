@@ -113,10 +113,10 @@ class TestSweep:
     def test_weak_rows(self, tmp_path):
         doc = fig1_doc(power_grid={"p_t": [1.0, 10.0]})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.p_t for r in rows] == [1.0, 10.0]
-        assert rows[0].solver == "weak"
-        assert rows[0].capacity == pytest.approx(0.98378, abs=1e-4)
-        assert rows[0].lower <= rows[0].capacity <= rows[0].upper
+        assert [r["p_t"] for r in rows] == [1.0, 10.0]
+        assert rows[0]["solver"] == "weak"
+        assert rows[0]["capacity"] == pytest.approx(0.98378, abs=1e-4)
+        assert rows[0]["lower"] <= rows[0]["capacity"] <= rows[0]["upper"]
 
     def test_auto_dispatch_commuting(self, tmp_path):
         doc = fig1_doc(channel={"matrix_kind": "W",
@@ -124,7 +124,7 @@ class TestSweep:
                                 "w2": [[0.5, 0], [0, 0.2]]},
                        solver="auto")
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["rsv"]
+        assert [r["solver"] for r in rows] == ["rsv"]
 
     def test_auto_dispatch_contained_omni_goes_to_rsv(self, tmp_path):
         # range containment makes W2 a scaled projector over range(W1), which
@@ -134,7 +134,7 @@ class TestSweep:
                                 "w2": [[0.5, 0], [0, 0.5]]},
                        solver="auto")
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["rsv"]
+        assert [r["solver"] for r in rows] == ["rsv"]
 
     def test_explicit_omni_solver(self, tmp_path):
         doc = fig1_doc(channel={"matrix_kind": "W",
@@ -142,8 +142,8 @@ class TestSweep:
                                 "w2": [[0.5, 0], [0, 0]]},
                        solver="omni")
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert rows[0].solver == "omni"
-        assert rows[0].capacity == pytest.approx(math.log(2.0), abs=1e-9)
+        assert rows[0]["solver"] == "omni"
+        assert rows[0]["capacity"] == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_isotropic_rows_are_the_sandwich_in_solver_order(self, tmp_path):
         # W2 = eps I: the named isotropic solver gives the isotropic sandwich
@@ -154,17 +154,18 @@ class TestSweep:
                        solver=["oracle", "isotropic", "auto"],
                        oracle={"samples": 2000, "seed": 1})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["oracle", "isotropic", "rsv"]
+        assert [r["solver"] for r in rows] == ["oracle", "isotropic", "rsv"]
         iso, rsv = rows[1], rows[2]
-        assert (iso.status, iso.lam, iso.active_modes) == ("BoundsOnly", None, None)
-        assert iso.lower == iso.capacity == iso.upper
-        assert iso.capacity == pytest.approx(rsv.capacity, rel=1e-12)
+        assert (iso["status"], iso["lambda"], iso["active_modes"]) == \
+            ("BoundsOnly", None, None)
+        assert iso["lower"] == iso["capacity"] == iso["upper"]
+        assert iso["capacity"] == pytest.approx(rsv["capacity"], rel=1e-12)
 
     def test_auto_dispatch_general(self, tmp_path):
         doc = fig1_doc(solver=["auto", "oracle"],
                        oracle={"samples": 2000, "seed": 1})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["weak", "isotropic", "oracle"]
+        assert [r["solver"] for r in rows] == ["weak", "isotropic", "oracle"]
 
     def test_auto_sweep_analyses_the_channel_once(self, tmp_path, monkeypatch):
         # one weak solve over the whole grid serves every weak row and its
@@ -185,7 +186,7 @@ class TestSweep:
         doc = fig1_doc(solver="auto",
                        power_grid={"p_t": [0.5, 1.0, 2.0, 4.0, 8.0]})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["weak", "isotropic"] * 5
+        assert [r["solver"] for r in rows] == ["weak", "isotropic"] * 5
         assert calls == {"solve_weak": 1, "detect_common_rsv": 1}
 
     def test_auto_sweep_decomposes_the_pencil_once(self, tmp_path, monkeypatch):
@@ -212,7 +213,7 @@ class TestSweep:
                        solver="auto",
                        power_grid={"p_t": [0.5, 1.0, 2.0, 4.0, 8.0]})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.solver for r in rows] == ["rsv"] * 5
+        assert [r["solver"] for r in rows] == ["rsv"] * 5
         assert pencil[0] == 1
 
     def test_solver_error_is_per_row(self, tmp_path):
@@ -220,7 +221,7 @@ class TestSweep:
         doc = fig1_doc(solver="rsv", power_grid={"p_t": [1.0, 2.0]})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
         assert len(rows) == 2
-        assert all(r.status.startswith("error:") for r in rows)
+        assert all(r["status"].startswith("error:") for r in rows)
 
     def test_certify_rows(self, tmp_path):
         doc = fig1_doc(channel={"matrix_kind": "W",
@@ -228,10 +229,10 @@ class TestSweep:
                                 "w2": [[0, 0], [0, 5]]},
                        solver="certify")
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        by_name = {r.solver: r for r in rows}
-        assert by_name["certify:zf"].status == "SufficientHolds"
-        assert by_name["certify:zf"].capacity == pytest.approx(math.log(4))
-        assert by_name["certify:is"].status != "SufficientHolds"
+        by_name = {r["solver"]: r for r in rows}
+        assert by_name["certify:zf"]["status"] == "SufficientHolds"
+        assert by_name["certify:zf"]["capacity"] == pytest.approx(math.log(4))
+        assert by_name["certify:is"]["status"] != "SufficientHolds"
 
     @pytest.mark.parametrize("command", ["certify", "sweep"])
     def test_certify_calls_each_certificate_once_per_grid(self, tmp_path,
@@ -278,9 +279,9 @@ class TestSweep:
         doc = fig1_doc(solver=["weak", "oracle"],
                        power_grid={"p_t": [0.5, 1.0, 2.0]})
         rows = run_sweep(load_scenario(write_scenario(tmp_path, doc)))
-        assert [r.status for r in rows if r.solver == "oracle"] == \
+        assert [r["status"] for r in rows if r["solver"] == "oracle"] == \
             ["error: refused"] * 3
-        assert all(r.status == "Solved" for r in rows if r.solver == "weak")
+        assert all(r["status"] == "Solved" for r in rows if r["solver"] == "weak")
         # the oracle subcommand runs the same rows: exit 0, an error per point
         assert main(["oracle", "--input", write_scenario(tmp_path, doc)]) == 0
         assert [line.split(",")[-1] for line in

@@ -37,6 +37,16 @@ CASES = {
     "certify_commuting_bits.out.json": ["certify", "--input",
                                         str(GOLDEN / "certify_commuting.json"),
                                         "--format", "json", "--units", "bits"],
+    # covariance-heavy complex payloads, -10..30 dB in 2 dB steps: 21 WF
+    # covariances on construct_wf_optimal_channel([4, 3, 2, 1.5, 1], 0.5) in a
+    # seeded random unitary basis V, and 21 ZF ones on W1 = V diag(3, 2, 1, 0.5)
+    # V^H, W2 = V diag(0, 0, 1.5, 0.8) V^H, every entry an [re, im] pair
+    "certify_wf_complex_m5.out.json": ["certify", "--input",
+                                       str(GOLDEN / "certify_wf_complex_m5.json"),
+                                       "--format", "json"],
+    "certify_zf_complex_m4.out.json": ["certify", "--input",
+                                       str(GOLDEN / "certify_zf_complex_m4.json"),
+                                       "--format", "json"],
     "solve_fig1_one_point.out.json": ["solve", "--input",
                                       str(GOLDEN / "fig1_one_point.json"),
                                       "--format", "json"],

@@ -351,9 +351,9 @@ def test_a_certificate_view_takes_its_grids_verdict(monkeypatch):
     for certify, pair in grids:
         calls.clear()
         reports = certify(pair, powers)
-        # the held stack's check, and secrecy_rate's own where the capacity
-        # is a secrecy rate (WF and IS): none per point
-        assert len(calls) == (1 if certify is zf_certify else 2), certify.__name__
+        # one check of the held stack: secrecy_rate's where the capacity is a
+        # secrecy rate (WF and IS), else the grid's own (ZF); none per point
+        assert len(calls) == 1, certify.__name__
         assert len(reports) == powers.size
         assert reports.verdict is Verdict.SUFFICIENT_HOLDS
         assert all(r.verdict is Verdict.SUFFICIENT_HOLDS for r in reports)

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -127,6 +128,20 @@ class TestMcCapacity:
 
         monkeypatch.setattr(weak_eavesdropper, "solve_weak", stalled)
         check(fig1_pair(), 1.0)
+
+    def test_a_call_with_candidates_leaves_no_cyclic_garbage(self):
+        # every object of a call, at one power or over a grid, is freed by
+        # reference counting, so none waits for the cyclic collector
+        pair, cfg = fig1_pair(), OracleConfig(samples=500, seed=1, refine_rounds=1)
+        mc_capacity(pair, 1.0, cfg=cfg)  # the pair's facts, kept on the pair
+        gc.collect()
+        gc.disable()
+        try:
+            mc_capacity(pair, 1.0, cfg=cfg)
+            mc_capacity(pair, np.array([0.5, 1.0]), cfg=cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _integer_h(rng, rows, m):
