@@ -24,10 +24,11 @@ within ``_POWER_TOL * P_T``, a rule relative to the total power at every
 power, so every SNR is reachable at float resolution and results keep the
 scaling symmetry W -> sW, P_T -> P_T/s to rounding.  Over parallel modes
 (``secrecy_waterfill``) each point's active set is fixed first, from one
-vectorised evaluation at the sorted activation multipliers.  Every step,
-there and on the general weak path, is the root of one local model of the
-total in x = 1/lam (``_model_root``), matched to its value and slope, and
-over parallel modes also to its curvature; a few evaluations per solve.
+vectorised evaluation at the sorted activation multipliers (on the weak
+path, from its pair's table).  Every step is the root of one local model of
+the total in x = 1/lam (``_model_root``) matched to its value, slope and
+curvature (on the weak path, through the slope at the point's last
+evaluation); a few evaluations per solve.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
     return np.where(t > 0, 2.0 * t / (safe_s * (1.0 + np.sqrt(1.0 + q))), 0.0)
 
 
-def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier"):
+def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier",
+                     start=None):
     """Safeguarded bracketed search for the multipliers ``lam`` in [lo, hi]
     at which the total power is ``p_total`` (arrays over a grid's points).
 
@@ -94,34 +96,34 @@ def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier"):
     ``(total, payload, guess)`` over them, ``payload`` a tuple: the total is
     nonincreasing in lam, ``p_total`` lies between its values at ``hi`` and
     ``lo``, and ``guess`` is a Newton-type root estimate, or NaN.  A point
-    starts at ``hi``; each evaluation moves one end of its bracket, and its
-    next point is the guess when it lies strictly inside and moves less than
-    half the step before last (Brent's safeguard), else the midpoint
-    (geometric when lo > 0).  A point stops, and leaves the batch, once
-    ``|total - p_total| <= _POWER_TOL * p_total``.  Returns ``lam`` and the
-    payload arrays at it, stacked over the points; raises
+    starts at ``start`` (default ``hi``); each evaluation moves one end of
+    its bracket, and its next point is the guess when it lies strictly
+    inside and moves less than half the step before last (Brent's
+    safeguard), else the midpoint (geometric when lo > 0).  A point stops,
+    and leaves the batch, once ``|total - p_total| <= _POWER_TOL * p_total``.
+    Returns ``lam`` and the payload arrays at it, stacked over the points; raises
     :class:`ConvergenceError` with a point's residual when its bracket is
     exhausted or ``_MAX_EVALS`` evaluations are spent.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    lam, p, live = hi.copy(), p_total, np.arange(hi.size)
-    step = older = np.full(hi.size, math.inf)  # the last two step lengths
-    found, payloads = np.empty(hi.size), None
+    hi = np.array(hi, dtype=float)  # rows: lo, hi, lam, P_T, the last two steps
+    rows = np.array([lo, hi, hi if start is None else start, p_total,
+                     np.full(hi.size, math.inf), np.full(hi.size, math.inf)], dtype=float)
+    live, found, payloads = np.arange(hi.size), np.empty(hi.size), None
     for _ in range(_MAX_EVALS):
+        lo, hi, lam, p, step, older = rows
         total, payload, guess = power_at(lam, live)
         resid = total - p
         done = np.abs(resid) <= _POWER_TOL * p
         if done.any():
-            if payloads is None:
-                payloads = tuple(np.empty((found.size,) + a.shape[1:], a.dtype)
-                                 for a in payload)
-            found[live[done]] = lam[done]
+            payloads = payloads or tuple(np.empty((found.size,) + a.shape[1:], a.dtype)
+                                         for a in payload)
+            found[at := live[done]] = lam[done]
             for out, a in zip(payloads, payload):
-                out[live[done]] = a[done]
+                out[at] = a[done]
             if done.all():
                 return found, payloads
-            lo, hi, lam, p, live, resid, guess, step, older = (
-                a[~done] for a in (lo, hi, lam, p, live, resid, guess, step, older))
+            rows, live, resid, guess = (a[..., ~done] for a in (rows, live, resid, guess))
+            lo, hi, lam, p, step, older = rows
         up = resid > 0
         lo, hi = np.where(up, lam, lo), np.where(up, hi, lam)
         mid = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
@@ -130,7 +132,7 @@ def _find_multiplier(power_at, lo, hi, p_total, label: str = "multiplier"):
         stuck = ~((lo < nxt) & (nxt < hi))
         if stuck.any():  # bracket exhausted at float resolution
             break
-        older, step, lam = step, np.abs(nxt - lam), nxt
+        rows = np.array([lo, hi, nxt, p, np.abs(nxt - lam), step])
     bad = int(np.argmax(stuck))  # the first stuck point, else the first live one
     raise ConvergenceError(
         f"{label} search stopped with power residual {resid[bad]:.3e} "
@@ -180,22 +182,21 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
     p = check_powers("p_total", p_total)
     d = g - e
     powers = np.zeros((p.size, g.size))
-    if not g.size or float(np.max(d)) <= 0:
+    if not g.size or float(d.max()) <= 0:
         return powers.reshape(shape + g.shape), np.zeros(shape)[()]
     order = np.argsort(-d, kind="stable")
     order = order[d[order] > 0]
     gs, es, ds = g[order], e[order], d[order]
     # total power at the multiplier where each further mode activates; a
     # mode activating exactly at p_total joins, so the root is then hi
-    at = np.sum(secrecy_mode_powers(gs, es, ds[1:, None]), axis=1)
+    at = secrecy_mode_powers(gs, es, ds[1:, None]).sum(axis=1)
     k = 1 + np.count_nonzero(at <= p[:, None], axis=1)
     active = np.arange(order.size) < k[:, None]
 
     def alone(q):
         # the multiplier at which each mode alone carries power q
-        return np.max(np.where(active, ds / ((1.0 + gs * q[:, None])
-                                             * (1.0 + es * q[:, None])), 0.0),
-                      axis=1)
+        return np.where(active, ds / ((1.0 + gs * q[:, None])
+                                      * (1.0 + es * q[:, None])), 0.0).max(axis=1)
 
     # one active mode carries all the power
     lam = alone(p)
@@ -208,13 +209,13 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
 
         def power_at(lam, live):
             pw = secrecy_mode_powers(gs, es, lam[:, None])
-            total = np.sum(pw, axis=1)
+            total = pw.sum(axis=1)
             # in x = 1/lam: dp/dx = d / (g + e + 2 g e p) and
             # d2p/dx2 = -2 g e (dp/dx)^3 / d
             d1 = np.where(act[live], ds / (gs + es + 2.0 * gs * es * pw), 0.0)
             d2 = -2.0 * gs * es * d1 ** 3 / ds
-            return total, (pw,), _model_root(lam, total, np.sum(d1, axis=1),
-                                             np.sum(d2, axis=1), pm[live])
+            return total, (pw,), _model_root(lam, total, d1.sum(axis=1),
+                                             d2.sum(axis=1), pm[live])
 
         lam[many], (pw,) = _find_multiplier(power_at, lo, np.maximum(hi, lo), pm)
         powers[many[:, None], order] = pw
@@ -236,8 +237,7 @@ def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,
         powers, lams = secrecy_waterfill(gains, leaks, p_total)
     else:
         powers, lams = standard_waterfill(gains, p_total)
-    capacities = np.sum(np.log1p(gains * powers) - np.log1p(leaks * powers),
-                        axis=-1)
+    capacities = (np.log1p(gains * powers) - np.log1p(leaks * powers)).sum(axis=-1)
     zero = ~powers.any(axis=1)
     # the identity gives diag(powers) to the last bit, whose spectrum is powers
     v = np.eye(powers.shape[1]) if basis is None else basis
@@ -245,6 +245,6 @@ def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,
         (v * powers[:, None, :]) @ v.conj().T,
         np.where(zero | (capacities < 0.0), 0.0, capacities),
         np.where(zero, 0.0, lams), np.count_nonzero(powers > 0, axis=1),
-        np.sum(powers, axis=1),
+        powers.sum(axis=1),
         np.where(zero, SolveStatus.ZERO_RATE, SolveStatus.SOLVED), powers,
         spectra=powers if basis is None else None)

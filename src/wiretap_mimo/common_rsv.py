@@ -10,6 +10,8 @@ uniform one.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import _waterfill
@@ -36,9 +38,13 @@ def commutation_residual(pair: ChannelPair) -> float:
     """||W1 W2 - W2 W1|| / (||W1|| ||W2||); zero means a shared eigenbasis."""
     a, b = pair.w1.entries, pair.w2.entries
     denom = frob(a) * frob(b)
-    if denom == 0.0:
-        return 0.0
-    return frob(a @ b - b @ a) / denom
+    return frob(a @ b - b @ a) / denom if denom else 0.0
+
+
+@functools.cache
+def _pencil_weights() -> tuple[float, ...]:
+    """The pencil weights, drawn on first use: at import, numpy.random would load too."""
+    return tuple(np.random.default_rng(_PENCIL_SEED).uniform(0.25, 4.0, _PENCIL_ATTEMPTS))
 
 
 class CommonBasisChannel:
@@ -52,8 +58,8 @@ class CommonBasisChannel:
     def __init__(self, basis: np.ndarray, lam1: np.ndarray, lam2: np.ndarray):
         basis = np.asarray(basis)
         m = len(basis)
-        if (basis.shape != (m, m) or not np.all(np.isfinite(basis))
-                or not np.max(np.abs(basis.conj().T @ basis - np.eye(m))) <= 1e-10):
+        if (basis.shape != (m, m) or not np.isfinite(basis).all()
+                or not np.abs(basis.conj().T @ basis - np.eye(m)).max() <= 1e-10):
             raise ValueError("basis must be finite, square and unitary within 1e-10")
         self.basis = basis
         self.lam1 = check_gains("lam1", lam1)
@@ -75,17 +81,15 @@ def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
     matrix alone.
     """
     w1, w2 = pair.w1.entries, pair.w2.entries
-    resid = commutation_residual(pair)
+    n1, n2 = frob(w1), frob(w2)  # each norm once: commutation_residual's rule
+    resid = frob(w1 @ w2 - w2 @ w1) / (n1 * n2) if n1 * n2 else 0.0
     if resid > COMMUTE_TOL:
         raise NotCommutingError(
             f"W1 and W2 do not commute: relative commutator norm {resid:.3e} "
             f"exceeds tol {COMMUTE_TOL:g}", commutator_norm=resid)
 
-    n1, n2 = frob(w1), frob(w2)
-    rng = np.random.default_rng(_PENCIL_SEED)
     last_off = 0.0
-    for _ in range(_PENCIL_ATTEMPTS):
-        eta = rng.uniform(0.25, 4.0)
+    for eta in _pencil_weights():
         _, v = np.linalg.eigh(0.5 * ((w1 + eta * w2) + (w1 + eta * w2).conj().T))
         d1 = v.conj().T @ w1 @ v
         d2 = v.conj().T @ w2 @ v

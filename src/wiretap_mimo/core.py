@@ -54,7 +54,7 @@ def check_positive(name: str, value: float) -> None:
 def check_nonnegative(name: str, value) -> None:
     """Reject a ``value`` (a number, or any entry of an array) that is not a
     finite number at or above zero."""
-    if not np.all((0.0 <= value) & (value < math.inf)):
+    if not ((0.0 <= (v := np.asarray(value))) & (v < math.inf)).all():
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
@@ -86,9 +86,9 @@ def check_gains(name: str, values, decreasing: bool = False) -> np.ndarray:
     g = np.asarray(values, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D vector")
-    if not np.all((g >= 0.0) & (g < math.inf)):
+    if not ((g >= 0.0) & (g < math.inf)).all():
         raise ValueError(f"{name} must be finite and nonnegative")
-    if decreasing and np.any(np.diff(g) > 0):
+    if decreasing and (np.diff(g) > 0).any():
         raise ValueError(f"{name} must be sorted in decreasing order")
     return g
 
@@ -543,13 +543,15 @@ def inv_winv_plus_r(w: HermitianMatrix, r: np.ndarray) -> np.ndarray:
 def _coerce_psd(r, m: int, stacked: bool = False):
     """``r`` as a checked covariance: square, finite, PSD, of dimension m (a
     HermitianMatrix); when ``stacked``, a 3-D ``r`` is a stack of them along
-    a first axis, each checked by the same rules (a symmetrized array)."""
-    stack = stacked and not isinstance(r, HermitianMatrix) and np.ndim(r) == 3
-    h = _hermitian(r, 3) if stack else as_hermitian(r)
+    a first axis, each checked by the same rules (a symmetrized array), or a
+    checked :class:`SolveResultGrid`, which gives its covariances."""
+    grid = stacked and isinstance(r, SolveResultGrid)
+    stack = grid or stacked and not isinstance(r, HermitianMatrix) and np.ndim(r) == 3
+    h = r.covariances if grid else _hermitian(r, 3) if stack else as_hermitian(r)
     dim = h.shape[-1] if stack else h.dim
     if dim != m:
         raise ValueError(f"covariance dimension {dim} does not match channel dimension {m}")
-    if not (_psd(np.linalg.eigvalsh(h)) if stack else h.is_psd()):
+    if not (grid or (_psd(np.linalg.eigvalsh(h)) if stack else h.is_psd())):
         raise ValueError("covariance is not positive semidefinite within RANK_TOL")
     return h
 
@@ -560,13 +562,13 @@ def logdet_i_plus(w: HermitianMatrix, r: np.ndarray):
     null directions add exactly 0."""
     lr = w.root()
     ev = np.linalg.eigvalsh(sym(lr.conj().T @ r @ lr))
-    out = np.sum(np.log1p(np.clip(ev, 0.0, None)), axis=-1)
+    out = np.log1p(np.clip(ev, 0.0, None)).sum(axis=-1)
     return out if out.ndim else float(out)
 
 
 def secrecy_rate(pair: ChannelPair, r):
     """Signed secrecy rate ln|I + W1 R| - ln|I + W2 R| in nats, of one
-    covariance R, or an array over a stack (n, m, m) of them.
+    covariance R, or an array over a stack (n, m, m) of them or a checked grid's.
 
     Negative values are returned as-is; callers interpret them as zero rate.
     """

@@ -27,71 +27,55 @@ from .core import (CapacityBoundsGrid, ChannelPair, HermitianMatrix, KktResidual
                    inv_winv_plus_r, over_powers, secrecy_rate, sym)
 
 
-def _weak_core(pair: ChannelPair):
-    """W2's eigenvalues (ascending) and eigenvectors on the directions the
-    closed form uses, decided once per pair.  When ``pair.range_contained()``,
-    those are W2's range alone: the null directions carry no gain, and
-    dropping them is the pseudo-inverse at lam = 0.  Otherwise every
-    direction, with W2's spectrum cleaned (``HermitianMatrix.spectrum``)
-    so that round-off cannot shift the multiplier added to the null
-    directions."""
-    s2 = pair.w2.spectrum()[::-1]
-    v2 = pair.w2.eig().eigenvectors[:, ::-1]
-    keep = s2 > 0
-    if pair.range_contained():
-        return s2[keep], v2[:, keep]
-    return np.where(keep, s2, 0.0), v2
+def _weak_table(pair: ChannelPair):
+    """The closed form in W2's eigenbasis V, kept on the pair: W2's eigenvalues
+    s2 (ascending) and V on its range when ``pair.range_contained()`` (the
+    pseudo-inverse at lam = 0), else on every direction; W1' = V^H W1 V; and
+    a table of nodes (decreasing) with their traces, slopes and active counts
+    below (at each mu_k also above): the activation multipliers mu_k > 0, the
+    eigenvalues of W1' - diag(s2) (What1 = D W1' D, D = diag(lam + s2)^(-1/2),
+    has mode k active exactly when lam < mu_k, by Sylvester's inertia), a grid
+    halving from the first to 2^-7 of the smallest of the last and W2's
+    positive eigenvalues, and lam = 0 (the threshold power, else an infinite
+    trace), with What1's eigenpairs there."""
+    s2, v2 = pair.w2.spectrum()[::-1], pair.w2.eig().eigenvectors[:, ::-1]
+    keep, contained = s2 > 0, pair.range_contained()
+    s2, v2 = (s2[keep], v2[:, keep]) if contained else (np.where(keep, s2, 0.0), v2)
+    w1p = sym(v2.conj().T @ pair.w1.entries @ v2)
+    mu = np.linalg.eigh(w1p - np.diag(s2))[0]
+    act, lam = mu[mu > 0], [[0.0]]
+    if act.size:
+        octaves = math.log2(act[-1] / min(act[0], s2[s2 > 0].min(initial=math.inf)))
+        lam += [act, act[-1] * 0.5 ** np.arange(1.0, octaves + 8.0)]
+    lam = np.sort(np.concatenate(lam))[::-1]
+    lam = lam[np.append(True, lam[1:] < lam[:-1])]
+    above = (mu[:, None] > lam).sum(0)
+    below = np.where(lam > 0, (mu[:, None] >= lam).sum(0), above)
+    # a node where modes activate comes twice: with the count just above, then below
+    twice = np.stack([below != above, np.full(lam.size, True)], 1)
+    lam, counts = np.repeat(lam, twice.sum(1)), np.stack([above, below], 1)[twice]
+    n = lam.size - (not contained)  # the nodes of finite trace
+    trace, slope, ev, u = _evaluate(s2, w1p, lam[:n], counts[:n])
+    trace, slope = (np.append(a, v)[:lam.size] for a, v in ((trace, math.inf), (slope, math.nan)))
+    return s2, v2, w1p, lam, trace, slope, counts, ev[n - 1], u[n - 1]
 
 
-def _weak_cov_at(pair: ChannelPair, s2: np.ndarray, v2: np.ndarray,
-                 lam: np.ndarray):
-    """Covariances, traces, weak capacities and d(trace)/d(lam) of the closed
-    form at each multiplier of the array ``lam`` (stacked along a first
-    axis), on the directions ``s2``, ``v2`` of :func:`_weak_core`.
-
-    ``lam = 0`` is evaluated only on W2's range, where it is the
-    pseudo-inverse of W2 (the problem projected orthogonally to the
-    nullspace of W2).
-    """
-    inv_sqrt = 1.0 / np.sqrt(lam[:, None] + s2)
-    v2h = v2.conj().T
-    qh = (v2 * inv_sqrt[:, None, :]) @ v2h  # Q^(1/2)
-    ev, u = np.linalg.eigh(sym(qh @ pair.w1.entries @ qh))
-    # (I - What1^{-1})_+ keeps only eigenmodes with eigenvalue above one;
-    # singular modes of What1 drop out automatically
-    on = ev > 1.0
-    gains = np.where(on, 1.0 - 1.0 / np.where(on, ev, 1.0), 0.0)
-    qu = qh @ u
-    cov = (qu * gains[:, None, :]) @ qu.conj().swapaxes(1, 2)
-    trace = np.einsum("nij,nj,nij->n", qu.conj(), gains, qu).real
-    # weak capacity in closed form: sum of ln over active modes minus the
-    # leakage trace tr(What2 * D), What2 = Q^(1/2) W2 Q^(1/2) taken from W2's
-    # spectrum, so that its null directions leak exactly nothing
-    w2h = (v2 * (s2 * inv_sqrt ** 2)[:, None, :]) @ v2h
-    leak = np.einsum("nij,nj,nij->n", u.conj(), gains, w2h @ u).real
-    cw = np.sum(np.log(np.where(on, ev, 1.0)), axis=1) - leak
-    return cov, trace, cw, _trace_slope(qh, qu, ev, gains)
-
-
-def _trace_slope(qh, qu, ev, gains) -> np.ndarray:
-    """d tr R / d lam for R = Q^(1/2) f(What1) Q^(1/2), f(t) = (1 - 1/t)_+,
-    for each stacked Q^(1/2) ``qh``.
-
-    With dQ/dlam = -Q^2 and A = U^H Q U, the Daleckii-Krein formula gives
-    -sum_j f_j |Q u_j|^2 - 1/2 sum_ij |A_ij|^2 G_ij (ev_i + ev_j), where G
-    holds the divided differences of f at the eigenvalues of What1.
-    """
-    on = ev > 1.0
-    e = np.where(on, ev, 1.0)
-    # a[col] and a[row] hold a_i and a_j over each stacked matrix's pairs (i, j)
-    col, row = (slice(None), slice(None), None), (slice(None), None, slice(None))
-    one = on[col] ^ on[row]  # exactly one of the pair active
-    gap = np.where(one, ev[col] - ev[row], 1.0)
-    div = np.where(on[col] & on[row], 1.0 / (e[col] * e[row]),
-                   np.where(one, (gains[col] - gains[row]) / gap, 0.0))
-    a = np.abs(qu.conj().swapaxes(1, 2) @ qu) ** 2
-    direct = np.einsum("nj,nij->n", gains, np.abs(qh @ qu) ** 2)
-    return -direct - 0.5 * np.sum(a * div * (ev[col] + ev[row]), axis=(1, 2))
+def _evaluate(s2: np.ndarray, w1p: np.ndarray, lam: np.ndarray, n_on: np.ndarray):
+    """Trace, its slope in lam and What1's eigenpairs (ascending) at each lam,
+    the top ``n_on`` modes active, from one batched ``eigh``: with A = U^H D^2 U
+    the trace is sum_j (1 - 1/ev_j) A_jj over active modes and the slope
+    -sum_ij |A_ij|^2 c[ev_i, ev_j] (Daleckii-Krein), c(t) = t - 1 if active, else 0."""
+    d2 = 1.0 / (lam[:, None] + s2)
+    d = np.sqrt(d2)
+    ev, u = np.linalg.eigh(d[:, :, None] * w1p * d[:, None, :])
+    on = np.arange(s2.size) >= s2.size - n_on[:, None]
+    a = (u.conj() * d2[:, :, None]).swapaxes(1, 2) @ u
+    c = np.where(on, ev - 1.0, 0.0)
+    trace = (c / np.where(on, ev, 1.0) * a.diagonal(0, 1, 2).real).sum(1)
+    gap = ev[:, :, None] - ev[:, None, :]  # over each stacked matrix's pairs (i, j)
+    div = np.where(on[:, :, None] & on[:, None, :], 1.0,
+                   (c[:, :, None] - c[:, None, :]) / np.where(gap == 0.0, 1.0, gap))
+    return trace, -(np.abs(a) ** 2 * div).sum((1, 2)), ev, u
 
 
 def threshold_power(pair: ChannelPair) -> float:
@@ -103,18 +87,24 @@ def threshold_power(pair: ChannelPair) -> float:
     computed on the matrices projected orthogonally to the W2 nullspace,
     which is what the pseudo-inverse realizes.
     """
-    if not pair.range_contained():
-        return math.inf
-    return pair.fact("weak_saturation", _saturation)[0]
+    return float(pair.fact("weak_table", _weak_table)[4][-1])
 
 
-def _saturation(pair: ChannelPair) -> tuple[float, np.ndarray, np.ndarray]:
-    """Power, covariance and weak capacity of the closed form at lam = 0:
-    the threshold power when it is finite, and the optimum at every power
-    from there on."""
-    s2, v2 = pair.fact("weak_core", _weak_core)
-    cov, trace, cw, _ = _weak_cov_at(pair, s2, v2, np.zeros(1))
-    return float(trace[0]), cov, cw
+def _start(lam, trace, slope, i: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each power's first multiplier between the nodes i and i + 1 whose traces
+    hold it: the cubic Hermite interpolant of 1/lam in the trace (of lam on a
+    last piece ending at lam = 0; the tangent past a last node of infinite
+    trace), else the nodes' midpoint."""
+    la, lb, ta, tb = lam[i], lam[i + 1], trace[i], trace[i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv, h, t = (lb > 0) | (tb == math.inf), tb - ta, (p - ta) / (tb - ta)
+        ya, yb = np.where(inv, 1.0 / la, la), np.where(inv, 1.0 / lb, lb)
+        da, db = (np.where(inv, -y * y, 1.0) / slope[j] for y, j in ((ya, i), (yb, i + 1)))
+        y = np.where(tb == math.inf, ya + (p - ta) * da, ya + t * (h * da + t * (
+            3.0 * (yb - ya) - h * (2.0 * da + db) + t * (h * (da + db) - 2.0 * (yb - ya)))))
+        start = np.where(inv, 1.0 / y, y)
+    return np.where((lb < start) & (start < la), start,
+                    np.where(lb > 0.0, np.sqrt(la * lb), 0.5 * la))
 
 
 @over_powers
@@ -122,45 +112,49 @@ def solve_weak(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     """Maximize the weak-eavesdropper rate ln|I + W1 R| - tr(W2 R).
 
     The multiplier is searched until the trace meets min(P_T, P_T*); above
-    the threshold power only partial power is used.  One search serves every
-    power below the threshold, and one cached evaluation every power from
-    it on.
+    the threshold power only partial power is used, at the table's lam = 0.
+    Each power starts on its active piece (:func:`_start`) and steps to the
+    root of a x^alpha + b in x = 1/lam matched to the trace's value, slope
+    and (through its last slope) curvature.  R = V D U diag(1 - 1/ev) U^H D V^H
+    and C_w = sum ln ev - tr(W2 R) (active modes; tr(W2 R) from W2's
+    spectrum, so null directions leak nothing) are formed once, at the root.
     """
     # W1 = 0 has threshold power 0, so the search below has a positive gain
     saturated = p_total >= pair.fact("threshold_power", threshold_power)
     below = np.flatnonzero(~saturated)
-    s2, v2 = pair.fact("weak_core", _weak_core)
-    n = p_total.size
-    covs = np.empty((n, pair.m, pair.m), np.result_type(v2, pair.w1.entries))
-    cws, lams = np.empty(n), np.zeros(n)
-    if below.size < n:
-        _, covs[saturated], cws[saturated] = pair.fact("weak_saturation", _saturation)
+    s2, v2, w1p, nodes, traces, slopes, counts, ev0, u0 = pair.fact(
+        "weak_table", _weak_table)
+    lams, n_on = np.zeros(p_total.size), np.full(p_total.size, counts[-1])  # saturated: lam = 0
+    ev, u = (np.array(np.broadcast_to(a, lams.shape + a.shape)) for a in (ev0, u0))
     if below.size:
         p = p_total[below]
-        # Loewner bounds: the trace at lam lies between the water-filling
-        # totals over the eigenvalues of W1 at levels 1/(lam + max s2) and
-        # 1/(lam + min s2), which brackets the root around the water-filling
-        # multiplier
-        _, lam_wf = _waterfill.standard_waterfill(pair.w1.spectrum(), p)
-        lo = np.maximum(lam_wf - s2[-1], 0.0)
-        hi = np.maximum(lam_wf - s2[0], lo)
+        i = np.maximum(np.searchsorted(traces, p, "right") - 1, 0)
+        n_on[below] = live_on = counts[i]
+        last = np.array([nodes[i], -nodes[i] ** 2 * slopes[i]])  # lam and slope in 1/lam
 
         def power_at(lam, live):
-            cov, trace, cw, slope = _weak_cov_at(pair, s2, v2, lam)
-            # a Newton step in x = 1/lam: d trace / dx = -lam^2 d trace / d lam
-            return trace, (cov, cw), _waterfill._model_root(
-                lam, trace, -lam * lam * slope, 0.0, p[live])
-
-        lams[below], (covs[below], cws[below]) = _waterfill._find_multiplier(
-            power_at, lo, hi, p, "weak-solver")
-    # the mode powers are each covariance's eigenvalues, as a kept
-    # decomposition gives them; a zero-rate result keeps its multiplier and
-    # active-mode count
-    covs = sym(covs)
+            trace, slope, ev, u = _evaluate(s2, w1p, lam, live_on[live])
+            sx = -lam * lam * slope  # the slope in x = 1/lam
+            with np.errstate(all="ignore"):  # a x^alpha + b through both slopes; NaN bisects
+                alpha = 1.0 + np.log(sx / last[1, live]) / np.log(last[0, live] / lam)
+            last[:, live] = lam, sx
+            return trace, (ev, u), _waterfill._model_root(
+                lam, trace, sx, (alpha - 1.0) * sx * lam, p[live])
+        lams[below], (ev[below], u[below]) = _waterfill._find_multiplier(
+            power_at, nodes[i + 1], nodes[i], p, "weak-solver",
+            _start(nodes, traces, slopes, i, p))
+    d2 = 1.0 / (lams[:, None] + s2)
+    e = np.where(np.arange(s2.size) >= s2.size - n_on[:, None], ev, 1.0)
+    g = np.maximum(1.0 - 1.0 / e, 0.0)
+    x = v2 @ (np.sqrt(d2)[:, :, None] * u)
+    cws = np.log(e).sum(1) - ((s2 * d2)[:, :, None] * np.abs(u) ** 2 * g[:, None, :]).sum((1, 2))
+    # the mode powers are the covariances' eigenvalues, as a kept decomposition
+    # gives them; a zero-rate result keeps its multiplier and active-mode count
+    covs = sym((x * g[:, None, :]) @ x.conj().swapaxes(1, 2))
     ev = np.linalg.eigh(covs)[0][:, ::-1]
     powers = clean_spectrum(ev)
     capacities = np.where(cws < 0.0, 0.0, cws)
-    used = np.sum(powers, axis=1)
+    used = powers.sum(axis=1)
     zero = (capacities == 0.0) & (used <= RANK_TOL)
     return SolveResultGrid(
         np.where(zero[:, None, None], 0.0, covs), capacities, lams,
@@ -174,11 +168,11 @@ def solve_weak_with_bounds(pair: ChannelPair,
                            p_total: np.ndarray) -> SolveResultGrid:
     """:func:`solve_weak` with its capacity sandwich attached as ``bounds``:
     C_w <= C(R*_w) <= C_s <= C_w + P_T^2 lam_max(W2)^2 / 2, with C(R*_w)
-    from one :func:`core.secrecy_rate` call over the whole grid."""
+    from one :func:`core.secrecy_rate` call on the checked grid."""
     res = solve_weak(pair, p_total)
     with np.errstate(over="ignore"):  # past float range the gap is inf, still a bound
         gaps = 0.5 * (p_total * float(pair.w2.spectrum()[0])) ** 2
-    mid = secrecy_rate(pair, res.covariances)
+    mid = secrecy_rate(pair, res)
     return res._with(bounds=CapacityBoundsGrid(
         res.capacities, np.where(mid < 0.0, 0.0, mid), res.capacities + gaps, gaps))
 

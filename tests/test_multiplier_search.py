@@ -223,24 +223,93 @@ def test_secrecy_waterfill_needs_few_power_evaluations(monkeypatch):
 
 
 def test_general_weak_solve_needs_few_evaluations(monkeypatch):
+    # each power starts on its active piece, from its pair's table (one
+    # batched evaluation per pair, kept on the pair), and steps on a
+    # value/slope/curvature model: at most four evaluations per solve
     calls = []
-    evaluate = weak_eavesdropper._weak_cov_at
-    monkeypatch.setattr(weak_eavesdropper, "_weak_cov_at",
+    evaluate = weak_eavesdropper._evaluate
+    monkeypatch.setattr(weak_eavesdropper, "_evaluate",
                         lambda *a: calls.append(1) or evaluate(*a))
     rng = np.random.default_rng(59)
     pairs = [CLASSES[kind](rng, m)
              for kind in ("commuting", "general", "rank_deficient")
              for m in range(2, 6)]
+    # each threshold power reads its pair's table, built here, once per pair
     limits = [weak_eavesdropper.threshold_power(pair) for pair in pairs]
-    calls.clear()
-    solves = 0
+    assert len(calls) == len(pairs)
+    counts = []
     for db in SWEEP_DB:
         p_total = 10.0 ** (db / 10.0)
         for pair, limit in zip(pairs, limits):
             if p_total < limit:  # below the threshold the search runs
+                calls.clear()
                 solve_weak(pair, p_total)
-                solves += 1
-    assert len(calls) / solves <= 6
+                counts.append(len(calls))
+    assert np.mean(counts) <= 3.5
+    assert max(counts) <= 4
+
+
+@pytest.mark.parametrize("kind", ["general", "rank_deficient"])
+def test_a_low_snr_search_never_evaluates_zero_trace(kind, monkeypatch):
+    # at P_T lambda_max(W1) from 1e-3 to 1e-1 each power starts below the
+    # first activation multiplier, where the trace is positive: no
+    # evaluation of the search returns trace 0, and every power is met
+    traces = []
+    evaluate = weak_eavesdropper._evaluate
+
+    def counted(*args):
+        out = evaluate(*args)
+        traces.extend(out[0])
+        return out
+    monkeypatch.setattr(weak_eavesdropper, "_evaluate", counted)
+    rng = np.random.default_rng(71)
+    snr = np.logspace(-3.0, -1.0, 9)
+    for m in range(2, 6):
+        for _ in range(3):
+            pair = CLASSES[kind](rng, m)
+            pair.fact("weak_table", weak_eavesdropper._weak_table)
+            traces.clear()
+            p_total = snr / pair.w1.spectrum()[0]
+            res = solve_weak(pair, p_total)
+            assert traces and min(traces) > 0.0
+            np.testing.assert_allclose(res.power_used, p_total, rtol=1e-11)
+            for p in p_total:
+                traces.clear()
+                solve_weak(pair, float(p))
+                assert traces and min(traces) > 0.0
+
+
+def _contained_rank_deficient(rng, m):
+    # W2 of rank m - 1 and W1 inside its range, of rank m - 2 when m > 2
+    g = rng.standard_normal((m, m - 1)) + 1j * rng.standard_normal((m, m - 1))
+    h = g @ (rng.standard_normal((m - 1, max(1, m - 2)))
+             + 1j * rng.standard_normal((m - 1, max(1, m - 2))))
+    return ChannelPair.from_gram(h @ h.conj().T, g @ g.conj().T / m)
+
+
+def test_active_modes_are_counted_by_the_activation_multipliers():
+    # Sylvester's law of inertia: What1 = Q^(1/2) W1 Q^(1/2), Q the
+    # pseudo-inverse of lam I + W2 on the directions the closed form keeps,
+    # has exactly as many eigenvalues above 1 as there are activation
+    # multipliers mu (the eigenvalues of W1' - diag(s2)) above lam
+    rng = np.random.default_rng(73)
+    makers = {"general": CLASSES["general"], "rank_deficient": _rank_deficient,
+              "omni_noncontained": _noncontained_omni,
+              "contained_rank_deficient": _contained_rank_deficient}
+    for kind, make in makers.items():
+        for m in range(2, 6):
+            for _ in range(5):
+                pair = make(rng, m)
+                assert pair.range_contained() == (kind in ("general",
+                                                           "contained_rank_deficient"))
+                s2, v2, w1p = pair.fact("weak_table", weak_eavesdropper._weak_table)[:3]
+                mu = np.linalg.eigvalsh(w1p - np.diag(s2))
+                lams = np.abs(mu).max() * np.logspace(-4.0, 0.5, 60)
+                lams = lams[np.abs(lams[:, None] - mu).min(axis=1) > 1e-6 * lams]
+                for lam in lams:
+                    q_half = (v2 / np.sqrt(lam + s2)) @ v2.conj().T
+                    what1 = np.linalg.eigvalsh(q_half @ pair.w1.entries @ q_half)
+                    assert np.count_nonzero(what1 > 1.0) == np.count_nonzero(mu > lam)
 
 
 def test_full_rank_ill_conditioned_w2_below_its_threshold():
@@ -285,21 +354,27 @@ def test_general_weak_result_decomposes_its_covariance_once(monkeypatch):
 
 def test_a_sandwich_is_attached_to_the_checked_grid(monkeypatch):
     # after a warm-up call has kept the pairs' facts: the weak sandwich costs
-    # the eigvalsh calls of its one secrecy_rate and no more, and the omni
-    # bounds-only grid checks its covariances once
+    # exactly the two log-det eigvalsh calls of its one secrecy_rate, which
+    # takes the checked grid as it is, and the omni bounds-only grid checks
+    # its covariances once
     weak, omni = fig1_pair(), ChannelPair.from_gram(
         np.array([[2.0, 0.5], [0.5, 1.0]]), 0.5 * np.diag([1.0, 0.0]))
     powers = np.array([0.5, 2.0, 8.0])
-    covs = solve_weak_with_bounds(weak, powers).covariances
+    grid = solve_weak_with_bounds(weak, powers)
     solve_omni(omni, powers)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
     solve_weak_with_bounds(weak, powers)
-    with_bounds = len(calls)
-    secrecy_rate(weak, covs)
-    assert with_bounds == len(calls) - with_bounds
+    assert len(calls) == 2
+    calls.clear()
+    # a raw stack keeps every check: its PSD test, then the two log-dets
+    assert np.array_equal(secrecy_rate(weak, np.array(grid.covariances)),
+                          secrecy_rate(weak, grid))
+    assert len(calls) == 3 + 2
+    with pytest.raises(ValueError, match="dimension"):  # a grid's m is still compared
+        secrecy_rate(ChannelPair.from_gram(np.eye(3), np.eye(3)), grid)
     calls.clear()
     solve_omni(omni, powers)
     assert len(calls) == 1
