@@ -454,6 +454,7 @@ class SolveResult:
     def __post_init__(self):
         check_nonnegative("capacity_nats", self.capacity_nats)
         check_nonnegative("lagrange_lambda", self.lagrange_lambda)
+        object.__setattr__(self, "covariance", as_hermitian(self.covariance))
         if not self.covariance.is_psd():
             raise ValueError("covariance must be positive semidefinite")
 

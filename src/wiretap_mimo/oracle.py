@@ -1,12 +1,13 @@
 """Independent brute-force references for the closed-form solvers.
 
 ``mc_capacity`` randomly samples feasible covariances (trace-normalized
-Wishart draws with a boundary/interior power mixture), optionally seeds the
-pool with every applicable closed-form candidate, and locally refines the
-incumbent.  ``separable_oracle`` maximizes the parallel-channel secrecy
-objective by bisecting a shared power multiplier while solving each scalar
-mode by grid zooming plus a golden-section polish; it never uses the
-closed-form allocation it is meant to check.
+Wishart draws with a boundary/interior power mixture), optionally seeds each
+power on its own with (P_T/m) I and the weak, isotropic (at W2's largest
+eigenvalue) and shared-basis closed forms solved at that power alone, and
+locally refines the incumbent.  ``separable_oracle`` maximizes the
+parallel-channel secrecy objective by bisecting a shared power multiplier
+while solving each scalar mode by grid zooming plus a golden-section polish;
+it never uses the closed-form allocation it is meant to check.
 
 ``mc_capacity`` scores each covariance R = s F F^H through its m x m root
 F in factor form: with W = L L^H factored once per call, ln|I + W R| =
@@ -38,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import certificates, common_rsv, isotropic, omnidirectional, weak_eavesdropper
+from . import common_rsv, isotropic, weak_eavesdropper
 from .core import (ChannelPair, ConvergenceError, HermitianMatrix,
                    check_gains, check_positive, over_powers, sym)
 
@@ -185,33 +186,21 @@ def _chunk_samples(m: int) -> int:
 
 
 def _candidate_pool(pair: ChannelPair, powers: np.ndarray) -> list[list[np.ndarray]]:
-    """Per power, the covariances of every applicable closed-form solver
-    (all feasible), each solver called once over the whole grid."""
-    m = pair.m
-    pool = [[(p / m) * np.eye(m)] for p in powers]
-
-    for solve in (lambda p: weak_eavesdropper.solve_weak(pair, p),
-                  lambda p: isotropic.solve_isotropic_in_w1_basis(
-                      pair, float(pair.w2.spectrum()[0]), p),
-                  lambda p: common_rsv.solve_common_rsv(pair.common_basis(), p),
-                  lambda p: omnidirectional.solve_omni(pair, p),
-                  lambda p: certificates.zf_certify(pair, p),
-                  lambda p: certificates.wf_certify(pair, p),
-                  lambda p: certificates.is_certify(pair, p)):
-        tries = [slice(None)]  # the grid, then each point alone if the grid failed
-        for at in tries:
+    """Per power, the seeds of :func:`mc_capacity` (all feasible), each
+    solved at that power alone; a solver that raises drops only its own."""
+    m, eps = pair.m, float(pair.w2.spectrum()[0])
+    solvers = (lambda p: weak_eavesdropper.solve_weak(pair, p),
+               lambda p: isotropic.solve_isotropic_in_w1_basis(pair, eps, p),
+               lambda p: common_rsv.solve_common_rsv(pair.common_basis(), p))
+    pool = []
+    for p in powers[:, None]:  # each power alone, as a grid of one
+        cands = [(p[0] / m) * np.eye(m)]
+        for solve in solvers:
             try:
-                grid = solve(powers[at])
-            except ConvergenceError:  # a point that fails drops only its own
-                if at == slice(None) and powers.size > 1:
-                    tries += [slice(i, i + 1) for i in range(powers.size)]
-                continue
-            except ValueError:
-                continue
-            for i, cands in enumerate(pool[at]):
-                cov = grid.covariance_at(i)  # None where a certificate does not hold
-                if cov is not None:
-                    cands.append(cov)
+                cands.append(solve(p).covariance_at(0))
+            except (ValueError, ConvergenceError):
+                pass
+        pool.append(cands)
     return pool
 
 
@@ -226,12 +215,16 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
     Samples R = t * A A^H / tr(A A^H) with A a complex standard Gaussian
     matrix and t drawn from a 50/50 mixture of the full power and
     Uniform(0, P_T]; the boundary/interior mixture matters because the exact
-    secrecy objective can decrease with power.  Candidate seeding makes the
-    result an at-least-as-good check against any closed form in the pool.
-    Refinement rounds perturb the incumbent locally with a scale shrinking
-    tenfold per round.  Deterministic for a fixed (seed, config); ties go to
-    the earliest sample.  One pass over the sample stream serves a grid, and
-    each power's result is the bytes of that power solved alone.
+    secrecy objective can decrease with power.  Each power is seeded on its
+    own with (P_T/m) I and the covariances of ``solve_weak``,
+    ``solve_isotropic_in_w1_basis`` at W2's largest eigenvalue and
+    ``solve_common_rsv``, each solved at that power alone (a solver that
+    raises drops only its own seed), so the result is an at-least-as-good
+    check against each.  Refinement rounds perturb the incumbent locally
+    with a scale shrinking tenfold per round.  Deterministic for a fixed
+    (seed, config); ties go to the earliest sample.  One pass over the sample
+    stream serves a grid, and each power's result is the bytes of that power
+    solved alone.
     """
     cfg = cfg or OracleConfig()
     if float(powers.max()) * float(pair.w1.spectrum()[0]) > _SNR_CEILING:

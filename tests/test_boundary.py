@@ -4,7 +4,10 @@ One table over ``wiretap_mimo.__all__``: each row feeds one argument of one
 callable a bad value and expects a ValueError.  Every numeric argument gets
 NaN, +inf and -inf, and one that must be positive also 0 and -1; every array
 argument gets a NaN entry, an inf entry and a wrong shape, and a power that
-may be a grid also a grid with a zero entry and an empty one.  A RuntimeWarning
+may be a grid also a grid with a zero entry and an empty one.  Where a finite
+value can break a rule of its own (a non-PSD covariance, unsorted eigenvalues,
+non-orthonormal eigenvectors, a vector of the wrong length), that value gets a
+row too.  A RuntimeWarning
 on the way fails the suite too (``filterwarnings`` in pyproject.toml), so a
 row passes only when the input is refused before any arithmetic runs on it.
 """
@@ -46,6 +49,13 @@ POWERS = POSITIVE + array([1.0, 2.0], (1, 2), (0,)) + [np.array([1.0, 0.0])]
 MATRIX = array(np.eye(2), (2, 3), (3, 3))   # for m = 2
 VECTOR = array([2.0, 1.0], (1, 2))
 INTEGER = [NAN, INF, -INF, 1.5, True]
+# finite values that break a rule other than finiteness and shape
+NOT_PSD = wm.HermitianMatrix(np.diag([1.0, -1.0]))
+UNSORTED = np.array([1.0, 2.0])
+SKEWED = np.array([[1.0, 1.0], [0.0, 1.0]])  # not orthonormal
+LONG = np.array([2.0, 1.0, 0.5])  # for m = 2
+NAMED = {id(NOT_PSD): "not-psd", id(UNSORTED): "unsorted", id(SKEWED): "skewed",
+         id(LONG): "length3"}
 
 
 def p_total_of(fn, pair=PAIR, bad=POSITIVE):
@@ -79,7 +89,9 @@ TABLE = {
         (name, lambda v, i=i: wm.SolveResult(
             wm.HermitianMatrix(R), *[v if j == i else 0.5 for j in (0, 1)],
             2, 1.0, wm.SolveStatus.SOLVED), NONNEGATIVE)
-        for i, name in enumerate(("capacity_nats", "lagrange_lambda"))],
+        for i, name in enumerate(("capacity_nats", "lagrange_lambda"))] + [
+        ("covariance", lambda v: wm.SolveResult(v, 0.5, 0.5, 2, 1.0, wm.SolveStatus.SOLVED),
+         array(np.eye(2), (2, 3), (2,)) + [NOT_PSD])],
     "SolveResultGrid": [
         ("covariances", lambda v: solve_grid(covariances=v),
          array(np.eye(2)[None], (2, 2), (1, 2, 3))),
@@ -91,9 +103,9 @@ TABLE = {
         for name in ("lower", "mid")],
     "SpectralDecomposition": [
         ("eigenvalues", lambda v: wm.SpectralDecomposition(v, np.eye(2)),
-         array([2.0, 1.0], (3,), (1, 2))),
+         array([2.0, 1.0], (3,), (1, 2)) + [UNSORTED]),
         ("eigenvectors", lambda v: wm.SpectralDecomposition(np.array([2.0, 1.0]), v),
-         MATRIX)],
+         MATRIX + [SKEWED])],
     "epsilon_from_pathloss": [
         (name, lambda v, i=i: wm.epsilon_from_pathloss(
             *[v if j == i else 2.0 for j in range(5)]), POSITIVE)
@@ -125,8 +137,8 @@ TABLE = {
     "solve_omni": [p_total_of(wm.solve_omni, OMNI, POWERS)],
     "CommonBasisChannel": [
         ("basis", lambda v: wm.CommonBasisChannel(v, [2.0, 1.0], [0.5, 0.1]), MATRIX),
-        ("lam1", lambda v: wm.CommonBasisChannel(np.eye(2), v, [0.5, 0.1]), VECTOR),
-        ("lam2", lambda v: wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], v), VECTOR)],
+        ("lam1", lambda v: wm.CommonBasisChannel(np.eye(2), v, [0.5, 0.1]), VECTOR + [LONG]),
+        ("lam2", lambda v: wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], v), VECTOR + [LONG])],
     "solve_common_rsv": [
         ("p_total", lambda v: wm.solve_common_rsv(
             wm.CommonBasisChannel(np.eye(2), [2.0, 1.0], [0.5, 0.1]), v), POWERS)],
@@ -186,6 +198,8 @@ EXEMPT = {
 }
 
 def label(bad) -> str:
+    if id(bad) in NAMED:
+        return NAMED[id(bad)]
     if np.ndim(bad) == 0:
         return repr(bad)
     if np.isnan(bad).any() or np.isinf(bad).any():

@@ -121,6 +121,13 @@ class TestWfCertify:
     def test_non_commuting_is_inconclusive(self):
         assert wf_certify(fig1_pair(), 1.0).verdict is Verdict.INCONCLUSIVE
 
+    def test_zero_w1_is_inconclusive(self):
+        pair = ChannelPair.from_gram(np.zeros((2, 2)), np.diag([0.5, 0.1]))
+        for report in (wf_certify(pair, 1.0), *wf_certify(pair, np.array([1.0, 2.0]))):
+            assert report.verdict is Verdict.INCONCLUSIVE
+            assert report.details["reason"] == "W1 carries no positive gain"
+            assert report.certified_covariance is None
+
     def test_inactive_mode_may_be_dominated(self):
         # inactive third mode with lam1 <= lam2 instead of the alpha relation
         pair = ChannelPair.from_gram(np.diag([2.0, 1.0, 0.05]),

@@ -71,6 +71,12 @@ class TestScenarioParsing:
         (lambda d: d.update(oracle={"complex_sampling": False}),
          "unknown keys.*complex_sampling"),
         (lambda d: d.update(oracle=5), "'oracle': expected an object"),
+        (lambda d: d.update(channel=[[1, 0], [0, 1]]), "'channel': expected an object"),
+        (lambda d: d.update(power_grid=[1.0]), "'power_grid': expected an object"),
+        (lambda d: d.update(power_grid={"db_start": 0, "db_stop": 10}),
+         "'power_grid': provide either 'p_t' or 'db_start'/'db_stop'/'db_step'"),
+        (lambda d: d.update(solver=[]), "'solver': expected a name or nonempty list"),
+        (lambda d: d.update(format="xml"), "'format': must be 'csv' or 'json'"),
         # one rule for every JSON number: an int or a float, never a bool
         (lambda d: d.update(power_grid={"db_start": [1], "db_stop": 2, "db_step": 1}),
          r"db_start': expected a finite number, got \[1\]"),
@@ -100,6 +106,11 @@ class TestScenarioParsing:
         doc = fig1_doc()
         mutate(doc)
         with pytest.raises(ValueError, match=message):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc", [[fig1_doc()], "scenario", None])
+    def test_scenario_must_be_an_object(self, tmp_path, doc):
+        with pytest.raises(ValueError, match="scenario file must contain a JSON object"):
             load_scenario(write_scenario(tmp_path, doc))
 
     def test_invalid_json_reports_line(self, tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 from wiretap_mimo import (CapacityBounds, CapacityBoundsGrid, ChannelPair,
                           HermitianMatrix, IsotropicProblem, SolveResult,
-                          SolveResultGrid, SolveStatus, capacity_bounds_isotropic,
+                          SolveResultGrid, SolveStatus, SpectralDecomposition,
+                          capacity_bounds_isotropic,
                           capacity_bounds_weak, construct_is_optimal_channel,
                           construct_wf_optimal_channel, epsilon_from_pathloss,
                           is_certify, positive_part, secrecy_rate, solve_auto,
@@ -101,6 +102,15 @@ class TestHermitianMatrix:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
         err = np.linalg.norm(dec.reconstruct() - h.entries)
         assert err <= 1e-10 * np.linalg.norm(h.entries)
+
+    def test_spectral_decomposition_accepts_a_valid_pair(self):
+        # sorted eigenvalues and orthonormal columns, kept read-only
+        c = math.sqrt(0.5)
+        dec = SpectralDecomposition([3.0, 1.0], np.array([[c, c], [c, -c]]))
+        assert dec.eigenvalues.dtype == float
+        assert not dec.eigenvalues.flags.writeable
+        assert not dec.eigenvectors.flags.writeable
+        assert np.allclose(dec.reconstruct(), [[2.0, 1.0], [1.0, 2.0]], atol=1e-15)
 
 
 class TestChannelPair:

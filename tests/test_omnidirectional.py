@@ -155,3 +155,8 @@ def test_containment_residual_reports_leakage():
     cls = classify_omni(pair.w2)
     resid = range_containment_residual(pair.w1, cls.active_basis)
     assert resid > 0.1
+
+
+def test_a_zero_w1_is_contained_in_any_span():
+    w1 = HermitianMatrix(np.zeros((2, 2)))
+    assert range_containment_residual(w1, np.eye(2)[:, :1]) == 0.0

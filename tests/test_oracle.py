@@ -129,6 +129,27 @@ class TestMcCapacity:
         monkeypatch.setattr(weak_eavesdropper, "solve_weak", stalled)
         check(fig1_pair(), 1.0)
 
+    def test_a_failing_point_drops_only_its_own_candidate_in_a_grid(self, monkeypatch):
+        # the weak solve raises at one power of a 4-power grid: every power's
+        # value and covariance are the bytes of that power run alone
+        pair, grid = fig1_pair(), np.array([0.2, 1.0, 5.0, 25.0])
+        real, failed = weak_eavesdropper.solve_weak, []
+
+        def flaky(pair, p_total):
+            if (np.asarray(p_total) == grid[1]).any():
+                failed.append(p_total)
+                raise ConvergenceError("forced", residual=1.0)
+            return real(pair, p_total)
+
+        monkeypatch.setattr(weak_eavesdropper, "solve_weak", flaky)
+        cfg = OracleConfig(samples=1000, seed=3)
+        outs = mc_capacity(pair, grid, cfg=cfg)
+        assert failed
+        for p_total, (best, best_r) in zip(grid, outs):
+            alone, alone_r = mc_capacity(pair, float(p_total), cfg=cfg)
+            assert np.float64(best).tobytes() == np.float64(alone).tobytes()
+            assert best_r.entries.tobytes() == alone_r.entries.tobytes()
+
     def test_a_call_with_candidates_leaves_no_cyclic_garbage(self):
         # every object of a call, at one power or over a grid, is freed by
         # reference counting, so none waits for the cyclic collector
