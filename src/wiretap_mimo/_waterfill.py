@@ -2,7 +2,8 @@
 
 Mode i has gain g_i and leak (eavesdropper gain) e_i.  :func:`solve_modes`
 serves every closed form that reduces to such modes (isotropic, contained
-omnidirectional, shared eigenbasis) and picks the allocation from the input:
+omnidirectional, shared eigenbasis).  It and the two allocations it picks
+from take a checked 1-D power grid (``core.check_powers`` ran at entry):
 
 * no mode leaks: the classic water-filling ``p_i = (1/lam - 1/g_i)_+``
   (``standard_waterfill``, exact, sort-based);
@@ -37,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, SolveResultGrid, SolveStatus, check_powers
+from .core import ConvergenceError, SolveResultGrid, SolveStatus
 
 # a search stops once the power residual is within _POWER_TOL * P_T, and
 # gives up after _MAX_EVALS evaluations of the total power
@@ -45,23 +46,21 @@ _POWER_TOL = 1e-12
 _MAX_EVALS = 200
 
 
-def standard_waterfill(gains: np.ndarray, p_total) -> tuple[np.ndarray, np.ndarray]:
-    """Exact water-filling over nonnegative gains at each power ``p_total``
-    (a float or a 1-D array: the outputs take its shape).
+def standard_waterfill(gains: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact water-filling over nonnegative gains at each power of the
+    checked 1-D grid ``p``.
 
-    Returns ``(powers, lam)`` with ``powers_i = (1/lam - 1/g_i)_+`` and
-    ``sum(powers) = p_total``.  Modes with zero gain receive no power.  When
-    no gain is positive the powers are all zero and ``lam`` is ``inf``.
+    Returns ``(powers, lam)``, (n, m) and (n,), with ``powers_i = (1/lam -
+    1/g_i)_+`` and ``sum(powers) = p``.  Modes with zero gain get no power;
+    when no gain is positive every power is zero and ``lam`` is ``inf``.
     Levels are measured from 1/g_1, so powers stay exact at small P_T g_1.
     """
     g = np.asarray(gains, dtype=float)
-    shape = np.asarray(p_total, dtype=float).shape
-    p = check_powers("p_total", p_total)
     powers = np.zeros((p.size, g.size))
     order = np.argsort(g)[::-1]
     npos = int(np.count_nonzero(g > 0))
     if npos == 0:
-        return powers.reshape(shape + g.shape), np.full(shape, math.inf)[()]
+        return powers, np.full(p.size, math.inf)
     inv = 1.0 / g[order[:npos]]
     rel = inv - inv[0]
     prefix = np.cumsum(rel)
@@ -71,8 +70,7 @@ def standard_waterfill(gains: np.ndarray, p_total) -> tuple[np.ndarray, np.ndarr
     k = on.sum(axis=1)
     level = (p + prefix[k - 1]) / k
     powers[:, order[:npos]] = np.where(on, level[:, None] - rel, 0.0)
-    return (powers.reshape(shape + g.shape),
-            (1.0 / (level + inv[0])).reshape(shape)[()])
+    return powers, 1.0 / (level + inv[0])
 
 
 def secrecy_mode_powers(gains: np.ndarray, leaks: np.ndarray | float,
@@ -163,27 +161,25 @@ def _model_root(lam: np.ndarray, total: np.ndarray, slope: np.ndarray,
 
 
 def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
-                      p_total) -> tuple[np.ndarray, np.ndarray]:
+                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Secrecy power allocation: the multiplier at which full power is used,
-    at each power ``p_total`` (a float or a 1-D array; outputs take its shape).
+    at each power of the checked 1-D grid ``p``.
 
-    Returns ``(powers, lam)``.  If no mode satisfies ``g_i > e_i`` the zero
-    allocation is returned with ``lam = 0``.  Mode i is active exactly when
-    lam < d_i = g_i - e_i.  One vectorised evaluation at the activation
-    multipliers fixes every point's active set; the roots are then searched
-    on those smooth pieces, between bounds from the single-mode inverses,
-    with the curvature model of :func:`_model_root` as the step.  Raises
-    :class:`ConvergenceError` when a residual cannot be driven within
-    ``_POWER_TOL * p_total``.
+    Returns ``(powers, lam)``, (n, m) and (n,).  If no mode satisfies
+    ``g_i > e_i`` the zero allocation is returned with ``lam = 0``.  Mode i
+    is active exactly when lam < d_i = g_i - e_i.  One vectorised evaluation
+    at the activation multipliers fixes every point's active set; the roots
+    are then searched on those smooth pieces, between bounds from the
+    single-mode inverses, with the curvature model of :func:`_model_root` as
+    the step.  Raises :class:`ConvergenceError` when a residual cannot be
+    driven within ``_POWER_TOL * p``.
     """
     g = np.asarray(gains, dtype=float)
     e = np.broadcast_to(np.asarray(leaks, dtype=float), g.shape).copy()
-    shape = np.asarray(p_total, dtype=float).shape
-    p = check_powers("p_total", p_total)
     d = g - e
     powers = np.zeros((p.size, g.size))
     if not g.size or float(d.max()) <= 0:
-        return powers.reshape(shape + g.shape), np.zeros(shape)[()]
+        return powers, np.zeros(p.size)
     order = np.argsort(-d, kind="stable")
     order = order[d[order] > 0]
     gs, es, ds = g[order], e[order], d[order]
@@ -219,7 +215,7 @@ def secrecy_waterfill(gains: np.ndarray, leaks: np.ndarray | float,
 
         lam[many], (pw,) = _find_multiplier(power_at, lo, np.maximum(hi, lo), pm)
         powers[many[:, None], order] = pw
-    return powers.reshape(shape + g.shape), lam.reshape(shape)[()]
+    return powers, lam
 
 
 def solve_modes(gains: np.ndarray, leaks: np.ndarray | float,

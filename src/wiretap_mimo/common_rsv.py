@@ -67,10 +67,6 @@ class CommonBasisChannel:
         if self.lam1.shape != (m,) or self.lam2.shape != (m,):
             raise ValueError("eigenvalue vectors must have length m")
 
-    @property
-    def m(self) -> int:
-        return self.basis.shape[0]
-
 
 def detect_common_rsv(pair: ChannelPair) -> CommonBasisChannel:
     """Find a simultaneous eigenbasis of W1 and W2, or raise NotCommutingError.

@@ -269,7 +269,7 @@ class ChannelPair:
     """Gram matrices (W1, W2) of the legitimate and eavesdropper channels.
 
     Structure that depends on the pair alone (shared eigenbasis, W2's
-    omnidirectional class, range containment, weak threshold power) is
+    omnidirectional class, range containment, the weak table) is
     computed on first use and kept on the pair: see :meth:`fact`.
     """
 

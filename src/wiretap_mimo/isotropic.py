@@ -46,10 +46,6 @@ class IsotropicProblem:
             p.setflags(write=False)
             object.__setattr__(self, "p_total", p)
 
-    @property
-    def m(self) -> int:
-        return self.gains.size
-
 
 def solve_isotropic(problem: IsotropicProblem
                     ) -> Union[SolveResult, SolveResultGrid]:

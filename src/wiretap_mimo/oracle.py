@@ -26,8 +26,8 @@ Determinism: every sample is derived from fixed positions of Philox streams
 keyed by (seed, stream id), so results are bit-identical for a given
 (seed, config), alone or inside a grid, and the first N samples of a longer
 run are exactly a shorter run's.  Chunking never changes a result: B is
-formed over whole blocks of ``_BLOCK`` columns, so every sample meets the
-same BLAS kernel, and ties go to the earliest sample.
+formed over whole blocks of ``_BLOCK`` columns in every batch, the seeds'
+too, so every sample meets one BLAS kernel; ties go to the earliest sample.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ class _Scorer:
             (r2, r2, width) if objective is Objective.EXACT else width))
         self.g, self.work = np.empty((max(r1, r2),) * 2 + (width,)), np.empty((2, 6, width))
 
-    def load(self, n: int, blocks: bool = True) -> None:
+    def load(self, n: int) -> None:
         """What the objective needs of ``roots[:n]`` before the power scale:
         the :func:`_gram` of B = L1^H F, and that of L2^H F (EXACT) or
-        ||L2^H F||_F^2 (WEAK), over whole blocks of columns or just n."""
-        cols = -(-n // _BLOCK) * _BLOCK if blocks else n
+        ||L2^H F||_F^2 (WEAK), over the whole blocks of columns that hold n."""
+        cols = -(-n // _BLOCK) * _BLOCK
         m, rows = self.roots.shape[-1], 2 * len(self.grams[0]) * self.roots.shape[-1]
         # one real product forms B = L^H F of both channels, n-last, without
         # transposing the sample-major roots
@@ -245,11 +245,11 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
             f = sc.roots[j, 0] + 1j * sc.roots[j, 1]
             best[i] = (float(vals[j]), s[j] * (f @ f.conj().T))
 
-    def consider_psd(i: int, ev: np.ndarray, vec: np.ndarray, blocks: bool = True):
+    def consider_psd(i: int, ev: np.ndarray, vec: np.ndarray):
         """Covariances vec diag(ev) vec^H, ev >= 0, through their roots."""
         f = vec * np.sqrt(ev)[:, None, :]
         sc.roots[:len(f), 0], sc.roots[:len(f), 1] = f.real, f.imag
-        sc.load(len(f), blocks)
+        sc.load(len(f))
         consider(i, np.ones(len(f)))
 
     pool = _candidate_pool(pair, powers) if include_candidates else []
@@ -257,7 +257,7 @@ def mc_capacity(pair: ChannelPair, powers: np.ndarray,
     sc = _Scorer(maps, objective, min(chunk, max(cfg.samples, 500)))
     for i, cands in enumerate(pool):
         ev, vec = np.linalg.eigh(np.stack(cands))
-        consider_psd(i, np.clip(ev, 0.0, None), vec, blocks=False)  # one batch a power
+        consider_psd(i, np.clip(ev, 0.0, None), vec)  # one batch a power
 
     u, (tr, om, s) = np.empty((len(sc.roots), 2)), np.empty((3, len(sc.roots)))
     rng_a, rng_t = _stream(cfg.seed, 1), _stream(cfg.seed, 2)

@@ -120,7 +120,7 @@ def solve_weak(pair: ChannelPair, p_total: np.ndarray) -> SolveResultGrid:
     spectrum, so null directions leak nothing) are formed once, at the root.
     """
     # W1 = 0 has threshold power 0, so the search below has a positive gain
-    saturated = p_total >= pair.fact("threshold_power", threshold_power)
+    saturated = p_total >= threshold_power(pair)
     below = np.flatnonzero(~saturated)
     s2, v2, w1p, nodes, traces, slopes, counts, ev0, u0 = pair.fact(
         "weak_table", _weak_table)

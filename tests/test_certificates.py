@@ -43,6 +43,14 @@ class TestZfCertify:
         pair = ChannelPair.from_gram(np.diag([3.0, 2.0]), np.diag([1.0, 5.0]))
         assert zf_certify(pair, 1.0).verdict is Verdict.NECESSARY_FAILS
 
+    def test_no_gain_on_a_zero_leakage_mode_fails_necessity(self):
+        # W2's null direction carries no W1 gain: nothing to zero-force, at any power
+        pair = ChannelPair.from_gram(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+        for report in zf_certify(pair, np.array([1e-3, 1.0, 1e3])):
+            assert report.verdict is Verdict.NECESSARY_FAILS
+            assert report.details["reason"] == (
+                "no zero-leakage mode carries positive legitimate gain")
+
     def test_strong_leaky_mode_is_inconclusive(self):
         pair = ChannelPair.from_gram(np.diag([3.0, 2.0]), np.diag([0.0, 0.1]))
         # sufficiency holds only while lam >= lam1_2 - lam2_2 = 1.9,
@@ -374,7 +382,7 @@ def _shape(exact, lam1, lam2, p_total):
     """The techniques (zf, wf, is) whose covariance the exact optimum has,
     mode powers within 1e-9 P_T (a WF optimum leaking nothing is ZF's)."""
     tol = 1e-9 * p_total
-    wf_powers, _ = standard_waterfill(lam1, p_total)
+    (wf_powers,), _ = standard_waterfill(lam1, np.array([p_total]))
     shapes = set()
     if lam2.all() and np.max(np.abs(exact - p_total / lam1.size)) <= tol:
         shapes.add("is")

@@ -7,6 +7,7 @@ from wiretap_mimo import (ChannelPair, IsotropicProblem, NotCommutingError,
                           detect_common_rsv, mc_capacity, secrecy_rate,
                           separable_oracle, solve_common_rsv, solve_isotropic,
                           solve_weak)
+from wiretap_mimo import common_rsv
 from wiretap_mimo._waterfill import standard_waterfill
 from util import fig1_pair, random_commuting_pair, random_unitary
 
@@ -51,6 +52,24 @@ class TestDetect:
         assert ch.lam1[i] == pytest.approx(3.0)
         assert ch.lam2[i] == pytest.approx(0.1)
 
+    def test_a_pencil_that_cannot_split_is_refused_and_kept(self, monkeypatch):
+        # the pair commutes exactly, and W1 + 0.5 W2 = 2I: at eta = 0.5 the
+        # pencil is one eigenspace, and its eigenvectors diagonalize neither
+        w1 = np.array([[1.5, 0.5], [0.5, 1.5]])
+        w2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        ch = ChannelPair.from_gram(w1, w2).common_basis()  # the seeded weights split it
+        assert ch.lam1 == pytest.approx([2.0, 1.0], abs=1e-12)
+        assert ch.lam2 == pytest.approx([0.0, 2.0], abs=1e-12)
+        calls = []
+        monkeypatch.setattr(common_rsv, "_pencil_weights",
+                            lambda: calls.append(1) or (0.5,) * 8)
+        pair = ChannelPair.from_gram(w1, w2)
+        for _ in range(2):  # detected, then raised again from the pair's kept error
+            with pytest.raises(NotCommutingError, match="pencil") as exc:
+                pair.common_basis()
+            assert exc.value.commutator_norm == 0.0
+        assert len(calls) == 1
+
 
 class TestSolve:
     def test_waterfilling_when_no_leakage(self):
@@ -63,7 +82,7 @@ class TestSolve:
             ch = detect_common_rsv(pair)
             for p in (0.1, 2.0, 1e4):
                 res = solve_common_rsv(ch, p)
-                powers, lam = standard_waterfill(ch.lam1, p)
+                (powers,), (lam,) = standard_waterfill(ch.lam1, np.array([p]))
                 assert np.array_equal(res.mode_powers, powers)
                 assert res.lagrange_lambda == lam
 

@@ -13,7 +13,8 @@ from wiretap_mimo import (CapacityBounds, CapacityBoundsGrid, ChannelPair,
                           capacity_bounds_isotropic,
                           capacity_bounds_weak, construct_is_optimal_channel,
                           construct_wf_optimal_channel, epsilon_from_pathloss,
-                          is_certify, positive_part, secrecy_rate, solve_auto,
+                          is_certify, nats_to_bits, positive_part,
+                          secrecy_rate, solve_auto,
                           solve_common_rsv, solve_isotropic, solve_omni,
                           solve_weak, solve_weak_with_bounds, weak_rate,
                           wf_certify, zf_certify)
@@ -54,6 +55,11 @@ class TestHermitianMatrix:
         h = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
+
+    def test_an_array_of_the_matrix_is_its_entries(self):
+        h = HermitianMatrix(np.array([[1.0, 2j], [-2j, 3.0]]))
+        assert np.array_equal(np.asarray(h), h.entries)
+        assert np.asarray(h).dtype == h.entries.dtype
 
     def test_rank_uses_relative_tolerance(self):
         h = HermitianMatrix(np.diag([1.0, 1e-12, 0.0]))
@@ -293,6 +299,10 @@ class TestPathlossEpsilon:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             epsilon_from_pathloss(1, 0, 4, 100, 3)
+
+
+def test_a_bit_is_ln_2_nats():
+    assert nats_to_bits(math.log(2.0)) == 1.0
 
 
 def test_power_vector_square_sum_bound():

@@ -35,7 +35,7 @@ class TestSolveIsotropic:
     def test_small_epsilon_approaches_waterfilling(self):
         gains = np.array([3.0, 2.0, 0.5])
         res = solve(gains, 1e-9, 2.0)
-        powers, _ = standard_waterfill(gains, 2.0)
+        (powers,), _ = standard_waterfill(gains, np.array([2.0]))
         assert np.allclose(res.mode_powers, powers, atol=1e-6)
 
     def test_dominant_eavesdropper_zero_rate(self):
@@ -375,7 +375,7 @@ def test_standard_waterfill_matches_exact_arithmetic():
                     g[rng.uniform(size=m) < 0.2] = 0.0
                     if not g.any():
                         continue
-                    powers, lam = standard_waterfill(g, p)
+                    (powers,), (lam,) = standard_waterfill(g, np.array([p]))
                     level = _exact_level(g, p)
                     exact = [max(level - 1 / Fraction(x), 0) if x > 0 else 0
                              for x in g]

@@ -216,7 +216,7 @@ def test_secrecy_waterfill_needs_few_power_evaluations(monkeypatch):
             gains = np.sort(rng.uniform(0.1, 3.0, m))[::-1]
             leaks = rng.uniform(0.0, 1.0, m) * gains
             p_total = 10.0 ** (db / 10.0)
-            powers, lam = _waterfill.secrecy_waterfill(gains, leaks, p_total)
+            (powers,), (lam,) = _waterfill.secrecy_waterfill(gains, leaks, np.array([p_total]))
             assert abs(np.sum(powers) - p_total) <= 1e-12 * max(1.0, p_total)
             solves += 1
     assert len(calls) / solves <= 10
@@ -334,7 +334,7 @@ def test_power_exactly_at_an_activation_threshold(monkeypatch):
     counted = _waterfill.secrecy_mode_powers
     monkeypatch.setattr(_waterfill, "secrecy_mode_powers",
                         lambda *a: calls.append(1) or counted(*a))
-    powers, lam = _waterfill.secrecy_waterfill(gains, eps, p_total)
+    (powers,), (lam,) = _waterfill.secrecy_waterfill(gains, eps, np.array([p_total]))
     assert lam == pytest.approx(gains[1] - eps, rel=1e-12)
     assert powers[1:].tolist() == [0.0, 0.0]
     assert len(calls) == 2  # the activation totals, then the root itself
@@ -502,7 +502,6 @@ def test_a_grids_covariances_are_read_only():
 
 @pytest.mark.parametrize("p_total", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("solver", ["weak", "rsv", "zf", "wf", "is",
-                                    "standard_waterfill", "secrecy_waterfill",
                                     "mc_capacity", "separable_oracle",
                                     "construct_is", "isotropic_problem"])
 def test_non_finite_or_non_positive_power_is_rejected(solver, p_total):
@@ -511,10 +510,6 @@ def test_non_finite_or_non_positive_power_is_rejected(solver, p_total):
     fn = {"weak": solve_weak,
           "rsv": lambda p, t: solve_common_rsv(p.common_basis(), t),
           "zf": zf_certify, "wf": wf_certify, "is": is_certify,
-          "standard_waterfill":
-              lambda p, t: _waterfill.standard_waterfill(shared.lam1, t),
-          "secrecy_waterfill":
-              lambda p, t: _waterfill.secrecy_waterfill(shared.lam1, shared.lam2, t),
           "mc_capacity": mc_capacity,
           "separable_oracle":
               lambda p, t: separable_oracle(shared.lam1, shared.lam2, t),

@@ -265,7 +265,7 @@ def test_best_values_match_formed_covariance_golden(name):
 class TestSeparableOracle:
     def test_no_leakage_equals_waterfilling(self):
         gains = np.array([2.0, 1.0, 0.4])
-        powers, _ = standard_waterfill(gains, 2.0)
+        (powers,), _ = standard_waterfill(gains, np.array([2.0]))
         wf_value = float(np.sum(np.log1p(gains * powers)))
         assert separable_oracle(gains, np.zeros(3), 2.0) == pytest.approx(
             wf_value, abs=1e-8)
